@@ -2,15 +2,22 @@
 
 Vertex labelings are searched over restricted-growth sequences (each new
 label value first appears in vertex order), which kills the label-relabeling
-symmetry while preserving exactness.  The edge search additionally prunes
-with the enumerated automorphism group: a branch dies as soon as some
-automorphism is guaranteed to preserve every extension of the current
-prefix.  Both searches visit candidates in lexicographic order, so the
-returned witness is the lexicographically least successful labeling.
+symmetry while preserving exactness.  Both searches prune a branch as soon
+as some automorphism is guaranteed to preserve every extension of the
+current prefix.  The edge search takes those automorphisms from the
+enumerated group.  The vertex search takes them from its own refuted
+leaves: each certificate sigma is kept as (last moved vertex, image), and a
+prefix of length k > last dies when buf[sigma(v)] == buf[v] for every
+v <= last.  sigma fixes every unlabeled vertex, so it preserves every
+extension too.  Certificates are automorphisms of the bare graph, so they
+stay valid across all label counts d.  A pruned subtree holds no
+distinguishing labeling, and both searches visit candidates in
+lexicographic order, so the returned witness is still the lexicographically
+least successful labeling.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .autosearch import (
     ColoredGraph,
@@ -70,31 +77,6 @@ def _twin_pairs(g: Graph) -> list[tuple[int, int]]:
     return out
 
 
-def _rgs_exact(n: int, d: int) -> Iterator[list[int]]:
-    """Restricted-growth strings of length n over 1..d using label d.
-
-    Yields one shared buffer; callers must copy what they keep.
-    """
-    if d > n:
-        return
-    buf = [1] * n
-
-    def rec(k: int, top: int) -> Iterator[list[int]]:
-        if k == n:
-            if top == d:
-                yield buf
-            return
-        # cannot introduce labels fast enough to reach d
-        if d - top > n - k:
-            return
-        hi = min(d, top + 1)
-        for val in range(1, hi + 1):
-            buf[k] = val
-            yield from rec(k + 1, max(top, val))
-
-    yield from rec(0, 0)
-
-
 def distinguishing_number(
     g: Graph, d_max: int | None = None
 ) -> Optional[tuple[int, VertexLabeling]]:
@@ -121,15 +103,24 @@ def distinguishing_number(
     ident = tuple(range(n))
     accept = lambda s: s != ident  # noqa: E731
     buf = [0] * n
+    # leaf certificates as (last moved vertex, image); valid for every d
+    certs: list[tuple[int, tuple[int, ...]]] = []
 
     def rec(k: int, top: int, d: int) -> bool:
         # requires top == d by the end: strings with a smaller maximum were
         # already covered (and refuted) at their own level
         if d - top > n - k:
             return False
+        for last, img in certs:
+            if last < k and all(buf[img[v]] == buf[v] for v in range(last + 1)):
+                return False
         if k == n:
-            stats = SearchStats()
-            return _search(adj, n, buf, accept, False, 0, stats) is None
+            got = _search(adj, n, buf, accept, False, 0, SearchStats())
+            if got is None:
+                return True
+            img = got.image
+            certs.append((max(v for v in range(n) if img[v] != v), img))
+            return False
         hi = min(d, top + 1)
         partners = twins_at[k]
         for val in range(1, hi + 1):

@@ -196,7 +196,7 @@ def test_criterion_05_spider_values():
     for n in range(3, 7):
         got = distinguishing_number(spider(n))
         assert got is not None and got[0] == math.isqrt(n - 1) + 1
-    for n in (3, 4):
+    for n in range(3, 8):
         prod = lex_product(spider(n), complete(2))
         got = distinguishing_number(prod)
         assert got is not None and got[0] == spider_k2_distinguishing_number(n)

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,23 @@ from lexidis import (
     star,
 )
 
-from .util import catalog, naive_color_preserver_exists, random_graph
+from .util import atlas4, catalog, naive_color_preserver_exists, random_graph
+
+
+def _is_restricted_growth(labels) -> bool:
+    top = 0
+    for val in labels:
+        if val > top + 1:
+            return False
+        top = max(top, val)
+    return True
+
+
+def _rgs_with_max(n: int, d: int):
+    """Restricted-growth strings of length n with maximum exactly d, lex order."""
+    for labels in product(range(1, d + 1), repeat=n):
+        if max(labels) == d and _is_restricted_growth(labels):
+            yield list(labels)
 
 
 def test_is_distinguishing_examples():
@@ -85,12 +102,71 @@ def test_witness_is_lexicographically_least():
     assert distinguishing_number(complete(3)) == (3, [1, 2, 3])
 
 
+def test_witness_is_least_unrefuted_string():
+    # the first restricted-growth string with maximum d that no automorphism
+    # preserves (full n! scan) must be the returned witness
+    rng = random.Random(2024)
+    graphs = list(atlas4().values())
+    graphs += [random_graph(rng, rng.randrange(1, 7)) for _ in range(20)]
+    for g in graphs:
+        d, w = distinguishing_number(g)
+        first = next(
+            labels
+            for labels in _rgs_with_max(g.n, d)
+            if not naive_color_preserver_exists(g, labels)
+        )
+        assert w == first, g
+
+
+# (value, witness) of the slow tail, as recorded in the benchmark's answers
+SLOW_TAIL = {
+    "K3[C4]": (lex_product(complete(3), cycle(4)), 4, [1, 1, 2, 3, 1, 2, 4, 3, 2, 3, 4, 4]),
+    "spider6": (spider(6), 3, [1, 1, 1, 1, 2, 1, 3, 2, 1, 2, 2, 2, 3]),
+    "K2[C6]": (lex_product(complete(2), cycle(6)), 3, [1, 1, 1, 1, 2, 3, 1, 1, 1, 2, 1, 3]),
+    "P3[C4]": (lex_product(path(3), cycle(4)), 3, [1, 1, 2, 3, 1, 1, 2, 3, 1, 2, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_TAIL))
+def test_slow_tail_values_and_witnesses(name):
+    g, value, witness = SLOW_TAIL[name]
+    assert distinguishing_number(g) == (value, witness)
+
+
+def test_spider7_finishes():
+    g = spider(7)
+    d, w = distinguishing_number(g)
+    assert d == 3
+    assert is_distinguishing(g, w)
+
+
+@pytest.mark.parametrize("name, leaves", [("K3[C4]", 27), ("spider6", 16)])
+def test_leaf_certificates_prune(monkeypatch, name, leaves):
+    # every leaf runs one automorphism search; without the certificate
+    # pruning these take 18 935 and 8 736 leaf searches
+    import lexidis.distinguishing as dist
+
+    g = SLOW_TAIL[name][0]
+
+    calls = []
+    inner = dist._search
+
+    def counting(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(dist, "_search", counting)
+    distinguishing_number(g)
+    assert len(calls) == leaves
+
+
 def test_witness_stays_valid_with_more_labels():
     for g in (path(5), cycle(6), spider(3)):
         d, w = distinguishing_number(g)
         assert is_distinguishing(g, w)
-        # the same witness is a valid labeling at any higher budget
-        assert max(w) <= d + 1
+        # uses exactly d labels, each new value first appearing in order
+        assert max(w) == d
+        assert _is_restricted_growth(w)
         assert is_distinguishing(g, list(w))
 
 
