@@ -168,7 +168,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_aut(args) -> int:
     g = _read_graph(args.graph)
-    cap = args.cap or _default_cap()
+    cap = _default_cap() if args.cap is None else args.cap
     t0 = time.perf_counter()
     try:
         elems = enumerate_automorphisms(g, cap=cap)

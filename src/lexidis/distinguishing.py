@@ -1,23 +1,27 @@
 """Exact distinguishing number and distinguishing index by minimal-d search.
 
-Vertex labelings are searched over restricted-growth sequences (each new
-label value first appears in vertex order), which kills the label-relabeling
-symmetry while preserving exactness.  Both searches prune a branch as soon
-as some automorphism is guaranteed to preserve every extension of the
-current prefix.  The edge search takes those automorphisms from the
-enumerated group.  The vertex search takes them from its own refuted
-leaves: each certificate sigma is kept as (last moved vertex, image), and a
-prefix of length k > last dies when buf[sigma(v)] == buf[v] for every
-v <= last.  sigma fixes every unlabeled vertex, so it preserves every
-extension too.  Certificates are automorphisms of the bare graph, so they
-stay valid across all label counts d.  A pruned subtree holds no
-distinguishing labeling, and both searches visit candidates in
-lexicographic order, so the returned witness is still the lexicographically
-least successful labeling.
+One walker, ``_least_labeling``, answers both.  For d = 1, 2, ... it visits
+the restricted-growth labelings (each new label first appears in position
+order, which kills the relabeling symmetry) in lexicographic order and
+returns the first that no known permutation preserves.  A permutation's
+alive flag clears while the prefix breaks one of its cycles; a prefix that
+reaches its last moved position with the flag set dies, since the
+permutation then preserves every extension.
+
+Only the source of permutations differs.  D'(G) (Kalinowski & Pilsniak
+2015) lists the edge actions of the enumerated Aut(G) up front.  D(G)
+(Albertson & Collins 1996) starts from the twin transpositions and hands
+each leaf that survives them to a full automorphism search.  A preserving
+automorphism found there refutes the leaf and is kept for every later d
+(it is an automorphism of the bare graph); the walk backjumps to its last
+moved position, as every labeling agreeing with the leaf up to there is
+preserved too.  Everything skipped is preserved by a nontrivial
+automorphism and the walk is lexicographic, so the first accepted leaf is
+the lexicographically least distinguishing labeling with the least d.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .autosearch import (
     ColoredGraph,
@@ -65,16 +69,101 @@ def is_distinguishing_edges(g: Graph, labels: EdgeLabeling) -> bool:
     return find_preserving_edges(g, labels, exclude_identity=True) is None
 
 
-def _twin_pairs(g: Graph) -> list[tuple[int, int]]:
-    """Pairs whose transposition is an automorphism (open or closed twins)."""
+def _twin_pairs(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Transpositions of open or closed twins, each an automorphism."""
     bits = g.adjacency_bits
-    out = []
     for v in range(g.n):
         for w in range(v + 1, g.n):
             both = ~((1 << v) | (1 << w))
             if bits[v] & both == bits[w] & both:
-                out.append((v, w))
-    return out
+                swap = list(range(g.n))
+                swap[v], swap[w] = w, v
+                yield tuple(swap)
+
+
+def _least_labeling(
+    m: int,
+    d_max: int,
+    perms: Iterable[tuple[int, ...]],
+    refute: Optional[Callable[[list[int]], Optional[tuple[int, ...]]]] = None,
+) -> Optional[tuple[int, list[int]]]:
+    """Least d <= d_max and the lex-least restricted-growth labeling of
+    positions 0..m-1 with maximum d that no permutation of ``perms``
+    preserves and ``refute`` does not refute, or None.
+
+    ``refute`` sees each surviving leaf and returns None to accept it, or a
+    nontrivial permutation preserving it; that permutation is kept for
+    every later d, and the walk resumes at its last moved position.
+    """
+    # A permutation preserves a labeling when every moved position j has the
+    # label of low(j), the least position of its cycle.  The pair at the last
+    # moved position decides the prune; earlier pairs clear the alive flag.
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    dies: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    alive: list[bool] = []
+
+    def add(p: tuple[int, ...]) -> int:
+        s = len(alive)
+        alive.append(True)
+        low = list(range(m))
+        last = 0
+        for i, j in enumerate(p):
+            if j > i and low[i] == i:
+                while j != i:
+                    low[j] = i
+                    if j > last:
+                        last = j
+                    j = p[j]
+        for j in range(last):
+            if low[j] != j:
+                checks[j].append((s, low[j]))
+        dies[last].append((s, low[last]))
+        return last
+
+    for p in perms:
+        add(p)
+    buf = [0] * m
+    jump = m  # where to resume after a leaf certificate; m when none is pending
+
+    def rec(k: int, top: int, d: int) -> bool:
+        # requires top == d by the end: strings with a smaller maximum were
+        # already covered (and refuted) at their own level
+        nonlocal jump
+        if d - top > m - k:
+            return False
+        if k == m:
+            got = refute(buf) if refute is not None else None
+            if got is None:
+                return True
+            jump = add(got)
+            return False
+        chk = checks[k]
+        # a live permutation whose last pair lands here bans its low label;
+        # the set holds for the whole loop, as those flags depend only on
+        # positions < k, and a certificate added with its last pair here
+        # bans just the value it refuted
+        banned = {buf[i] for s, i in dies[k] if alive[s]}
+        for val in range(1, min(d, top + 1) + 1):
+            if val in banned:
+                continue
+            buf[k] = val
+            killed = [s for s, i in chk if alive[s] and buf[i] != val]
+            for s in killed:
+                alive[s] = False
+            hit = rec(k + 1, max(top, val), d)
+            for s in killed:
+                alive[s] = True
+            if hit:
+                return True
+            if jump < k:
+                return False
+            jump = m
+        return False
+
+    for d in range(1, d_max + 1):
+        if rec(0, 0, d):
+            return d, list(buf)
+    return None
 
 
 def distinguishing_number(
@@ -94,47 +183,15 @@ def distinguishing_number(
         raise ValueError("d_max must be positive")
     if n == 0:
         return 1, []
-    # A same-labeled twin pair is preserved by its transposition whatever
-    # the rest of the labeling does, so the whole prefix subtree is dead.
-    twins_at: list[list[int]] = [[] for _ in range(n)]
-    for v, w in _twin_pairs(g):
-        twins_at[w].append(v)
     adj = g.adjacency_bits
     ident = tuple(range(n))
     accept = lambda s: s != ident  # noqa: E731
-    buf = [0] * n
-    # leaf certificates as (last moved vertex, image); valid for every d
-    certs: list[tuple[int, tuple[int, ...]]] = []
 
-    def rec(k: int, top: int, d: int) -> bool:
-        # requires top == d by the end: strings with a smaller maximum were
-        # already covered (and refuted) at their own level
-        if d - top > n - k:
-            return False
-        for last, img in certs:
-            if last < k and all(buf[img[v]] == buf[v] for v in range(last + 1)):
-                return False
-        if k == n:
-            got = _search(adj, n, buf, accept, False, 0, SearchStats())
-            if got is None:
-                return True
-            img = got.image
-            certs.append((max(v for v in range(n) if img[v] != v), img))
-            return False
-        hi = min(d, top + 1)
-        partners = twins_at[k]
-        for val in range(1, hi + 1):
-            if any(buf[u] == val for u in partners):
-                continue
-            buf[k] = val
-            if rec(k + 1, max(top, val), d):
-                return True
-        return False
+    def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
+        got = _search(adj, n, labels, accept, False, 0, SearchStats())
+        return None if got is None else got.image
 
-    for d in range(1, d_max + 1):
-        if rec(0, 0, d):
-            return d, list(buf)
-    return None
+    return _least_labeling(n, d_max, _twin_pairs(g), refute)
 
 
 # -- edge index -------------------------------------------------------------
@@ -159,66 +216,6 @@ def _edge_actions(g: Graph, aut_cap: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _edge_scan(m: int, eperms: list[tuple[int, ...]], d: int) -> Optional[list[int]]:
-    """Lex-least restricted-growth edge labeling over 1..d (max exactly d)
-    killed by no listed edge permutation, or None.
-
-    A permutation whose constraints all lie inside the labeled prefix and
-    that still preserves it will preserve every extension, so that subtree
-    is pruned.
-    """
-    if d > m:
-        return None
-    resolved: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    dies_at: list[list[int]] = [[] for _ in range(m)]
-    for s, ep in enumerate(eperms):
-        last = 0
-        for i in range(m):
-            j = ep[i]
-            if j != i:
-                k = i if i > j else j
-                resolved[k].append((s, i, j))
-                if k > last:
-                    last = k
-        dies_at[last].append(s)
-
-    alive = [True] * len(eperms)
-    buf = [0] * m
-    sol: Optional[list[int]] = None
-
-    def rec(k: int, top: int) -> bool:
-        nonlocal sol
-        if d - top > m - k:
-            return False
-        hi = min(d, top + 1)
-        res_k = resolved[k]
-        die_k = dies_at[k]
-        for val in range(1, hi + 1):
-            buf[k] = val
-            killed = []
-            for s, i, j in res_k:
-                if alive[s] and buf[i] != buf[j]:
-                    alive[s] = False
-                    killed.append(s)
-            if not any(alive[s] for s in die_k):
-                if k + 1 == m:
-                    if max(top, val) == d:
-                        sol = list(buf)
-                        for s in killed:
-                            alive[s] = True
-                        return True
-                elif rec(k + 1, max(top, val)):
-                    for s in killed:
-                        alive[s] = True
-                    return True
-            for s in killed:
-                alive[s] = True
-        return False
-
-    rec(0, 0)
-    return sol
-
-
 def distinguishing_index(
     g: Graph, d_max: int | None = None, aut_cap: int = DEFAULT_AUT_CAP
 ) -> Optional[tuple[int, EdgeLabeling]]:
@@ -237,11 +234,8 @@ def distinguishing_index(
         d_max = m
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    eperms = _edge_actions(g, aut_cap)
-    if not eperms:
-        return 1, {e: 1 for e in edges}
-    for d in range(2, d_max + 1):
-        lab = _edge_scan(m, eperms, d)
-        if lab is not None:
-            return d, {e: lab[i] for i, e in enumerate(edges)}
-    return None
+    got = _least_labeling(m, d_max, _edge_actions(g, aut_cap))
+    if got is None:
+        return None
+    d, lab = got
+    return d, {e: lab[i] for i, e in enumerate(edges)}

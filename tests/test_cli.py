@@ -66,6 +66,10 @@ def test_aut_cap_exit(tmp_path, capsys):
     code, out, _ = run(capsys, "aut", str(p), "--cap", "10")
     assert code == 3
     assert ">=" in out
+    # a zero cap is a usage error, not a fall-back to the default cap
+    code, _, err = run(capsys, "aut", str(p), "--cap", "0")
+    assert code == 2
+    assert "cap must be positive" in err
 
 
 def test_verify_positive_and_negative(tmp_path, capsys):

@@ -19,7 +19,16 @@ from lexidis import (
     star,
 )
 
-from .util import atlas4, catalog, naive_color_preserver_exists, random_graph
+from .util import (
+    atlas4,
+    catalog,
+    naive_color_preserver_exists,
+    naive_edge_preserver_exists,
+    random_graph,
+)
+
+# an asymmetric graph: its only automorphism is the identity
+ASYM = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 3)])
 
 
 def _is_restricted_growth(labels) -> bool:
@@ -36,6 +45,10 @@ def _rgs_with_max(n: int, d: int):
     for labels in product(range(1, d + 1), repeat=n):
         if max(labels) == d and _is_restricted_growth(labels):
             yield list(labels)
+
+
+def _first_unrefuted(length: int, d: int, refuted):
+    return next(s for s in _rgs_with_max(length, d) if not refuted(s))
 
 
 def test_is_distinguishing_examples():
@@ -62,9 +75,8 @@ def test_is_distinguishing_edges_examples():
     assert is_distinguishing_edges(path(4), {(0, 1): 1, (1, 2): 1, (2, 3): 2})
     assert not is_distinguishing_edges(cycle(6), {e: 1 for e in cycle(6).edge_list()})
     # asymmetric graph: any labeling works
-    asym = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 3)])
-    assert len(enumerate_automorphisms(asym)) == 1
-    assert is_distinguishing_edges(asym, {e: 1 for e in asym.edge_list()})
+    assert len(enumerate_automorphisms(ASYM)) == 1
+    assert is_distinguishing_edges(ASYM, {e: 1 for e in ASYM.edge_list()})
 
 
 def test_distinguishing_number_small_families():
@@ -89,8 +101,7 @@ def test_distinguishing_number_spiders():
 
 
 def test_distinguishing_number_asymmetric_and_cap():
-    asym = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 3)])
-    assert distinguishing_number(asym) == (1, [1] * 6)
+    assert distinguishing_number(ASYM) == (1, [1] * 6)
     assert distinguishing_number(complete(4), d_max=3) is None
     assert distinguishing_number(Graph(0)) == (1, [])
 
@@ -104,18 +115,25 @@ def test_witness_is_lexicographically_least():
 
 def test_witness_is_least_unrefuted_string():
     # the first restricted-growth string with maximum d that no automorphism
-    # preserves (full n! scan) must be the returned witness
+    # preserves (full n! scan) must be the returned witness, over the vertices
+    # for D and over g.edge_list() for D'
     rng = random.Random(2024)
     graphs = list(atlas4().values())
     graphs += [random_graph(rng, rng.randrange(1, 7)) for _ in range(20)]
+    edge_cases = 0
     for g in graphs:
         d, w = distinguishing_number(g)
-        first = next(
-            labels
-            for labels in _rgs_with_max(g.n, d)
-            if not naive_color_preserver_exists(g, labels)
+        assert w == _first_unrefuted(g.n, d, lambda s: naive_color_preserver_exists(g, s)), g
+        if not 1 <= g.m <= 8:
+            continue
+        edges = g.edge_list()
+        d, w = distinguishing_index(g)
+        first = _first_unrefuted(
+            len(edges), d, lambda s: naive_edge_preserver_exists(g, dict(zip(edges, s)))
         )
-        assert w == first, g
+        assert [w[e] for e in edges] == first, g
+        edge_cases += 1
+    assert edge_cases >= 15  # 9 atlas4 graphs with edges + 10 random ones
 
 
 # (value, witness) of the slow tail, as recorded in the benchmark's answers
@@ -204,6 +222,9 @@ def test_distinguishing_index_examples():
     assert distinguishing_index(lex_product(path(3), path(3)))[0] == 2
     assert distinguishing_index(lex_product(complete(2), path(3)))[0] == 2
     assert distinguishing_index(complete(2)) == (1, {(0, 1): 1})
+    # P3 needs two edge labels; with no automorphism moving an edge, one does
+    assert distinguishing_index(path(3), d_max=1) is None
+    assert distinguishing_index(ASYM) == (1, {e: 1 for e in ASYM.edge_list()})
     with pytest.raises(ValueError):
         distinguishing_index(Graph(3))
 
