@@ -1,15 +1,32 @@
 """Color-preserving automorphism search by partition refinement.
 
-The engine answers one question two ways: does a colored graph admit a
-nontrivial color-preserving automorphism (find one as a certificate), and
-what are all automorphisms of a small graph (collect every leaf).
+The engine answers two questions: does a colored graph admit a nontrivial
+color-preserving automorphism (find one as a certificate), and what is the
+automorphism group of a graph (a base, strong generators and the order).
 
 The search keeps two colorings of the same graph, a source and a target,
 refined in lockstep to equitable fixpoints.  Branching individualizes the
 least vertex of the smallest non-singleton cell on the source side against
-each candidate in the matching target cell, in (cell, vertex) order, so the
-first certificate found is deterministic.  Every leaf is re-verified by a
-naive adjacency-and-color check before being reported.
+each candidate in the matching target cell, in ascending vertex order, so
+the first certificate found is deterministic.  Every leaf is re-verified by
+a naive adjacency-and-color check before being reported.
+
+Aut(G) comes from one walk down the source path.  The vertices b1, ..., bk
+it individualizes before the coloring turns discrete form a base: only the
+identity fixes them all.  Levels are done deepest first.  At level i every
+generator found so far fixes b1..b(i-1); for each w of b_i's cell that is
+not yet in the orbit of b_i under them, one search from the prefix with
+b_i mapped to w either returns an automorphism, kept as a new generator,
+or proves that none maps b_i to w.  When the level is done the orbit is
+the whole orbit of the stabilizer of b1..b(i-1), so the generators are
+strong and |Aut(G)| is the product of the orbit lengths: no element list
+and no Schreier-Sims step are needed (McKay & Piperno 2014; Seress 2003).
+
+``enumerate_automorphisms`` lists a group under its cap as the closure of
+the strong generators, sorted by the images of the base.  That is the order
+in which a search visiting every leaf reaches them, since candidates are
+tried in ascending order at every depth; and each generator is the first
+such leaf that the earlier generators do not already produce.
 """
 from __future__ import annotations
 
@@ -17,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .graph import Graph
-from .permgroup import CapExceededError, Perm
+from .permgroup import CapExceededError, GeneratorSet, Perm, closure
 
 DEFAULT_AUT_CAP = 1_000_000
 
@@ -141,81 +158,96 @@ def _verify(adj: Sequence[int], n: int, colors: Sequence[int], sigma: Sequence[i
     return True
 
 
-def _search(
-    adj: Sequence[int],
-    n: int,
-    colors: Sequence[int],
-    accept: Optional[Callable[[tuple[int, ...]], bool]],
-    collect: bool,
-    cap: int,
-    stats: SearchStats,
-) -> Optional[Perm] | list[Perm]:
-    results: list[Perm] = []
-    base = list(colors)
+def _split(
+    adj: Sequence[int], n: int, c: list[int], ncolors: int, stats: SearchStats
+) -> tuple[list[int], list[int], int, list[tuple[list[int], dict[int, int]]]]:
+    """Individualize the least vertex of the smallest non-singleton cell
+    (ties to the lower color) and refine.
 
-    def node(c1: list[int], c2: list[int], ncolors: int) -> Optional[Perm]:
-        """Handle one search node whose colorings are already refined."""
+    Returns that cell in ascending order, the refined coloring, its color
+    count, and the trace the target side replays.
+    """
+    cells: list[list[int]] = [[] for _ in range(ncolors)]
+    for v in range(n):
+        cells[c[v]].append(v)
+    cell = min((x for x in cells if len(x) > 1), key=len)
+    nc = list(c)
+    nc[cell[0]] = ncolors
+    rc, rk, trace = _refine_trace(adj, n, nc, ncolors + 1, stats)
+    return cell, rc, rk, trace
+
+
+class _Search:
+    """One find-mode search over a fixed graph, colors and leaf filter."""
+
+    __slots__ = ("adj", "n", "colors", "accept", "stats")
+
+    def __init__(
+        self,
+        adj: Sequence[int],
+        n: int,
+        colors: Sequence[int],
+        accept: Optional[Callable[[tuple[int, ...]], bool]],
+        stats: SearchStats,
+    ) -> None:
+        self.adj = adj
+        self.n = n
+        self.colors = colors
+        self.accept = accept
+        self.stats = stats
+
+    def node(self, c1: list[int], c2: list[int], ncolors: int) -> Optional[Perm]:
+        """First accepted automorphism mapping the refined source coloring
+        c1 onto the target c2, or None when there is none.
+        """
+        adj, n, stats = self.adj, self.n, self.stats
         stats.nodes += 1
         if ncolors == n:
-            sigma = [0] * n
             pos2 = [0] * n
             for v in range(n):
                 pos2[c2[v]] = v
-            for v in range(n):
-                sigma[v] = pos2[c1[v]]
-            st = tuple(sigma)
-            if not _verify(adj, n, base, st):
+            st = tuple(pos2[c1[v]] for v in range(n))
+            if not _verify(adj, n, self.colors, st):
                 return None
-            if accept is not None and not accept(st):
+            if self.accept is not None and not self.accept(st):
                 return None
-            p = Perm(st)
-            if collect:
-                results.append(p)
-                if len(results) > cap:
-                    raise CapExceededError(len(results))
-                return None
-            return p
-        cells1: list[list[int]] = [[] for _ in range(ncolors)]
-        cells2: list[list[int]] = [[] for _ in range(ncolors)]
-        for v in range(n):
-            cells1[c1[v]].append(v)
-            cells2[c2[v]].append(v)
-        target = min(
-            (k for k in range(ncolors) if len(cells1[k]) > 1),
-            key=lambda k: (len(cells1[k]), k),
-        )
-        # individualize the least source vertex once; replay per target choice
-        v = cells1[target][0]
-        nc1 = list(c1)
-        nc1[v] = ncolors
-        rc1, rk, trace = _refine_trace(adj, n, nc1, ncolors + 1, stats)
-        for w in cells2[target]:
+            return Perm(st)
+        # individualize the source vertex once; replay per target choice
+        cell, rc1, rk, trace = _split(adj, n, c1, ncolors, stats)
+        color = c1[cell[0]]
+        for w in range(n):
+            if c2[w] != color:
+                continue
             nc2 = list(c2)
             nc2[w] = ncolors
             rc2 = _replay_trace(adj, n, nc2, ncolors + 1, trace, stats)
             if rc2 is None:
                 continue
-            got = node(rc1, rc2, rk)
+            got = self.node(rc1, rc2, rk)
             if got is not None:
                 return got
         return None
 
+
+def _search(
+    adj: Sequence[int],
+    n: int,
+    colors: Sequence[int],
+    accept: Optional[Callable[[tuple[int, ...]], bool]],
+    stats: SearchStats,
+) -> Optional[Perm]:
+    """First color-preserving automorphism, in search order, that passes
+    ``accept``, or None.
+    """
     if n == 0:
         ident: tuple[int, ...] = ()
-        if collect:
-            return [Perm(ident)]
-        if accept is None or accept(ident):
-            return Perm(ident)
-        return None
+        return Perm(ident) if accept is None or accept(ident) else None
     # normalize the starting colors to dense values 0..k-1
-    order = sorted(set(base))
+    order = sorted(set(colors))
     dense = {val: i for i, val in enumerate(order)}
-    start = [dense[val] for val in base]
+    start = [dense[val] for val in colors]
     rc, rk, _trace = _refine_trace(adj, n, start, len(order), stats)
-    found = node(rc, list(rc), rk)
-    if collect:
-        return results
-    return found
+    return _Search(adj, n, colors, accept, stats).node(rc, list(rc), rk)
 
 
 def find_preserving(
@@ -233,22 +265,82 @@ def find_preserving(
     if exclude_identity:
         ident = tuple(range(g.n))
         accept = lambda s: s != ident  # noqa: E731
-    got = _search(g.adjacency_bits, g.n, colored.colors, accept, False, 0, stats)
+    got = _search(g.adjacency_bits, g.n, colored.colors, accept, stats)
     stats.found = got is not None
     return got, stats
+
+
+def _orbit(v: int, gens: Sequence[Perm]) -> set[int]:
+    """Orbit of v under the group the permutations generate."""
+    orbit = {v}
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        for p in gens:
+            y = p.image[x]
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def automorphism_group(
+    g: Graph, stats: Optional[SearchStats] = None
+) -> tuple[list[int], list[Perm], int]:
+    """Base, strong generators and order of Aut(g).
+
+    The generators come deepest base level first, each level in ascending
+    order of the image of its base point.  ``stats`` collects the work.
+    """
+    if stats is None:
+        stats = SearchStats()
+    adj, n = g.adjacency_bits, g.n
+    colors = [0] * n
+    if n == 0:
+        return [], [], 1
+    c, k, _trace = _refine_trace(adj, n, colors, 1, stats)
+    levels = []
+    while k < n:
+        stats.nodes += 1
+        cell, rc, rk, trace = _split(adj, n, c, k, stats)
+        levels.append((c, k, cell, rc, rk, trace))
+        c, k = rc, rk
+    search = _Search(adj, n, colors, None, stats)
+    gens: list[Perm] = []
+    order = 1
+    for c, k, cell, rc, rk, trace in reversed(levels):
+        # every generator so far fixes the points above this level
+        orbit = {cell[0]}
+        for w in cell[1:]:
+            if w in orbit:
+                continue
+            nc = list(c)
+            nc[w] = k
+            rc2 = _replay_trace(adj, n, nc, k + 1, trace, stats)
+            if rc2 is None:
+                continue
+            got = search.node(rc, rc2, rk)
+            if got is not None:
+                gens.append(got)
+                orbit = _orbit(cell[0], gens)
+        order *= len(orbit)
+    return [lv[2][0] for lv in levels], gens, order
 
 
 def enumerate_automorphisms(g: Graph, cap: int = DEFAULT_AUT_CAP) -> list[Perm]:
     """All automorphisms of g, identity first, in deterministic search order.
 
-    Raises CapExceededError when the group has more than ``cap`` elements.
+    Raises CapExceededError(cap + 1) when the group has more than ``cap``
+    elements, before listing any.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    stats = SearchStats()
-    out = _search(g.adjacency_bits, g.n, [0] * g.n, None, True, cap, stats)
-    assert isinstance(out, list)
-    return out
+    base, gens, order = automorphism_group(g)
+    if order > cap:
+        raise CapExceededError(cap + 1)
+    elems = closure(GeneratorSet(g.n, tuple(gens)), cap=order)
+    elems.sort(key=lambda p: [p.image[b] for b in base])
+    return elems
 
 
 def is_color_preserving_automorphism(g: Graph, colors: Sequence[int], p: Perm) -> bool:
@@ -324,7 +416,7 @@ def find_preserving_edges(
     if exclude_identity:
         rng = range(n, total)
         accept = lambda s: any(s[i] != i for i in rng)  # noqa: E731
-    got = _search(bits, total, colors, accept, False, 0, stats)
+    got = _search(bits, total, colors, accept, stats)
     if got is None:
         return None
     vertex_part = Perm(got.image[:n])

@@ -9,6 +9,7 @@ environment variable overrides the default group/search caps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,7 +17,13 @@ import time
 from typing import Optional
 
 from . import constructions as cons
-from .autosearch import enumerate_automorphisms, find_preserving, find_preserving_edges, ColoredGraph
+from .autosearch import (
+    ColoredGraph,
+    automorphism_group,
+    enumerate_automorphisms,
+    find_preserving,
+    find_preserving_edges,
+)
 from .distinguishing import (
     distinguishing_index,
     distinguishing_number,
@@ -26,7 +33,7 @@ from .distinguishing import (
 from .formats import FormatError, dumps, loads
 from .graph import Graph, complete, cycle, is_connected, path, spider, star
 from .lexprod import lex_power, lex_product
-from .permgroup import CapExceededError, generating_subset, sabidussi_equal
+from .permgroup import CapExceededError, sabidussi_equal
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -169,24 +176,24 @@ def _cmd_product(args) -> int:
 def _cmd_aut(args) -> int:
     g = _read_graph(args.graph)
     cap = _default_cap() if args.cap is None else args.cap
+    if cap < 1:
+        raise CliError("cap must be positive")
     t0 = time.perf_counter()
-    try:
-        elems = enumerate_automorphisms(g, cap=cap)
-    except CapExceededError as exc:
-        _emit(args, {"command": "aut", "n": g.n, "order": None, "at_least": exc.reached},
-              f"order >= {exc.reached} (cap exceeded)")
+    _base, gens, order = automorphism_group(g)
+    if order > cap:
+        _emit(args, {"command": "aut", "n": g.n, "order": None, "at_least": cap + 1},
+              f"order >= {cap + 1} (cap exceeded)")
         return EXIT_CAP
-    gens = generating_subset(elems)
+    elems = enumerate_automorphisms(g, cap=cap) if args.elements else None
     ms = (time.perf_counter() - t0) * 1000
     payload = {
-        "command": "aut", "n": g.n, "m": g.m, "order": len(elems),
+        "command": "aut", "n": g.n, "m": g.m, "order": order,
         "generators": [p.cycle_string() for p in gens], "ms": round(ms, 3),
     }
-    if args.elements:
+    human = f"order {order}, {len(gens)} generators"
+    if elems is not None:
         payload["elements"] = [p.cycle_string() for p in elems]
-    human = f"order {len(elems)}, {len(gens)} generators"
-    if args.elements:
-        human += "\n" + "\n".join(p.cycle_string() for p in elems)
+        human += "\n" + "\n".join(payload["elements"])
     _emit(args, payload, human)
     return EXIT_OK
 
@@ -444,7 +451,9 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(prog="lexidis", description=__doc__)
     ap.add_argument("--json", action="store_true", help="one JSON object per output line")
     sub = ap.add_subparsers(dest="verb", required=True)

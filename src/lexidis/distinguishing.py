@@ -81,6 +81,83 @@ def _twin_pairs(g: Graph) -> Iterator[tuple[int, ...]]:
                 yield tuple(swap)
 
 
+class _Walk:
+    """State of one restricted-growth walk; see ``_least_labeling``.
+
+    A permutation preserves a labeling when every moved position j has the
+    label of low(j), the least position of its cycle.  The pair at the last
+    moved position decides the prune; earlier pairs clear the alive flag.
+    """
+
+    __slots__ = ("m", "refute", "checks", "dies", "alive", "buf", "jump")
+
+    def __init__(
+        self, m: int, refute: Optional[Callable[[list[int]], Optional[tuple[int, ...]]]]
+    ) -> None:
+        self.m = m
+        self.refute = refute
+        self.checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        self.dies: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        self.alive: list[bool] = []
+        self.buf = [0] * m
+        self.jump = m  # where to resume after a leaf certificate; m when none is pending
+
+    def add(self, p: tuple[int, ...]) -> int:
+        """Track permutation p; returns its last moved position."""
+        s = len(self.alive)
+        self.alive.append(True)
+        low = list(range(self.m))
+        last = 0
+        for i, j in enumerate(p):
+            if j > i and low[i] == i:
+                while j != i:
+                    low[j] = i
+                    if j > last:
+                        last = j
+                    j = p[j]
+        for j in range(last):
+            if low[j] != j:
+                self.checks[j].append((s, low[j]))
+        self.dies[last].append((s, low[last]))
+        return last
+
+    def rec(self, k: int, top: int, d: int) -> bool:
+        # requires top == d by the end: strings with a smaller maximum were
+        # already covered (and refuted) at their own level
+        m = self.m
+        if d - top > m - k:
+            return False
+        buf, alive = self.buf, self.alive
+        if k == m:
+            got = self.refute(buf) if self.refute is not None else None
+            if got is None:
+                return True
+            self.jump = self.add(got)
+            return False
+        chk = self.checks[k]
+        # a live permutation whose last pair lands here bans its low label;
+        # the set holds for the whole loop, as those flags depend only on
+        # positions < k, and a certificate added with its last pair here
+        # bans just the value it refuted
+        banned = {buf[i] for s, i in self.dies[k] if alive[s]}
+        for val in range(1, min(d, top + 1) + 1):
+            if val in banned:
+                continue
+            buf[k] = val
+            killed = [s for s, i in chk if alive[s] and buf[i] != val]
+            for s in killed:
+                alive[s] = False
+            hit = self.rec(k + 1, max(top, val), d)
+            for s in killed:
+                alive[s] = True
+            if hit:
+                return True
+            if self.jump < k:
+                return False
+            self.jump = m
+        return False
+
+
 def _least_labeling(
     m: int,
     d_max: int,
@@ -95,74 +172,12 @@ def _least_labeling(
     nontrivial permutation preserving it; that permutation is kept for
     every later d, and the walk resumes at its last moved position.
     """
-    # A permutation preserves a labeling when every moved position j has the
-    # label of low(j), the least position of its cycle.  The pair at the last
-    # moved position decides the prune; earlier pairs clear the alive flag.
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    dies: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    alive: list[bool] = []
-
-    def add(p: tuple[int, ...]) -> int:
-        s = len(alive)
-        alive.append(True)
-        low = list(range(m))
-        last = 0
-        for i, j in enumerate(p):
-            if j > i and low[i] == i:
-                while j != i:
-                    low[j] = i
-                    if j > last:
-                        last = j
-                    j = p[j]
-        for j in range(last):
-            if low[j] != j:
-                checks[j].append((s, low[j]))
-        dies[last].append((s, low[last]))
-        return last
-
+    walk = _Walk(m, refute)
     for p in perms:
-        add(p)
-    buf = [0] * m
-    jump = m  # where to resume after a leaf certificate; m when none is pending
-
-    def rec(k: int, top: int, d: int) -> bool:
-        # requires top == d by the end: strings with a smaller maximum were
-        # already covered (and refuted) at their own level
-        nonlocal jump
-        if d - top > m - k:
-            return False
-        if k == m:
-            got = refute(buf) if refute is not None else None
-            if got is None:
-                return True
-            jump = add(got)
-            return False
-        chk = checks[k]
-        # a live permutation whose last pair lands here bans its low label;
-        # the set holds for the whole loop, as those flags depend only on
-        # positions < k, and a certificate added with its last pair here
-        # bans just the value it refuted
-        banned = {buf[i] for s, i in dies[k] if alive[s]}
-        for val in range(1, min(d, top + 1) + 1):
-            if val in banned:
-                continue
-            buf[k] = val
-            killed = [s for s, i in chk if alive[s] and buf[i] != val]
-            for s in killed:
-                alive[s] = False
-            hit = rec(k + 1, max(top, val), d)
-            for s in killed:
-                alive[s] = True
-            if hit:
-                return True
-            if jump < k:
-                return False
-            jump = m
-        return False
-
+        walk.add(p)
     for d in range(1, d_max + 1):
-        if rec(0, 0, d):
-            return d, list(buf)
+        if walk.rec(0, 0, d):
+            return d, list(walk.buf)
     return None
 
 
@@ -188,7 +203,7 @@ def distinguishing_number(
     accept = lambda s: s != ident  # noqa: E731
 
     def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
-        got = _search(adj, n, labels, accept, False, 0, SearchStats())
+        got = _search(adj, n, labels, accept, SearchStats())
         return None if got is None else got.image
 
     return _least_labeling(n, d_max, _twin_pairs(g), refute)

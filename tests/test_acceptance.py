@@ -23,10 +23,8 @@ from lexidis import (
     cycle,
     distinguishing_index,
     distinguishing_number,
-    enumerate_automorphisms,
     find_preserving,
     find_preserving_edges,
-    generating_subset,
     inherited_edge_labeling,
     is_connected,
     is_distinguishing,
@@ -53,59 +51,44 @@ from lexidis import (
     two_label_edge_labeling,
     wreath_generators,
 )
+from lexidis.autosearch import automorphism_group
 
 from .util import (
-    atlas4,
     catalog,
     naive_color_preserver_exists,
     naive_edge_preserver_exists,
     random_connected_graph,
     random_graph,
+    sweep_pairs,
 )
 
-# enumerable-group budget for the criterion 3/4 sweep: pairs whose wreath
-# order or full group provably exceeds these are reported and skipped (the
-# search collects elements one by one, so million-element groups of complete
-# products cannot be enumerated in the stated budget)
+# closure cross-checks of the criterion 3/4 sweep run on groups up to these
+# orders; the orders themselves come from the search on every pair
 WREATH_PRECAP = 40_000
 AUT_CAP = 60_000
-
-TRITAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)])
 
 
 def _report(num: int, t0: float, detail: str) -> None:
     print(f"criterion {num:02d} PASS ({time.time() - t0:.1f}s): {detail}")
 
 
-def _aut_generators(g: Graph) -> tuple[list, GeneratorSet]:
-    elems = enumerate_automorphisms(g)
-    return elems, GeneratorSet(g.n, tuple(generating_subset(elems)))
-
-
 @pytest.fixture(scope="module")
 def sabidussi_sweep():
-    """Wreath order vs full group order for every tractable catalog pair."""
+    """Wreath order vs full group order for all 102 sweep pairs."""
     build_start = time.time()
-    pairs = [(gn, g, hn, h) for gn, g in atlas4().items() for hn, h in atlas4().items()]
-    pairs.append(("C5", cycle(5), "P4", path(4)))
-    pairs.append(("tritail", TRITAIL, "P3", path(3)))
     rows = []
-    skipped = []
-    for gn, g, hn, h in pairs:
-        eg, gens_g = _aut_generators(g)
-        eh, gens_h = _aut_generators(h)
-        wreath_order_bound = len(eg) * len(eh) ** g.n
-        if wreath_order_bound > WREATH_PRECAP:
-            skipped.append((gn, hn, f"wreath order {wreath_order_bound}"))
-            continue
+    closed = 0
+    for gn, g, hn, h in sweep_pairs():
+        _, gens_g, order_g = automorphism_group(g)
+        _, gens_h, order_h = automorphism_group(h)
+        wgens = wreath_generators(
+            GeneratorSet(g.n, tuple(gens_g)), GeneratorSet(h.n, tuple(gens_h)), g.n, h.n
+        )
+        wreath_order = order_g * order_h**g.n
+        if wreath_order <= WREATH_PRECAP:
+            assert len(closure(wgens)) == wreath_order, (gn, hn)
+            closed += 1
         prod = lex_product(g, h)
-        try:
-            full = enumerate_automorphisms(prod, cap=AUT_CAP)
-        except CapExceededError as exc:
-            skipped.append((gn, hn, f"group larger than {exc.reached}"))
-            continue
-        wgens = wreath_generators(gens_g, gens_h, g.n, h.n)
-        wreath = closure(wgens)
         rows.append(
             {
                 "pair": (gn, hn),
@@ -113,12 +96,12 @@ def sabidussi_sweep():
                 "h": h,
                 "prod": prod,
                 "sabidussi": sabidussi_equal(g, h),
-                "wreath_order": len(wreath),
-                "full_order": len(full),
+                "wreath_order": wreath_order,
+                "full_order": automorphism_group(prod)[2],
                 "wreath_gens": wgens,
             }
         )
-    return rows, skipped, time.time() - build_start
+    return rows, closed, time.time() - build_start
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +140,7 @@ def test_criterion_02_counting_formulas():
 
 
 def test_criterion_03_sabidussi_criterion(sabidussi_sweep):
-    rows, skipped, build_seconds = sabidussi_sweep
+    rows, closed, build_seconds = sabidussi_sweep
     t0 = time.time() - build_seconds
     for row in rows:
         assert (row["wreath_order"] == row["full_order"]) == row["sabidussi"], row["pair"]
@@ -165,30 +148,44 @@ def test_criterion_03_sabidussi_criterion(sabidussi_sweep):
     mandated = by_pair[("K2", "K2")]
     assert mandated["wreath_order"] == 8
     assert mandated["full_order"] == 24
+    assert by_pair[("K4", "K4")]["full_order"] == math.factorial(16)
     assert ("C5", "P4") in by_pair and by_pair[("C5", "P4")]["sabidussi"]
     assert ("tritail", "P3") in by_pair and not by_pair[("tritail", "P3")]["sabidussi"]
-    assert len(rows) >= 80
+    assert len(rows) == 102
+    assert closed >= 90
     _report(
         3,
         t0,
-        f"criterion holds on {len(rows)} pairs "
-        f"({len(skipped)} skipped beyond enumeration budget: "
-        + ", ".join("x".join(s[:2]) for s in skipped)
-        + ")",
+        f"criterion holds on all {len(rows)} pairs "
+        f"(wreath order cross-checked by closure on {closed})",
     )
 
 
 def test_criterion_04_generated_full_group(sabidussi_sweep):
+    from sympy.combinatorics import Permutation, PermutationGroup
+
     t0 = time.time()
     rows, _, _ = sabidussi_sweep
     false_rows = [row for row in rows if not row["sabidussi"]]
     assert len(false_rows) >= 25
+    closed = 0
     for row in false_rows:
         extra = twin_swap_generators(row["g"], row["h"])
         assert extra.gens, row["pair"]
         gens = GeneratorSet(row["prod"].n, row["wreath_gens"].gens + extra.gens)
-        assert len(closure(gens)) == row["full_order"], row["pair"]
-    _report(4, t0, f"wreath plus swap generators yield the full group on {len(false_rows)} pairs")
+        if row["full_order"] <= AUT_CAP:
+            assert len(closure(gens)) == row["full_order"], row["pair"]
+            closed += 1
+        else:
+            group = PermutationGroup([Permutation(list(p.image)) for p in gens.gens])
+            assert group.order() == row["full_order"], row["pair"]
+    assert closed >= 25
+    _report(
+        4,
+        t0,
+        f"wreath plus swap generators yield the full group on {len(false_rows)} pairs "
+        f"({closed} by closure, the rest by sympy's order)",
+    )
 
 
 def test_criterion_05_spider_values():

@@ -1,3 +1,6 @@
+import gc
+import hashlib
+import math
 import random
 
 import pytest
@@ -9,22 +12,29 @@ from lexidis import (
     Perm,
     complete,
     cycle,
+    distinguishing_index,
+    distinguishing_number,
     edge_action_is_trivial,
     enumerate_automorphisms,
     find_preserving,
     find_preserving_edges,
     is_color_preserving_automorphism,
     lex_power,
+    lex_product,
     path,
     preserves_edge_labels,
     spider,
 )
+from lexidis.autosearch import SearchStats, _verify, automorphism_group
 
 from .util import (
+    atlas4,
     brute_automorphisms,
+    catalog,
     naive_color_preserver_exists,
     naive_edge_preserver_exists,
     random_graph,
+    sweep_pairs,
 )
 
 
@@ -140,3 +150,82 @@ def test_certificates_survive_naive_recheck():
         got, _ = find_preserving(ColoredGraph(g, tuple(colors)))
         if got is not None:
             assert is_color_preserving_automorphism(g, colors, got)
+
+
+def test_group_order_matches_brute_force():
+    rng = random.Random(2014)
+    graphs = [Graph(0), *atlas4().values()]
+    graphs += [random_graph(rng, rng.randrange(1, 8), rng.choice([0.3, 0.5, 0.7])) for _ in range(30)]
+    # regular, so refinement alone leaves one cell, but two orbits
+    graphs.append(Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]))
+    for g in graphs:
+        base, _, order = automorphism_group(g)
+        brute = brute_automorphisms(g)
+        assert order == len(brute), g
+        # only the identity fixes the base
+        assert [p for p in brute if all(p[b] == b for b in base)] == [tuple(range(g.n))]
+
+
+def test_group_order_matches_sympy_on_sweep_products():
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    for gn, g, hn, h in sweep_pairs():
+        prod = lex_product(g, h)
+        _, gens, order = automorphism_group(prod)
+        for p in gens:
+            assert _verify(prod.adjacency_bits, prod.n, [0] * prod.n, p.image), (gn, hn)
+        sym = [Permutation(list(p.image)) for p in gens] or [Permutation(prod.n - 1)]
+        assert PermutationGroup(sym).order() == order, (gn, hn)
+
+
+def test_group_search_work_is_pinned():
+    # exact node counts: a pruning regression fails here, not only in timing
+    stats = SearchStats()
+    base, gens, order = automorphism_group(lex_product(complete(4), complete(4)), stats)
+    assert order == math.factorial(16)
+    assert (len(base), len(gens), stats.nodes) == (15, 15, 135)
+    stats = SearchStats()
+    base, gens, order = automorphism_group(lex_product(cycle(5), path(4)), stats)
+    assert order == 10 * 2**5
+    assert (base, len(gens), stats.nodes) == ([0, 4, 16, 8, 12], 7, 29)
+
+
+def test_enumerated_lists_are_pinned():
+    """Digest of every list under 1000 elements over the catalog and the
+    atlas4 products, as the search that visited one leaf per element
+    produced them."""
+    graphs = list(catalog().items())
+    graphs += [
+        (f"{gn}[{hn}]", lex_product(g, h))
+        for gn, g in atlas4().items()
+        for hn, h in atlas4().items()
+    ]
+    digest = hashlib.sha256()
+    listed = 0
+    for name, g in graphs:
+        try:
+            elems = enumerate_automorphisms(g, cap=1000)
+        except CapExceededError as exc:
+            assert exc.reached == 1001, name
+            continue
+        listed += 1
+        digest.update(repr((name, [p.image for p in elems])).encode())
+    assert listed == 77
+    assert digest.hexdigest() == "9715a1e1b9d264476e60c23172b51ab9ba7af6ebd631cbc3a0593b58aeb09176"
+
+
+def test_searches_leave_no_reference_cycles():
+    # garbage in cycles waits for a full collection, so a long-lived
+    # process running many searches would keep it all alive until then
+    graphs = [lex_product(path(3), cycle(4)), spider(6), cycle(6)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            distinguishing_number(g)
+            distinguishing_index(g)
+            enumerate_automorphisms(g)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0

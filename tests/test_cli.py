@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from lexidis import complete, lex_product, path, spider
+from lexidis import complete, cycle, lex_product, path, spider
 from lexidis.cli import main
 from lexidis.formats import loads, write_edge_list, write_graph6
 
@@ -178,3 +179,31 @@ def test_env_cap_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LEXIDIS_CAP", "boom")
     code, _, err = run(capsys, "aut", str(p))
     assert code == 2 and "LEXIDIS_CAP" in err
+
+
+def test_aut_refusal_reports_cap_plus_one(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "k4k4.el"
+    p.write_text(write_edge_list(lex_product(complete(4), complete(4))))
+    code, out, _ = run(capsys, "--json", "aut", "--cap", "1000", str(p))
+    assert code == 3
+    assert json.loads(out) == {"command": "aut", "n": 16, "order": None, "at_least": 1001}
+    monkeypatch.setenv("LEXIDIS_CAP", "9")
+    code, out, _ = run(capsys, "aut", str(p))
+    assert (code, out) == (3, "order >= 10 (cap exceeded)\n")
+    # a group of exactly the cap's size is answered
+    c5 = tmp_path / "c5.el"
+    c5.write_text(write_edge_list(cycle(5)))
+    code, out, _ = run(capsys, "--json", "aut", "--cap", "10", str(c5))
+    assert code == 0 and json.loads(out)["order"] == 10
+
+
+def test_aut_elements_listing_is_pinned(tmp_path, capsys):
+    p = tmp_path / "k2k3.el"
+    p.write_text(write_edge_list(lex_product(complete(2), complete(3))))
+    code, out, _ = run(capsys, "aut", "--elements", str(p))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:4] == ["order 720, 5 generators", "()", "(4 5)", "(3 4)"]
+    assert len(lines) == 721
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "3e3123a1a58b40c0fd70a8e807b19487caaf9dd7f44c84c7ef81f5b84d80b790"

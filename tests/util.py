@@ -13,6 +13,7 @@ from lexidis import Graph, complete, cycle, path, spider, star
 # connected graphs on at most 4 vertices, up to isomorphism
 PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 DIAMOND = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+TRITAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)])
 
 
 def atlas4() -> dict[str, Graph]:
@@ -28,6 +29,16 @@ def atlas4() -> dict[str, Graph]:
         "diamond": DIAMOND,
         "K4": complete(4),
     }
+
+
+def sweep_pairs() -> list[tuple[str, Graph, str, Graph]]:
+    """The 102 factor pairs of the Sabidussi sweep: all atlas4 pairs plus
+    C5[P4] (criterion true) and tritail[P3] (criterion false)."""
+    a = atlas4()
+    pairs = [(gn, g, hn, h) for gn, g in a.items() for hn, h in a.items()]
+    pairs.append(("C5", cycle(5), "P4", path(4)))
+    pairs.append(("tritail", TRITAIL, "P3", path(3)))
+    return pairs
 
 
 def catalog() -> dict[str, Graph]:
