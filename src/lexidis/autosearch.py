@@ -11,6 +11,19 @@ each candidate in the matching target cell, in ascending vertex order, so
 the first certificate found is deterministic.  Every leaf is re-verified by
 a naive adjacency-and-color check before being reported.
 
+Each refinement round counts a vertex's neighbours only in the round's
+fresh classes: every class in the first round of a search, the rest of the
+split cell and the new singleton after an individualization, and otherwise
+the new classes whose parent class split in the previous round.  A class
+that did not split is a vertex set of an earlier round, and a count in it
+was a digit of an earlier signature, which maps one-to-one to the current
+color, on the source side and, while every earlier sorted list matched, on
+the target side too.  So within a color the restricted signatures sort as
+the all-classes ones would, and across colors the leading color digit
+decides: the colorings, rank maps, chosen cells, bases and certificates
+are the same, at a cost per round that follows the classes that changed
+(McKay & Piperno 2014) instead of all of them.
+
 Aut(G) comes from one walk down the source path.  The vertices b1, ..., bk
 it individualizes before the coloring turns discrete form a base: only the
 identity fixes them all.  Levels are done deepest first.  At level i every
@@ -30,6 +43,7 @@ such leaf that the earlier generators do not already produce.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -70,74 +84,111 @@ class SearchStats:
         )
 
 
-def _signatures(adj: Sequence[int], n: int, c: list[int], ncolors: int) -> list[int]:
-    """Pack each vertex's (color, neighbor counts per class) into one integer.
+_Trace = list[tuple[list[int], dict[int, int], list[int]]]
 
-    Colors must be dense 0..ncolors-1; all signatures of one round have the
-    same digit count, so integer order equals lexicographic order.
+
+def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> list[int]:
+    """Pack each vertex's color and its neighbour counts in the fresh
+    classes into one integer: the color digit, then one base-(n + 1) digit
+    per class of ``fresh``, in ascending class index.
+
+    Every signature of one round has the same digit count, so integer order
+    equals lexicographic order.  Counts against the other classes are left
+    out: the caller guarantees each is the same for all vertices of one
+    color, so they could not split a class or reorder one.
     """
     base = n + 1
-    masks = [0] * ncolors
-    for v in range(n):
-        masks[c[v]] |= 1 << v
+    slot = {cls: i for i, cls in enumerate(fresh)}
+    masks = [0] * len(fresh)
+    for v, col in enumerate(c):
+        i = slot.get(col)
+        if i is not None:
+            masks[i] |= 1 << v
+    union = 0
+    for m in masks:
+        union |= m
+    scale = base ** len(fresh)
     out = []
     append = out.append
     for v in range(n):
         row = adj[v]
-        s = c[v]
-        for m in masks:
-            s = s * base + (row & m).bit_count()
+        if row & union:
+            s = c[v]
+            for m in masks:
+                s = s * base + (row & m).bit_count()
+        else:
+            s = c[v] * scale
         append(s)
     return out
 
 
 def _refine_trace(
-    adj: Sequence[int], n: int, c: list[int], ncolors: int, stats: SearchStats
-) -> tuple[list[int], int, list[tuple[list[int], dict[int, int]]]]:
-    """Refine one coloring to its equitable fixpoint, recording each round.
-
-    Every round recolors vertices by sorted-signature rank.  The recorded
-    (sorted signatures, rank map) rounds let the target side of a search
-    node replay the identical renumbering, or prune on mismatch.
-    """
-    trace: list[tuple[list[int], dict[int, int]]] = []
-    while True:
-        stats.refinements += 1
-        sig = _signatures(adj, n, c, ncolors)
-        srt = sorted(sig)
-        rank: dict[int, int] = {}
-        idx = -1
-        prev = None
-        for s in srt:
-            if s != prev:
-                idx += 1
-                rank[s] = idx
-                prev = s
-        trace.append((srt, rank))
-        c = [rank[s] for s in sig]
-        if idx + 1 == ncolors or idx + 1 == n:
-            return c, idx + 1, trace
-        ncolors = idx + 1
-
-
-def _replay_trace(
     adj: Sequence[int],
     n: int,
     c: list[int],
     ncolors: int,
-    trace: list[tuple[list[int], dict[int, int]]],
+    fresh: list[int],
     stats: SearchStats,
+) -> tuple[list[int], int, _Trace]:
+    """Refine one coloring to its equitable fixpoint, recording each round.
+
+    Every round recolors vertices by sorted-signature rank, counting
+    neighbours only in the round's fresh classes.  The first round's fresh
+    classes are given: every class of an unrefined coloring, or the two
+    halves of a cell just split by individualizing one vertex out of an
+    equitable coloring.  After that they are the new classes whose parent
+    class split.  A class that did not split is, as a vertex set, a class
+    of an earlier round, and each vertex's count in it was a digit of an
+    earlier signature (or is constant by the same rule one round further
+    back); so it is constant on every current color and the restricted
+    signatures rank vertices exactly as the all-classes ones would.
+
+    The recorded (sorted signatures, rank map, fresh classes) rounds let
+    the target side of a search node replay the identical renumbering, or
+    prune on mismatch.
+    """
+    trace: _Trace = []
+    while True:
+        stats.refinements += 1
+        sig = _signatures(adj, n, c, fresh)
+        srt = sorted(sig)
+        scale = (n + 1) ** len(fresh)
+        rank: dict[int, int] = {}
+        parents: list[int] = []
+        prev = None
+        for s in srt:
+            if s != prev:
+                rank[s] = len(parents)
+                parents.append(s // scale)
+                prev = s
+        trace.append((srt, rank, fresh))
+        c = [rank[s] for s in sig]
+        k = len(parents)
+        if k == ncolors or k == n:
+            return c, k, trace
+        children = Counter(parents)
+        fresh = [r for r, p in enumerate(parents) if children[p] > 1]
+        ncolors = k
+
+
+def _replay_trace(
+    adj: Sequence[int], n: int, c: list[int], trace: _Trace, stats: SearchStats
 ) -> Optional[list[int]]:
     """Refine a coloring along a recorded trace; None when signatures diverge,
     which certifies no automorphism maps the traced coloring onto this one.
+
+    Each round counts against the fresh classes the trace recorded.  While
+    every earlier sorted list matched, the target's colors were assigned by
+    the same rank maps, so a count left out is the same function of the
+    color on both sides, and the restricted lists match exactly when the
+    all-classes lists would.
     """
-    for srt, rank in trace:
+    for srt, rank, fresh in trace:
         stats.refinements += 1
-        sig = _signatures(adj, n, c, ncolors)
+        sig = _signatures(adj, n, c, fresh)
         if sorted(sig) != srt:
             return None
         c = [rank[s] for s in sig]
-        ncolors = len(rank)
     return c
 
 
@@ -160,12 +211,13 @@ def _verify(adj: Sequence[int], n: int, colors: Sequence[int], sigma: Sequence[i
 
 def _split(
     adj: Sequence[int], n: int, c: list[int], ncolors: int, stats: SearchStats
-) -> tuple[list[int], list[int], int, list[tuple[list[int], dict[int, int]]]]:
+) -> tuple[list[int], list[int], int, _Trace]:
     """Individualize the least vertex of the smallest non-singleton cell
     (ties to the lower color) and refine.
 
     Returns that cell in ascending order, the refined coloring, its color
-    count, and the trace the target side replays.
+    count, and the trace the target side replays.  The coloring c must be
+    equitable, so only the cell's rest and the new singleton start fresh.
     """
     cells: list[list[int]] = [[] for _ in range(ncolors)]
     for v in range(n):
@@ -173,7 +225,8 @@ def _split(
     cell = min((x for x in cells if len(x) > 1), key=len)
     nc = list(c)
     nc[cell[0]] = ncolors
-    rc, rk, trace = _refine_trace(adj, n, nc, ncolors + 1, stats)
+    fresh = [c[cell[0]], ncolors]
+    rc, rk, trace = _refine_trace(adj, n, nc, ncolors + 1, fresh, stats)
     return cell, rc, rk, trace
 
 
@@ -220,7 +273,7 @@ class _Search:
                 continue
             nc2 = list(c2)
             nc2[w] = ncolors
-            rc2 = _replay_trace(adj, n, nc2, ncolors + 1, trace, stats)
+            rc2 = _replay_trace(adj, n, nc2, trace, stats)
             if rc2 is None:
                 continue
             got = self.node(rc1, rc2, rk)
@@ -246,7 +299,8 @@ def _search(
     order = sorted(set(colors))
     dense = {val: i for i, val in enumerate(order)}
     start = [dense[val] for val in colors]
-    rc, rk, _trace = _refine_trace(adj, n, start, len(order), stats)
+    k = len(order)
+    rc, rk, _trace = _refine_trace(adj, n, start, k, list(range(k)), stats)
     return _Search(adj, n, colors, accept, stats).node(rc, list(rc), rk)
 
 
@@ -298,7 +352,7 @@ def automorphism_group(
     colors = [0] * n
     if n == 0:
         return [], [], 1
-    c, k, _trace = _refine_trace(adj, n, colors, 1, stats)
+    c, k, _trace = _refine_trace(adj, n, colors, 1, [0], stats)
     levels = []
     while k < n:
         stats.nodes += 1
@@ -316,7 +370,7 @@ def automorphism_group(
                 continue
             nc = list(c)
             nc[w] = k
-            rc2 = _replay_trace(adj, n, nc, k + 1, trace, stats)
+            rc2 = _replay_trace(adj, n, nc, trace, stats)
             if rc2 is None:
                 continue
             got = search.node(rc, rc2, rk)

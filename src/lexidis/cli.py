@@ -127,14 +127,17 @@ def _read_labeling(spec: str):
         parts = line.split()
         try:
             if parts[0] == "v" and len(parts) == 3:
-                vmap[int(parts[1])] = int(parts[2])
+                table, key, val = vmap, int(parts[1]), int(parts[2])
             elif parts[0] == "e" and len(parts) == 4:
                 u, v, val = int(parts[1]), int(parts[2]), int(parts[3])
-                emap[(u, v) if u < v else (v, u)] = val
+                table, key = emap, (u, v) if u < v else (v, u)
             else:
                 raise ValueError
         except ValueError:
             raise CliError(f"{spec}: line {lineno}: expected 'v <i> <label>' or 'e <u> <v> <label>'") from None
+        if key in table:
+            raise CliError(f"{spec}: line {lineno}: duplicate record for {' '.join(parts[:-1])}")
+        table[key] = val
     if vmap and emap:
         raise CliError(f"{spec}: mixed vertex and edge records")
     if vmap:

@@ -9,7 +9,8 @@ with 0-based indices, u < v, and '#'-prefixed comment lines ignored.
 Parse errors report 1-based line numbers.
 
 graph6 follows the standard encoding bit-exactly, including the '~'
-extended header for 63..258047 vertices.
+extended header for 63..258047 vertices; the reader rejects nonzero
+padding bits.
 """
 from __future__ import annotations
 
@@ -123,21 +124,23 @@ def read_graph6(line: str) -> Graph:
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise FormatError(f"line 1: graph6 body length {len(body)} wrong for n={n}")
-    stream = 0
-    for c in body:
-        v = ord(c) - 63
-        if not 0 <= v <= 63:
-            raise FormatError("line 1: invalid graph6 data byte")
-        stream = (stream << 6) | v
-    pad = 6 * len(body) - need
-    stream >>= pad
+    if body and (min(body) < "?" or max(body) > "~"):
+        raise FormatError("line 1: invalid graph6 data byte")
+    bits = "".join([format(ord(c) - 63, "06b") for c in body])
+    if "1" in bits[need:]:
+        raise FormatError("line 1: nonzero graph6 padding bits")
+    # bit k is the pair (i, j) of the upper triangle in column order, with
+    # column j starting at bit j(j-1)/2
     edges = []
-    pos = need
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (stream >> pos) & 1:
-                edges.append((i, j))
+    j = 1
+    start = 0
+    k = bits.find("1", 0, need)
+    while k != -1:
+        while k >= start + j:
+            start += j
+            j += 1
+        edges.append((k - start, j))
+        k = bits.find("1", k + 1, need)
     return Graph(n, edges)
 
 

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lexidis
 from lexidis import complete, cycle, lex_product, path, spider
 from lexidis.cli import main
 from lexidis.formats import loads, write_edge_list, write_graph6
@@ -95,6 +100,23 @@ def test_verify_edge_labeling(tmp_path, capsys):
     assert code == 0 and "DISTINGUISHING" in out
 
 
+@pytest.mark.parametrize(
+    "graph, records, line",
+    [
+        (path(3), "v 0 1\nv 1 1\nv 2 2\nv 0 2\n", "line 4: duplicate record for v 0"),
+        (path(4), "e 0 1 1\ne 1 2 1\ne 2 3 2\n\ne 1 0 2\n", "line 5: duplicate record for e 1 0"),
+    ],
+)
+def test_verify_rejects_duplicate_records(tmp_path, capsys, graph, records, line):
+    g = tmp_path / "g.el"
+    g.write_text(write_edge_list(graph))
+    lab = tmp_path / "lab.txt"
+    lab.write_text(records)
+    code, out, err = run(capsys, "verify", str(g), str(lab))
+    assert (code, out) == (2, "")
+    assert line in err
+
+
 def test_label_certify(tmp_path, capsys):
     g = tmp_path / "p3.el"
     g.write_text(write_edge_list(path(3)))
@@ -149,6 +171,19 @@ def test_json_outputs_are_stable(tmp_path, capsys):
     code, out1, _ = run(capsys, "--json", "dnum", str(g))
     code, out2, _ = run(capsys, "--json", "dnum", str(g))
     assert strip_ms(out1) == strip_ms(out2)
+
+
+def test_python_m_entry_point(tmp_path):
+    g = tmp_path / "k4.el"
+    g.write_text(write_edge_list(complete(4)))
+    src = Path(lexidis.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    run_m = [sys.executable, "-m", "lexidis"]
+    done = subprocess.run([*run_m, "dnum", str(g)], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout.splitlines()[0]) == (0, "D = 4")
+    done = subprocess.run([*run_m, "dnum", str(tmp_path / "missing.el")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "no such file" in done.stderr
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -158,6 +158,14 @@ def test_spider7_finishes():
     assert is_distinguishing(g, w)
 
 
+def test_long_asymmetric_tree_finishes():
+    # a path needs about n/2 refinement rounds; counting against every
+    # class in each of them made this one leaf search cubic in n
+    n = 900
+    g = Graph(n + 1, [(i, i + 1) for i in range(n - 1)] + [(2, n)])
+    assert distinguishing_number(g) == (1, [1] * (n + 1))
+
+
 @pytest.mark.parametrize("name, leaves", [("K3[C4]", 27), ("spider6", 16)])
 def test_leaf_certificates_prune(monkeypatch, name, leaves):
     # every leaf runs one automorphism search; without the certificate

@@ -70,6 +70,14 @@ def test_graph6_round_trip_large_header():
     assert read_graph6(s) == g
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200])
+def test_graph6_round_trip_sizes(n):
+    rng = random.Random(1000 + n)
+    for p in (0.0, 0.3, 1.0):
+        g = random_graph(rng, n, p)
+        assert read_graph6(write_graph6(g)) == g
+
+
 def test_graph6_errors():
     with pytest.raises(FormatError):
         read_graph6("")
@@ -77,6 +85,11 @@ def test_graph6_errors():
         read_graph6("C~~")  # body too long for n=4
     with pytest.raises(FormatError):
         read_graph6("C")  # body missing
+    with pytest.raises(FormatError, match="padding"):
+        read_graph6("B~")  # n=3 uses 3 of the 6 body bits
+    with pytest.raises(FormatError, match="data byte"):
+        read_graph6("B" + chr(127))
+    assert read_graph6("Bw") == complete(3)
 
 
 def test_sniff_and_generic_io():

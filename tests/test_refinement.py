@@ -1,0 +1,200 @@
+"""Refinement against fresh classes only: pinned search work and a
+round-by-round comparison with the all-classes reference in tests/util."""
+import random
+
+import pytest
+
+from lexidis import (
+    ColoredGraph,
+    Graph,
+    complete,
+    cycle,
+    find_preserving,
+    find_preserving_edges,
+    k2_product_edge_labeling,
+    lex_product,
+    path,
+    path_product_edge_labeling,
+    spider,
+    spider_distinguishing_labeling,
+    star,
+)
+from lexidis import autosearch
+
+from .util import full_refine, full_replay, random_graph
+
+
+def _pin_cases():
+    rng = random.Random(5)
+    prods = [
+        ("C5[P4]", lex_product(cycle(5), path(4))),
+        ("P3[C4]", lex_product(path(3), cycle(4))),
+        ("K3[C4]", lex_product(complete(3), cycle(4))),
+        ("spider4[K2]", lex_product(spider(4), complete(2))),
+        ("C6[K2]", lex_product(cycle(6), complete(2))),
+        ("P4[P3]", lex_product(path(4), path(3))),
+        ("star4[P3]", lex_product(star(4), path(3))),
+        ("K2[C6]", lex_product(complete(2), cycle(6))),
+    ]
+    graphs = dict(prods)
+    out = []
+    for name, g in prods:
+        out.append(("v", name, g, tuple(rng.randrange(1, 4) for _ in range(g.n))))
+    lab = [x for x in spider_distinguishing_labeling(9) for _ in range(2)]
+    out.append(("v", "spider9[K2] doubled", lex_product(spider(9), complete(2)), tuple(lab)))
+    out.append(("v", "C5[P4] const", graphs["C5[P4]"], (1,) * 20))
+    for name, g in prods[:3]:
+        sparse = {e: 2 if rng.random() < 0.1 else 1 for e in g.edge_list()}
+        out.append(("e", name + " sparse", g, sparse))
+    k2c6 = k2_product_edge_labeling(cycle(6))
+    out.append(("e", "K2[C6] thm", graphs["K2[C6]"], k2c6))
+    flip = dict(k2c6)
+    flip[min(e for e, v in flip.items() if v == 2)] = 1
+    out.append(("e", "K2[C6] flipped", graphs["K2[C6]"], flip))
+    p4p3 = path_product_edge_labeling(4, path(3))
+    out.append(("e", "P4[P3] thm", graphs["P4[P3]"], p4p3))
+    out.append(("e", "P4[P3] const", graphs["P4[P3]"], {e: 1 for e in p4p3}))
+    return out
+
+
+# (certificate image or None, nodes, refinements), as the all-classes
+# refinement produced them
+PINS = {
+    "v C5[P4]": ((0, 1, 2, 3, 7, 6, 5, 4) + tuple(range(8, 20)), 3, 6),
+    "v P3[C4]": ((0, 1, 2, 3, 4, 5, 6, 7, 10, 9, 8, 11), 4, 8),
+    "v K3[C4]": ((0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 10, 9), 6, 17),
+    "v spider4[K2]": ((0, 1, 2, 3, 5, 4) + tuple(range(6, 18)), 6, 11),
+    "v C6[K2]": ((0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11), 3, 6),
+    "v P4[P3]": ((2, 1, 0) + tuple(range(3, 12)), 3, 6),
+    "v star4[P3]": ((0, 1, 2, 3, 4, 5, 8, 7, 6, 9, 10, 11, 12, 13, 14), 5, 11),
+    "v K2[C6]": (None, 1, 2),
+    "v spider9[K2] doubled": (tuple(range(26)) + (27, 26) + tuple(range(28, 38)), 21, 41),
+    "v C5[P4] const": (tuple(range(12)) + (15, 14, 13, 12, 16, 17, 18, 19), 7, 25),
+    "e C5[P4] sparse": (None, 1, 6),
+    "e P3[C4] sparse": ((0, 1, 2, 3, 4, 7, 6, 5, 8, 9, 10, 11), 7, 40),
+    "e K3[C4] sparse": ((0, 3, 2, 1) + tuple(range(4, 12)), 4, 22),
+    "e K2[C6] thm": (None, 1, 4),
+    "e K2[C6] flipped": (None, 1, 4),
+    "e P4[P3] thm": (None, 1, 4),
+    "e P4[P3] const": ((0, 1, 2, 5, 4, 3, 6, 7, 8, 9, 10, 11), 7, 26),
+}
+
+
+PIN_CASES = _pin_cases()
+
+
+@pytest.mark.parametrize(
+    "kind, name, g, labels", PIN_CASES, ids=[f"{c[0]} {c[1]}" for c in PIN_CASES]
+)
+def test_certificates_and_work_are_pinned(kind, name, g, labels, monkeypatch):
+    made = []
+
+    class Recording(autosearch.SearchStats):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(autosearch, "SearchStats", Recording)
+    if kind == "v":
+        got, _ = find_preserving(ColoredGraph(g, labels))
+    else:
+        got = find_preserving_edges(g, labels)
+    (stats,) = made
+    image = None if got is None else got.image
+    assert (image, stats.nodes, stats.refinements) == PINS[f"{kind} {name}"]
+
+
+def _new_rounds(adj, n, c, trace):
+    """Colorings after each round of a fresh-class trace, or None where the
+    sorted signatures first differ from the recorded ones."""
+    out = []
+    for srt, rank, fresh in trace:
+        sig = autosearch._signatures(adj, n, c, fresh)
+        if sorted(sig) != srt:
+            return None
+        c = [rank[s] for s in sig]
+        out.append(c)
+    return out
+
+
+def _refine_both(adj, n, c, ncolors, fresh):
+    stats = autosearch.SearchStats()
+    got, k, trace = autosearch._refine_trace(adj, n, list(c), ncolors, fresh, stats)
+    rounds, ref_trace = full_refine(adj, n, c, ncolors)
+    assert _new_rounds(adj, n, c, trace) == rounds
+    assert got == rounds[-1]
+    assert k == len(ref_trace[-1][1]) == len(set(got))
+    assert stats.refinements == len(trace) == len(rounds)
+    return got, k, trace, ref_trace
+
+
+def _replay_both(adj, n, c, ncolors, trace, ref_trace):
+    stats = autosearch.SearchStats()
+    got = autosearch._replay_trace(adj, n, list(c), trace, stats)
+    rounds = full_replay(adj, n, c, ncolors, ref_trace)
+    assert _new_rounds(adj, n, c, trace) == rounds
+    if rounds is None:
+        assert got is None
+    else:
+        assert got == rounds[-1]
+        assert stats.refinements == len(trace)
+    return got
+
+
+def test_fresh_refinement_matches_all_classes_reference():
+    rng = random.Random(1401)
+    replays = nones = 0
+    for trial in range(120):
+        if trial % 3 == 0:
+            g = random_graph(rng, rng.randrange(1, 31), rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+        elif trial % 3 == 1:
+            # products are rich in symmetry, so many replays match
+            a = random_graph(rng, rng.randrange(2, 6), 0.5)
+            g = lex_product(a, random_graph(rng, rng.randrange(1, 30 // a.n + 1), 0.5))
+        else:
+            # a cycle plus a random perfect matching is regular unless a
+            # matching edge repeats a cycle edge, so its equitable partition
+            # is one cell and many replays diverge
+            n = 2 * rng.randrange(2, 16)
+            order = list(range(n))
+            rng.shuffle(order)
+            edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+            for i in range(0, n, 2):
+                u, v = sorted(order[i:i + 2])
+                edges.add((u, v))
+            g = Graph(n, edges)
+        n, adj = g.n, g.adjacency_bits
+        palette = rng.choice([1, 1, 2, 3])
+        raw = [rng.randrange(palette) for _ in range(n)]
+        dense = {val: i for i, val in enumerate(sorted(set(raw)))}
+        start = [dense[val] for val in raw]
+        k0 = len(dense)
+        src, k, _, _ = _refine_both(adj, n, start, k0, list(range(k0)))
+        tgt = list(src)
+        # walk down a random individualization path on the source side,
+        # replaying every candidate of the cell on the target side
+        while k < n:
+            cells = {}
+            for v in range(n):
+                cells.setdefault(src[v], []).append(v)
+            cell = rng.choice([x for x in cells.values() if len(x) > 1])
+            v = rng.choice(cell)
+            nc = list(src)
+            nc[v] = k
+            rc, rk, trace, ref_trace = _refine_both(adj, n, nc, k + 1, [src[v], k])
+            follow = None
+            for w in range(n):
+                if tgt[w] != src[v]:
+                    continue
+                nt = list(tgt)
+                nt[w] = k
+                got = _replay_both(adj, n, nt, k + 1, trace, ref_trace)
+                replays += 1
+                nones += got is None
+                if got is not None and (follow is None or rng.random() < 0.5):
+                    follow = got
+            if follow is None:
+                break
+            src, tgt, k = rc, follow, rk
+    # both outcomes of a replay are exercised
+    assert replays > 400 and 50 < nones < replays

@@ -134,3 +134,59 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
         v = order[rng.randrange(i)]
         extra.add((u, v) if u < v else (v, u))
     return Graph(n, extra)
+
+
+# -- reference refinement --------------------------------------------------
+# The all-classes refinement the search engine used before it counted only
+# against fresh classes.  Tests compare the engine against it round by round.
+
+
+def full_signatures(adj, n: int, c, ncolors: int) -> list[int]:
+    """(color, neighbour count in every class) packed base n+1."""
+    base = n + 1
+    masks = [0] * ncolors
+    for v in range(n):
+        masks[c[v]] |= 1 << v
+    out = []
+    for v in range(n):
+        s = c[v]
+        for m in masks:
+            s = s * base + (adj[v] & m).bit_count()
+        out.append(s)
+    return out
+
+
+def full_refine(adj, n: int, c, ncolors: int):
+    """Refine to the equitable fixpoint against every class each round.
+
+    Returns the coloring after each round and the trace of
+    (sorted signatures, rank map) pairs.
+    """
+    rounds: list[list[int]] = []
+    trace = []
+    while True:
+        sig = full_signatures(adj, n, c, ncolors)
+        srt = sorted(sig)
+        rank: dict[int, int] = {}
+        for s in srt:
+            rank.setdefault(s, len(rank))
+        trace.append((srt, rank))
+        c = [rank[s] for s in sig]
+        rounds.append(c)
+        if len(rank) in (ncolors, n):
+            return rounds, trace
+        ncolors = len(rank)
+
+
+def full_replay(adj, n: int, c, ncolors: int, trace):
+    """Colorings after each round of replaying ``trace``, or None when the
+    sorted signatures diverge."""
+    rounds = []
+    for srt, rank in trace:
+        sig = full_signatures(adj, n, c, ncolors)
+        if sorted(sig) != srt:
+            return None
+        c = [rank[s] for s in sig]
+        rounds.append(c)
+        ncolors = len(rank)
+    return rounds
