@@ -417,19 +417,25 @@ def _subdivision(g: Graph, labels: dict[tuple[int, int], int]):
     edges = g.edge_list()
     if set(labels) != set(edges):
         raise ValueError("labeling domain must equal the edge set exactly")
-    n, m = g.n, len(edges)
-    bits = list(g.adjacency_bits) + [0] * m
-    for k, (u, v) in enumerate(edges):
-        w = n + k
+    values = sorted(set(labels.values()))
+    rank = {val: i + 1 for i, val in enumerate(values)}
+    colors = [0] * g.n + [rank[labels[e]] for e in edges]
+    return _subdivision_bits(g, edges), g.n + len(edges), colors
+
+
+def _subdivision_bits(g: Graph, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Adjacency rows of the subdivision; edge k of ``edges``, the edge set
+    of g in ``g.edge_list()`` order, becomes vertex n + k.
+    """
+    bits = list(g.adjacency_bits)
+    for u, v in edges:
+        w = len(bits)
         bits[u] &= ~(1 << v)
         bits[v] &= ~(1 << u)
         bits[u] |= 1 << w
         bits[v] |= 1 << w
-        bits[w] = (1 << u) | (1 << v)
-    values = sorted(set(labels.values()))
-    rank = {val: i + 1 for i, val in enumerate(values)}
-    colors = [0] * n + [rank[labels[e]] for e in edges]
-    return bits, n + m, colors
+        bits.append((1 << u) | (1 << v))
+    return bits
 
 
 def preserves_edge_labels(g: Graph, labels: dict[tuple[int, int], int], p: Perm) -> bool:

@@ -8,16 +8,21 @@ alive flag clears while the prefix breaks one of its cycles; a prefix that
 reaches its last moved position with the flag set dies, since the
 permutation then preserves every extension.
 
-Only the source of permutations differs.  D'(G) (Kalinowski & Pilsniak
-2015) lists the edge actions of the enumerated Aut(G) up front.  D(G)
-(Albertson & Collins 1996) starts from the twin transpositions and hands
-each leaf that survives them to a full automorphism search.  A preserving
-automorphism found there refutes the leaf and is kept for every later d
-(it is an automorphism of the bare graph); the walk backjumps to its last
-moved position, as every labeling agreeing with the leaf up to there is
-preserved too.  Everything skipped is preserved by a nontrivial
-automorphism and the walk is lexicographic, so the first accepted leaf is
-the lexicographically least distinguishing labeling with the least d.
+Both oracles feed it the same way, and neither lists Aut(G).  The walk
+starts from the twin transpositions: as vertex permutations for D(G)
+(Albertson & Collins 1996), as edge permutations for D'(G) (Kalinowski &
+Pilsniak 2015), leaving out any swap that fixes every edge.  Each leaf
+that survives them goes to a full automorphism search, ``_search`` on the
+vertex colors for D, and for D' on the subdivision colored by the edge
+labels (the search ``find_preserving_edges`` runs, with the subdivision
+built once per walk).  A certificate found there refutes the leaf and is kept for every
+later d (it is an automorphism of the bare graph; for D' its action on the
+edge positions moves an edge, so it is nontrivial).  It fixes every
+position after its last moved one, so it preserves every labeling that
+agrees with the leaf up to there, and the walk backjumps to that position.
+Everything skipped is preserved by a nontrivial automorphism and the walk
+is lexicographic, so the first accepted leaf is the lexicographically
+least distinguishing labeling with the least d.
 """
 from __future__ import annotations
 
@@ -25,10 +30,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .autosearch import (
     ColoredGraph,
-    DEFAULT_AUT_CAP,
     SearchStats,
     _search,
-    enumerate_automorphisms,
+    _subdivision_bits,
     find_preserving,
     find_preserving_edges,
 )
@@ -212,34 +216,18 @@ def distinguishing_number(
 # -- edge index -------------------------------------------------------------
 
 
-def _edge_actions(g: Graph, aut_cap: int) -> list[tuple[int, ...]]:
-    """Distinct nontrivial edge permutations induced by Aut(g)."""
-    edges = g.edge_list()
-    index = {e: i for i, e in enumerate(edges)}
-    ident = tuple(range(len(edges)))
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for p in enumerate_automorphisms(g, cap=aut_cap):
-        img = p.image
-        ep = tuple(
-            index[(img[u], img[v])] if img[u] < img[v] else index[(img[v], img[u])]
-            for u, v in edges
-        )
-        if ep != ident and ep not in seen:
-            seen.add(ep)
-            out.append(ep)
-    return out
-
-
 def distinguishing_index(
-    g: Graph, d_max: int | None = None, aut_cap: int = DEFAULT_AUT_CAP
+    g: Graph, d_max: int | None = None, aut_cap: int | None = None
 ) -> Optional[tuple[int, EdgeLabeling]]:
     """Least d admitting a distinguishing edge d-labeling, with its witness.
 
-    Requires at least one edge.  When every automorphism acts trivially on
-    the edge set the constant labeling already distinguishes and the result
-    is 1.  Needs the automorphism group enumerated, so graphs past
-    ``aut_cap`` raise CapExceededError.
+    Returns None when no distinguishing edge labeling with at most ``d_max``
+    labels exists; the default cap, the edge count, always suffices.
+    Requires at least one edge.  The walk starts from the edge actions of
+    the twin transpositions and refutes each surviving leaf with the search
+    of ``find_preserving_edges`` on the subdivision, so Aut(g) is never
+    listed.  ``aut_cap`` is accepted for old callers and ignored, as there
+    is no group listing left to cap.
     """
     edges = g.edge_list()
     m = len(edges)
@@ -249,8 +237,32 @@ def distinguishing_index(
         d_max = m
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    got = _least_labeling(m, d_max, _edge_actions(g, aut_cap))
+    n = g.n
+    index = {e: i for i, e in enumerate(edges)}
+    ident = tuple(range(m))
+
+    def action(img: Sequence[int]) -> tuple[int, ...]:
+        return tuple(
+            index[(img[u], img[v])] if img[u] < img[v] else index[(img[v], img[u])]
+            for u, v in edges
+        )
+
+    # a twin swap fixes every edge only on a K2 component or two isolated vertices
+    seeds = (ep for ep in map(action, _twin_pairs(g)) if ep != ident)
+
+    # vertex n + k of the subdivision is edge k; its label is the color, and
+    # the original vertices share color 0, so a certificate's image of
+    # n + k is n + (the image of edge k)
+    bits = _subdivision_bits(g, edges)
+    total = n + m
+    moves_edge = lambda s: any(s[i] != i for i in range(n, total))  # noqa: E731
+
+    def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
+        got = _search(bits, total, [0] * n + labels, moves_edge, SearchStats())
+        return None if got is None else tuple(x - n for x in got.image[n:])
+
+    got = _least_labeling(m, d_max, seeds, refute)
     if got is None:
         return None
     d, lab = got
-    return d, {e: lab[i] for i, e in enumerate(edges)}
+    return d, dict(zip(edges, lab))

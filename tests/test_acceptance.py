@@ -14,7 +14,6 @@ import time
 import pytest
 
 from lexidis import (
-    CapExceededError,
     ColoredGraph,
     GeneratorSet,
     Graph,
@@ -257,18 +256,14 @@ def test_criterion_07_bound_conformance(dnum_cache):
             assert is_distinguishing_edges(prod, lab), (gn, hn)
             assert max(lab.values()) <= bound, (gn, hn)
             edge_constructed += 1
-            # exact index where the product group is enumerable in budget
-            try:
-                got_p = distinguishing_index(prod, aut_cap=3000)
-            except CapExceededError:
-                got_p = None
-            if got_p is not None:
-                assert got_p[0] <= bound, (gn, hn)
-                edge_exact += 1
+            # the exact index never lists the product group
+            got_p = distinguishing_index(prod)
+            assert got_p is not None and got_p[0] <= bound, (gn, hn)
+            edge_exact += 1
     assert checked >= 85
     assert stepwise_checked >= 40
     assert edge_constructed >= 10
-    assert edge_exact >= 8
+    assert edge_exact == edge_constructed
     _report(
         7,
         t0,

@@ -216,6 +216,19 @@ def test_env_cap_override(tmp_path, capsys, monkeypatch):
     assert code == 2 and "LEXIDIS_CAP" in err
 
 
+def test_dindex_answers_past_the_aut_cap(tmp_path, capsys, monkeypatch):
+    # |Aut(K2[K5])| = 10! is past any listing cap, but dindex lists no group
+    p = tmp_path / "k2k5.el"
+    p.write_text(write_edge_list(lex_product(complete(2), complete(5))))
+    for cap in ("1000", "10"):
+        monkeypatch.setenv("LEXIDIS_CAP", cap)
+        code, out, _ = run(capsys, "--json", "dindex", str(p))
+        assert code == 0, cap
+        payload = json.loads(out)
+        assert payload["value"] == 2
+        assert len(payload["witness"]) == 45
+
+
 def test_aut_refusal_reports_cap_plus_one(tmp_path, capsys, monkeypatch):
     p = tmp_path / "k4k4.el"
     p.write_text(write_edge_list(lex_product(complete(4), complete(4))))

@@ -186,6 +186,41 @@ def test_leaf_certificates_prune(monkeypatch, name, leaves):
     assert len(calls) == leaves
 
 
+D_PRIME_LEAVES = {
+    "K3[C4]": (lex_product(complete(3), cycle(4)), 8),
+    "spider6": (spider(6), 16),
+    "K10": (complete(10), 4),
+    "C4[C4]": (lex_product(cycle(4), cycle(4)), 5),
+    "K4[K4]": (lex_product(complete(4), complete(4)), 2),
+    # its 120 twin swaps leave one leaf, the all-distinct labeling
+    "star16": (star(16), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(D_PRIME_LEAVES))
+def test_edge_leaf_certificates_prune(monkeypatch, name):
+    # every D' leaf that survives the twin seeds runs one subdivision search;
+    # the groups here have up to 16! elements and none is listed
+    import lexidis.distinguishing as dist
+
+    g, leaves = D_PRIME_LEAVES[name]
+    calls = []
+    inner = dist._search
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        # fail fast: a lost pruning rule can cost minutes here
+        assert len(calls) <= leaves, f"more than {leaves} leaf searches"
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dist, "_search", counting)
+    d, w = distinguishing_index(g)
+    monkeypatch.undo()
+    assert len(calls) == leaves
+    assert is_distinguishing_edges(g, w)
+    assert max(w.values()) == d
+
+
 def test_witness_stays_valid_with_more_labels():
     for g in (path(5), cycle(6), spider(3)):
         d, w = distinguishing_number(g)
