@@ -38,7 +38,6 @@ from .permgroup import (
 from .autosearch import (
     ColoredGraph,
     SearchStats,
-    edge_action_is_trivial,
     enumerate_automorphisms,
     find_preserving,
     find_preserving_edges,

@@ -450,15 +450,6 @@ def preserves_edge_labels(g: Graph, labels: dict[tuple[int, int], int], p: Perm)
     return is_color_preserving_automorphism(g, [0] * g.n, p)
 
 
-def edge_action_is_trivial(g: Graph, p: Perm) -> bool:
-    """Whether p fixes every edge of g as a set."""
-    for u, v in g.edges:
-        a, b = p(u), p(v)
-        if (a, b) != (u, v) and (a, b) != (v, u):
-            return False
-    return True
-
-
 def find_preserving_edges(
     g: Graph, labels: dict[tuple[int, int], int], exclude_identity: bool = True
 ) -> Optional[Perm]:

@@ -14,7 +14,6 @@ from lexidis import (
     cycle,
     distinguishing_index,
     distinguishing_number,
-    edge_action_is_trivial,
     enumerate_automorphisms,
     find_preserving,
     find_preserving_edges,
@@ -31,6 +30,7 @@ from .util import (
     atlas4,
     brute_automorphisms,
     catalog,
+    edge_action_is_trivial,
     naive_color_preserver_exists,
     naive_edge_preserver_exists,
     random_graph,

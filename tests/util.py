@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from lexidis import Graph, complete, cycle, path, spider, star
+from lexidis import Graph, Perm, complete, cycle, path, spider, star
 
 # connected graphs on at most 4 vertices, up to isomorphism
 PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -102,6 +102,15 @@ def naive_edge_preserver_exists(g: Graph, labels) -> bool:
         if ok and moved:
             return True
     return False
+
+
+def edge_action_is_trivial(g: Graph, p: Perm) -> bool:
+    """Whether p fixes every edge of g as a set."""
+    for u, v in g.edges:
+        a, b = p(u), p(v)
+        if (a, b) != (u, v) and (a, b) != (v, u):
+            return False
+    return True
 
 
 def canonical_form(g: Graph) -> tuple[int, tuple]:
