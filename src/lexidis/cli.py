@@ -43,8 +43,6 @@ EXIT_CAP = 3
 
 FAMILIES = {"path": path, "cycle": cycle, "complete": complete, "star": star, "spider": spider}
 
-LABEL_METHODS = ("thm21", "thm22", "thm31", "prop32", "prop33", "prop34", "thm35", "thm36", "power")
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
@@ -65,14 +63,22 @@ def _default_cap() -> int:
     return cap
 
 
-def _read_graph(spec: str) -> Graph:
+def _read_text(spec: str) -> str:
+    if spec == "-":
+        return sys.stdin.read()
     try:
-        if spec == "-":
-            return loads(sys.stdin.read())
         with open(spec, "r", encoding="ascii") as fh:
-            return loads(fh.read())
+            return fh.read()
     except FileNotFoundError:
         raise CliError(f"{spec}: no such file") from None
+    except OSError as exc:
+        raise CliError(f"{spec}: cannot read: {exc.strerror or exc}") from None
+
+
+def _read_graph(spec: str) -> Graph:
+    text = _read_text(spec)
+    try:
+        return loads(text)
     except FormatError as exc:
         raise CliError(f"{spec}: {exc}") from None
 
@@ -80,9 +86,12 @@ def _read_graph(spec: str) -> Graph:
 def _write_text(spec: Optional[str], text: str) -> None:
     if spec is None or spec == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(spec, "w", encoding="ascii") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"{spec}: cannot write: {exc.strerror or exc}") from None
 
 
 def _graph_format(out: Optional[str], requested: str) -> str:
@@ -111,14 +120,7 @@ def _labeling_text(vertex_labels=None, edge_labels=None) -> str:
 
 def _read_labeling(spec: str):
     """Returns ('vertex', list) or ('edge', dict)."""
-    if spec == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(spec, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except FileNotFoundError:
-            raise CliError(f"{spec}: no such file") from None
+    text = _read_text(spec)
     vmap: dict[int, int] = {}
     emap: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -249,77 +251,49 @@ def _require_dindex(g: Graph) -> tuple[int, dict]:
     return got
 
 
+# label method -> (graph count, (argument, what to ask for) of the option it
+# needs or None, builder).  The builder takes the option's value, if any, then
+# the graphs, and returns (vertex labels, edge labels, product to certify).
+LABEL_METHODS = {
+    "thm21": (2, None, lambda g, h: (
+        cons.block_product_labeling(g, h, _require_dnum(g)[1], _require_dnum(h)[1]),
+        None, lex_product(g, h))),
+    "thm22": (2, None, lambda g, h: (
+        cons.pattern_product_labeling(g, h, _require_dnum(g)[1], _require_dnum(h)[1]),
+        None, lex_product(g, h))),
+    "thm31": (2, None, lambda g, h: (
+        None, cons.inherited_edge_labeling(g, h, _require_dindex(g)[1], _require_dindex(h)[1]),
+        lex_product(g, h))),
+    "prop32": (1, None, lambda h: (
+        None, cons.k2_product_edge_labeling(h), lex_product(path(2), h))),
+    "prop33": (1, ("n", "--n for the star size"), lambda n, h: (
+        None, cons.star_product_edge_labeling(n, h, _require_dindex(h)[1]),
+        lex_product(star(n), h))),
+    "prop34": (1, ("n", "--n for the path length"), lambda n, h: (
+        None, cons.path_product_edge_labeling(n, h),
+        lex_product(path(n), h) if h.n > 1 else path(n))),
+    "thm35": (1, None, lambda g: (
+        None, cons.p2_product_edge_labeling(g, _require_dindex(g)[1]), lex_product(g, path(2)))),
+    "thm36": (2, None, lambda g, h: (
+        None, cons.two_label_edge_labeling(g, h), lex_product(g, h))),
+    "power": (1, ("power", "--power k"), lambda k, g: (
+        None, cons.power_edge_labeling(g, k), lex_power(g, k))),
+}
+
+
 def _cmd_label(args) -> int:
     method = args.method
+    count, option, build = LABEL_METHODS[method]
     gs = [_read_graph(s) for s in args.graphs]
-
-    def need(count: int) -> None:
-        if len(gs) != count:
-            raise CliError(f"method {method} takes {count} graph input(s), got {len(gs)}")
-
-    vertex_labels = None
-    edge_labels = None
-    if method == "thm21":
-        need(2)
-        g, h = gs
-        lg = _require_dnum(g)[1]
-        lh = _require_dnum(h)[1]
-        vertex_labels = cons.block_product_labeling(g, h, lg, lh)
-        prod = lex_product(g, h)
-    elif method == "thm22":
-        need(2)
-        g, h = gs
-        lg = _require_dnum(g)[1]
-        lh = _require_dnum(h)[1]
-        vertex_labels = cons.pattern_product_labeling(g, h, lg, lh)
-        prod = lex_product(g, h)
-    elif method == "thm31":
-        need(2)
-        g, h = gs
-        lg = _require_dindex(g)[1]
-        lh = _require_dindex(h)[1]
-        edge_labels = cons.inherited_edge_labeling(g, h, lg, lh)
-        prod = lex_product(g, h)
-    elif method == "prop32":
-        need(1)
-        h = gs[0]
-        edge_labels = cons.k2_product_edge_labeling(h)
-        prod = lex_product(path(2), h)
-    elif method == "prop33":
-        need(1)
-        if args.n is None:
-            raise CliError("method prop33 needs --n for the star size")
-        h = gs[0]
-        lh = _require_dindex(h)[1]
-        edge_labels = cons.star_product_edge_labeling(args.n, h, lh)
-        prod = lex_product(star(args.n), h)
-    elif method == "prop34":
-        need(1)
-        if args.n is None:
-            raise CliError("method prop34 needs --n for the path length")
-        h = gs[0]
-        edge_labels = cons.path_product_edge_labeling(args.n, h)
-        prod = lex_product(path(args.n), h) if h.n > 1 else path(args.n)
-    elif method == "thm35":
-        need(1)
-        g = gs[0]
-        lg = _require_dindex(g)[1]
-        edge_labels = cons.p2_product_edge_labeling(g, lg)
-        prod = lex_product(g, path(2))
-    elif method == "thm36":
-        need(2)
-        g, h = gs
-        edge_labels = cons.two_label_edge_labeling(g, h)
-        prod = lex_product(g, h)
-    elif method == "power":
-        need(1)
-        if args.power is None:
-            raise CliError("method power needs --power k")
-        g = gs[0]
-        edge_labels = cons.power_edge_labeling(g, args.power)
-        prod = lex_power(g, args.power)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown method {method}")
+    if len(gs) != count:
+        raise CliError(f"method {method} takes {count} graph input(s), got {len(gs)}")
+    if option is not None:
+        name, wanted = option
+        value = getattr(args, name)
+        if value is None:
+            raise CliError(f"method {method} needs {wanted}")
+        gs.insert(0, value)
+    vertex_labels, edge_labels, prod = build(*gs)
 
     text = _labeling_text(vertex_labels, edge_labels)
     _write_text(args.output, text)

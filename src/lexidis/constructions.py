@@ -232,10 +232,10 @@ def inherited_edge_labeling(
         raise ValueError("lh is not a distinguishing edge labeling of h")
     idx = ProductIndexer(g.n, h.n)
     out: EdgeLabeling = {}
-    for gv in range(g.n):
-        for x, y in h.edges:
+    for x, y in h.edge_list():
+        for gv in range(g.n):
             out[(idx.encode(gv, x), idx.encode(gv, y))] = lh[(x, y)]
-    for a, b in g.edges:
+    for a, b in g.edge_list():
         val = lg[(a, b)]
         for x in range(h.n):
             u = idx.encode(a, x)
@@ -263,8 +263,8 @@ def k2_product_edge_labeling(h: Graph) -> EdgeLabeling:
     prod = lex_product(k2, h)
     idx = ProductIndexer(2, h.n)
     out: EdgeLabeling = {}
-    for copy, val in ((0, 1), (1, 2)):
-        for x, y in h.edges:
+    for x, y in h.edge_list():
+        for copy, val in ((0, 1), (1, 2)):
             out[(idx.encode(copy, x), idx.encode(copy, y))] = val
     for j in range(h.n):
         u = idx.encode(0, j)
@@ -354,8 +354,8 @@ def star_product_edge_labeling(
     g = star(n)
     idx = ProductIndexer(g.n, m)
     out: EdgeLabeling = {}
-    for copy in range(g.n):
-        for x, y in h.edges:
+    for x, y in h.edge_list():
+        for copy in range(g.n):
             out[(idx.encode(copy, x), idx.encode(copy, y))] = lh[(x, y)]
     for j in range(1, n + 1):
         col = cols[j - 1]
@@ -387,8 +387,8 @@ def path_product_edge_labeling(n: int, h: Graph) -> EdgeLabeling:
         return out
     idx = ProductIndexer(n, m)
     out: EdgeLabeling = {}
-    for copy in range(n):
-        for x, y in h.edges:
+    for x, y in h.edge_list():
+        for copy in range(n):
             out[(idx.encode(copy, x), idx.encode(copy, y))] = 1
     for i in range(n - 1):
         final = i == n - 2

@@ -1,8 +1,9 @@
 """Core graph value type, standard families, and neighborhood relations.
 
 Graphs are simple, undirected, and canonically indexed on 0..n-1.  Adjacency
-is stored redundantly: per-vertex frozensets feed iteration, fixed-width bit
-rows feed the refinement search (the hot path).
+is stored once, as fixed-width bit rows: bit v of row u is set iff uv is an
+edge.  The rows feed the refinement search (the hot path); edge sets,
+neighbourhoods and degrees are read off them on each call.
 """
 from __future__ import annotations
 
@@ -12,51 +13,65 @@ from typing import Iterable, Iterator
 Edge = tuple[int, int]
 
 
+def _members(row: int) -> list[int]:
+    """Positions of the set bits of row, ascending."""
+    out = []
+    while row:
+        low = row & -row
+        row ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Edges are unordered pairs {u, v} with u != v, stored as sorted tuples.
+    Edges are unordered pairs {u, v} with u != v, reported as sorted tuples.
     Instances are safe to share across concurrent tasks; nothing mutates
     after construction.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_bits", "_hash")
+    __slots__ = ("n", "m", "_rows", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        canon: set[Edge] = set()
+        rows = [0] * n
         for e in edges:
             u, v = e
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e!r} out of range for n={n}")
-            canon.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = frozenset(canon)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        bits = [0] * n
-        for u, v in canon:
-            adj[u].add(v)
-            adj[v].add(u)
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._bits = tuple(bits)
-        self._hash = hash((n, self.edges))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        self._init_rows(tuple(rows))
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[int, ...]) -> Graph:
+        """Graph on len(rows) vertices with the given bit rows, unchecked:
+        the rows must be symmetric with a zero diagonal."""
+        g = object.__new__(cls)
+        g._init_rows(rows)
+        return g
+
+    def _init_rows(self, rows: tuple[int, ...]) -> None:
+        self.n = len(rows)
+        self.m = sum(row.bit_count() for row in rows) // 2
+        self._rows = rows
+        self._hash = hash(rows)
 
     # -- basic queries ----------------------------------------------------
 
     @property
-    def m(self) -> int:
-        """Number of edges."""
-        return len(self.edges)
-
-    @property
     def adjacency_bits(self) -> tuple[int, ...]:
         """Bit rows: bit v of row u is set iff uv is an edge."""
-        return self._bits
+        return self._rows
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edge set, as sorted pairs."""
+        return frozenset(self.edge_list())
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -65,30 +80,31 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v)."""
         self._check_vertex(v)
-        return self._adj[v]
+        return frozenset(_members(self._rows[v]))
 
     def closed_neighbors(self, v: int) -> frozenset[int]:
         """Closed neighborhood N[v] = N(v) | {v}."""
         self._check_vertex(v)
-        return self._adj[v] | {v}
+        return frozenset(_members(self._rows[v] | (1 << v)))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return self._rows[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[u]
+        return bool(self._rows[u] >> v & 1)
 
     def edge_list(self) -> list[Edge]:
         """Edges as sorted pairs in ascending order; the canonical edge order."""
-        return sorted(self.edges)
+        # row >> u << u keeps the neighbours above u, so each edge comes once
+        return [(u, v) for u, row in enumerate(self._rows) for v in _members(row >> u << u)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         return self._hash
@@ -125,33 +141,30 @@ class VertexPartition:
         return iter(self.classes)
 
 
-def _partition_by(g: Graph, key) -> VertexPartition:
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(key(v), []).append(v)
-    classes = sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda c: c[0])
-    return VertexPartition(g.n, tuple(classes))
+def _partition_by(n: int, keys: Iterable[int]) -> VertexPartition:
+    # vertices are added in ascending order, so each class is sorted and the
+    # classes come out ordered by their least vertex
+    groups: dict[int, list[int]] = {}
+    for v, key in enumerate(keys):
+        groups.setdefault(key, []).append(v)
+    return VertexPartition(n, tuple(tuple(vs) for vs in groups.values()))
 
 
 def open_twin_partition(g: Graph) -> VertexPartition:
     """Partition vertices by equal open neighborhoods N(v)."""
-    return _partition_by(g, g.neighbors)
+    return _partition_by(g.n, g.adjacency_bits)
 
 
 def closed_twin_partition(g: Graph) -> VertexPartition:
     """Partition vertices by equal closed neighborhoods N[v]."""
-    return _partition_by(g, g.closed_neighbors)
+    return _partition_by(g.n, (row | (1 << v) for v, row in enumerate(g.adjacency_bits)))
 
 
 def complement(g: Graph) -> Graph:
     """Same vertices; uv is an edge iff u != v and uv is not an edge of g."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in g.edges
-    ]
-    return Graph(g.n, edges)
+    full = (1 << g.n) - 1
+    rows = g.adjacency_bits
+    return Graph._from_rows(tuple(full ^ row ^ (1 << v) for v, row in enumerate(rows)))
 
 
 def components(g: Graph) -> list[list[int]]:
@@ -171,13 +184,7 @@ def components(g: Graph) -> list[list[int]]:
                 nxt |= bits[lsb.bit_length() - 1]
             frontier = nxt & ~comp
             comp |= frontier
-        members = []
-        rest = comp
-        while rest:
-            lsb = rest & -rest
-            rest ^= lsb
-            members.append(lsb.bit_length() - 1)
-        out.append(members)
+        out.append(_members(comp))
         unseen &= ~comp
     return out
 
@@ -212,7 +219,8 @@ def complete(n: int) -> Graph:
     """Complete graph K_n; n >= 1."""
     if n < 1:
         raise ValueError("complete needs n >= 1")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    full = (1 << n) - 1
+    return Graph._from_rows(tuple(full ^ (1 << v) for v in range(n)))
 
 
 def star(n: int) -> Graph:

@@ -44,18 +44,15 @@ def lex_product(g: Graph, h: Graph) -> Graph:
         raise ProductSizeError(
             f"product would have {g.n * h.n} vertices (limit {MAX_PRODUCT_VERTICES})"
         )
-    idx = ProductIndexer(g.n, h.n)
-    edges: list[tuple[int, int]] = []
+    # the row of (a, x) is H's row of x shifted into block a, plus the whole
+    # block of every neighbour of a in G
+    block = (1 << h.n) - 1
+    rows: list[int] = []
     for a in range(g.n):
-        base = a * h.n
-        for x, y in h.edges:
-            edges.append((base + x, base + y))
-    for a, b in g.edges:
-        for x in range(h.n):
-            u = idx.encode(a, x)
-            for y in range(h.n):
-                edges.append((u, idx.encode(b, y)))
-    return Graph(g.n * h.n, edges)
+        cross = sum(block << (b * h.n) for b in g.neighbors(a))
+        shift = a * h.n
+        rows.extend(cross | (row << shift) for row in h.adjacency_bits)
+    return Graph._from_rows(tuple(rows))
 
 
 def lex_power(g: Graph, k: int) -> Graph:

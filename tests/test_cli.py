@@ -255,3 +255,106 @@ def test_aut_elements_listing_is_pinned(tmp_path, capsys):
     assert len(lines) == 721
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "3e3123a1a58b40c0fd70a8e807b19487caaf9dd7f44c84c7ef81f5b84d80b790"
+
+
+# One small input per label method, pinned before the method table replaced
+# the if/elif chain: sha256 of the labeling text, and the --json --certify line.
+LABEL_PINS = {
+    "thm21": (("P3", "P3"), (), 6,
+              "056c3566ebef43106b089bfcafb319529d660227b9c52151de208d1913558fbe"),
+    "thm22": (("P3", "P3"), (), 3,
+              "36657ae0b06f268fb3c2a150993015bc7bab8ef673fd10a165d2d0e597ea01ac"),
+    "thm31": (("P4", "P3"), (), 2,
+              "d0532ba0c2e6e25f976e1e9e763f1ce8697bc6fa241d3f5f1f6c01c701e30435"),
+    "prop32": (("P3",), (), 2,
+               "f84b1651e19513b0c4a59b807ca638d6f5e3dc4f4475cac22b47d8b18a1c04c5"),
+    "prop33": (("P3",), ("--n", "3"), 2,
+               "0d50ef83eb3762826f732fe7d5c8cd0cf859fe735ae5d0515f7695e51c8d61a0"),
+    "prop34": (("P3",), ("--n", "3"), 2,
+               "941ddb07ecf59a649bda9b77a24ebc3626c846648ff365e881fffddd8aefe0fe"),
+    "thm35": (("P4",), (), 2,
+              "db76ba3c4b8c03838e04beb9249a14cab9941f2f9ea3221ce192cc2f177707d8"),
+    "thm36": (("P3", "P3"), (), 2,
+              "497491c5326eaa1e13ee248fa6b34181d055e175ec13de4cd525f8dc660632ab"),
+    "power": (("P3",), ("--power", "2"), 2,
+              "497491c5326eaa1e13ee248fa6b34181d055e175ec13de4cd525f8dc660632ab"),
+}
+
+
+def _factor_files(tmp_path):
+    out = {}
+    for name, g in (("P3", path(3)), ("P4", path(4))):
+        out[name] = tmp_path / f"{name}.el"
+        out[name].write_text(write_edge_list(g))
+    return out
+
+
+def test_label_methods_cover_the_pins():
+    from lexidis.cli import LABEL_METHODS
+
+    assert set(LABEL_METHODS) == set(LABEL_PINS)
+
+
+@pytest.mark.parametrize("method", sorted(LABEL_PINS))
+def test_label_method_output_is_pinned(tmp_path, capsys, method):
+    names, opts, used, digest = LABEL_PINS[method]
+    files = _factor_files(tmp_path)
+    out_file = tmp_path / "lab.txt"
+    code, out, err = run(capsys, "--json", "label", "--method", method,
+                         *[str(files[g]) for g in names], *opts, "-o", str(out_file), "--certify")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"certified": True, "command": "label",
+                               "labels_used": used, "method": method}
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+    # without -o the same text goes to stdout
+    code, out, _ = run(capsys, "label", "--method", method,
+                       *[str(files[g]) for g in names], *opts)
+    assert code == 0 and out == out_file.read_text()
+
+
+@pytest.mark.parametrize("method", sorted(LABEL_PINS))
+def test_label_wrong_graph_count_exits_2(tmp_path, capsys, method):
+    names, opts, _, _ = LABEL_PINS[method]
+    p3 = _factor_files(tmp_path)["P3"]
+    wrong = 3 - len(names)
+    code, out, err = run(capsys, "label", "--method", method, *[str(p3)] * wrong, *opts)
+    assert (code, out) == (2, "")
+    assert err == f"error: method {method} takes {len(names)} graph input(s), got {wrong}\n"
+
+
+@pytest.mark.parametrize("method, message", [
+    ("prop33", "method prop33 needs --n for the star size"),
+    ("prop34", "method prop34 needs --n for the path length"),
+    ("power", "method power needs --power k"),
+])
+def test_label_missing_option_exits_2(tmp_path, capsys, method, message):
+    p3 = _factor_files(tmp_path)["P3"]
+    code, out, err = run(capsys, "label", "--method", method, str(p3))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unreadable_inputs_exit_2(tmp_path, capsys):
+    # a directory where a file is expected is a usage error naming the path
+    code, out, err = run(capsys, "dnum", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tmp_path}: cannot read")
+    g = tmp_path / "p3.el"
+    g.write_text(write_edge_list(path(3)))
+    code, out, err = run(capsys, "verify", str(g), str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tmp_path}: cannot read")
+
+
+@pytest.mark.parametrize("verb", [
+    ["gen", "--family", "path", "--n", "3"],
+    ["product", "@", "@"],
+    ["label", "--method", "thm36", "@", "@"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, verb):
+    g = tmp_path / "p3.el"
+    g.write_text(write_edge_list(path(3)))
+    target = tmp_path / "missing" / "x.txt"
+    argv = [str(g) if a == "@" else a for a in verb]
+    code, out, err = run(capsys, *argv, "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {target}: cannot write")

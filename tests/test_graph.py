@@ -11,12 +11,13 @@ from lexidis import (
     cycle,
     is_connected,
     open_twin_partition,
+    lex_product,
     path,
     spider,
     star,
 )
 
-from .util import random_graph
+from .util import random_graph, sweep_pairs
 import random
 
 
@@ -145,3 +146,43 @@ def test_spider_is_a_tree():
         for j in range(1, n + 1):
             assert g.has_edge(0, 2 * j - 1)
             assert g.has_edge(2 * j - 1, 2 * j)
+
+
+def test_construction_errors_name_the_input():
+    for n, pairs, msg in ((3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+                          (2, [(0, 2)], "edge (0, 2) out of range for n=2"),
+                          (2, [(-1, 0)], "edge (-1, 0) out of range for n=2"),
+                          (-1, [], "vertex count must be non-negative, got -1")):
+        with pytest.raises(ValueError) as exc:
+            Graph(n, pairs)
+        assert str(exc.value) == msg
+
+
+def test_queries_read_off_the_rows_match_the_input_pairs():
+    rng = random.Random(7)
+    for n in range(13):
+        for _ in range(3):
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+            pairs += pairs[::2]  # duplicates; reversed pairs come from the ordered draw
+            rng.shuffle(pairs)
+            g = Graph(n, pairs)
+            ref = {(min(e), max(e)) for e in pairs}
+            nbrs = [{w for e in ref if v in e for w in e if w != v} for v in range(n)]
+            assert g.edges == frozenset(ref)
+            assert g.edge_list() == sorted(ref)
+            assert g.m == len(ref)
+            for v in range(n):
+                assert g.neighbors(v) == frozenset(nbrs[v])
+                assert g.closed_neighbors(v) == frozenset(nbrs[v] | {v})
+                assert g.degree(v) == len(nbrs[v])
+                assert [g.has_edge(v, w) for w in range(n)] == [w in nbrs[v] for w in range(n)]
+
+
+def test_graphs_built_from_rows_equal_graphs_built_from_pairs():
+    built = [complete(n) for n in range(1, 10)]
+    for _, g, _, h in sweep_pairs():
+        prod = lex_product(g, h)
+        built += [prod, complement(g), complement(prod)]
+    for g in built:
+        ref = Graph(g.n, g.edge_list())
+        assert g == ref and hash(g) == hash(ref) and g.m == ref.m

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lexidis import (
+    Graph,
     ProductIndexer,
     ProductSizeError,
     complement,
@@ -14,7 +15,7 @@ from lexidis import (
     product_degree,
 )
 
-from .util import canonical_form, random_graph
+from .util import canonical_form, random_graph, sweep_pairs
 
 
 def test_indexer_bijection():
@@ -34,6 +35,16 @@ def test_indexer_bijection():
 
 def test_k2_k3_is_k6():
     assert lex_product(complete(2), complete(3)) == complete(6)
+
+
+def test_product_matches_the_definition():
+    # (a, x) ~ (b, y) iff ab is an edge of G, or a == b and xy an edge of H
+    for _, g, _, h in sweep_pairs():
+        pairs = [(a * h.n + x, b * h.n + y)
+                 for a in range(g.n) for b in range(g.n)
+                 for x in range(h.n) for y in range(h.n)
+                 if g.has_edge(a, b) or (a == b and h.has_edge(x, y))]
+        assert lex_product(g, h) == Graph(g.n * h.n, pairs)
 
 
 def test_identity_factor():

@@ -59,7 +59,11 @@ def catalog() -> dict[str, Graph]:
 
 
 def is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
-    edges = g.edges
+    return _maps_onto(g.edges, perm)
+
+
+def _maps_onto(edges: frozenset, perm: tuple[int, ...]) -> bool:
+    # the edge set is read once per scan: Graph derives it from its rows
     for u, v in edges:
         a, b = perm[u], perm[v]
         if ((a, b) if a < b else (b, a)) not in edges:
@@ -69,25 +73,28 @@ def is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All automorphisms by filtering every vertex bijection; n <= 8 or so."""
-    return [p for p in permutations(range(g.n)) if is_automorphism(g, p)]
+    edges = g.edges
+    return [p for p in permutations(range(g.n)) if _maps_onto(edges, p)]
 
 
 def naive_color_preserver_exists(g: Graph, colors) -> bool:
     """Is some nontrivial automorphism color-preserving?  Full n! scan."""
     ident = tuple(range(g.n))
+    edges = g.edges
     for p in permutations(range(g.n)):
         if p == ident:
             continue
         if all(colors[p[v]] == colors[v] for v in range(g.n)):
-            if is_automorphism(g, p):
+            if _maps_onto(edges, p):
                 return True
     return False
 
 
 def naive_edge_preserver_exists(g: Graph, labels) -> bool:
     """Is some automorphism moving an edge label-preserving?  Full n! scan."""
+    edges = g.edges
     for p in permutations(range(g.n)):
-        if not is_automorphism(g, p):
+        if not _maps_onto(edges, p):
             continue
         moved = False
         ok = True
@@ -116,9 +123,10 @@ def edge_action_is_trivial(g: Graph, p: Perm) -> bool:
 def canonical_form(g: Graph) -> tuple[int, tuple]:
     """Minimum edge set over all relabelings; usable up to ~8 vertices."""
     best = None
+    g_edges = g.edge_list()
     for p in permutations(range(g.n)):
         edges = tuple(
-            sorted((p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in g.edges)
+            sorted((p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in g_edges)
         )
         if best is None or edges < best:
             best = edges
