@@ -4,6 +4,13 @@ The engine answers two questions: does a colored graph admit a nontrivial
 color-preserving automorphism (find one as a certificate), and what is the
 automorphism group of a graph (a base, strong generators and the order).
 
+Every certificate search asks one question: the first color-preserving
+automorphism, in search order, that moves a position at or after an
+offset.  Vertex colors use offset 0, so any nontrivial automorphism
+counts.  Edge labels use the subdivision with offset n, so an automorphism
+counts when it moves an edge; ``_subdivision_bits`` says why the original
+vertices take a marker color below every label.
+
 The search keeps two colorings of the same graph, a source and a target,
 refined in lockstep to equitable fixpoints.  Branching individualizes the
 least vertex of the smallest non-singleton cell on the source side against
@@ -45,7 +52,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import Graph
 from .permgroup import CapExceededError, GeneratorSet, Perm, closure
@@ -231,27 +238,25 @@ def _split(
 
 
 class _Search:
-    """One find-mode search over a fixed graph, colors and leaf filter."""
+    """One find-mode search over a fixed graph and colors for automorphisms
+    that move a position at or after ``offset``.
+    """
 
-    __slots__ = ("adj", "n", "colors", "accept", "stats")
+    __slots__ = ("adj", "n", "colors", "offset", "tail", "stats")
 
     def __init__(
-        self,
-        adj: Sequence[int],
-        n: int,
-        colors: Sequence[int],
-        accept: Optional[Callable[[tuple[int, ...]], bool]],
-        stats: SearchStats,
+        self, adj: Sequence[int], n: int, colors: Sequence[int], offset: int, stats: SearchStats
     ) -> None:
         self.adj = adj
         self.n = n
         self.colors = colors
-        self.accept = accept
+        self.offset = offset
+        self.tail = tuple(range(offset, n))
         self.stats = stats
 
     def node(self, c1: list[int], c2: list[int], ncolors: int) -> Optional[Perm]:
-        """First accepted automorphism mapping the refined source coloring
-        c1 onto the target c2, or None when there is none.
+        """First automorphism moving a position at or after the offset that
+        maps the refined source coloring c1 onto the target c2, or None.
         """
         adj, n, stats = self.adj, self.n, self.stats
         stats.nodes += 1
@@ -260,9 +265,7 @@ class _Search:
             for v in range(n):
                 pos2[c2[v]] = v
             st = tuple(pos2[c1[v]] for v in range(n))
-            if not _verify(adj, n, self.colors, st):
-                return None
-            if self.accept is not None and not self.accept(st):
+            if st[self.offset:] == self.tail or not _verify(adj, n, self.colors, st):
                 return None
             return Perm(st)
         # individualize the source vertex once; replay per target choice
@@ -283,43 +286,31 @@ class _Search:
 
 
 def _search(
-    adj: Sequence[int],
-    n: int,
-    colors: Sequence[int],
-    accept: Optional[Callable[[tuple[int, ...]], bool]],
-    stats: SearchStats,
+    adj: Sequence[int], n: int, colors: Sequence[int], offset: int, stats: SearchStats
 ) -> Optional[Perm]:
-    """First color-preserving automorphism, in search order, that passes
-    ``accept``, or None.
+    """First color-preserving automorphism, in search order, that moves a
+    position at or after ``offset``, or None.
     """
     if n == 0:
-        ident: tuple[int, ...] = ()
-        return Perm(ident) if accept is None or accept(ident) else None
+        return None
     # normalize the starting colors to dense values 0..k-1
     order = sorted(set(colors))
     dense = {val: i for i, val in enumerate(order)}
     start = [dense[val] for val in colors]
     k = len(order)
     rc, rk, _trace = _refine_trace(adj, n, start, k, list(range(k)), stats)
-    return _Search(adj, n, colors, accept, stats).node(rc, list(rc), rk)
+    return _Search(adj, n, colors, offset, stats).node(rc, list(rc), rk)
 
 
-def find_preserving(
-    colored: ColoredGraph, exclude_identity: bool = True
-) -> tuple[Optional[Perm], SearchStats]:
-    """Search for an automorphism preserving every vertex color.
+def find_preserving(colored: ColoredGraph) -> tuple[Optional[Perm], SearchStats]:
+    """Search for a nontrivial automorphism preserving every vertex color.
 
-    With ``exclude_identity`` the returned permutation, if any, is a
-    nontrivial certificate that the coloring is not distinguishing; absence
-    means the coloring is distinguishing.
+    The returned permutation, if any, is a certificate that the coloring is
+    not distinguishing; absence means the coloring is distinguishing.
     """
     g = colored.graph
     stats = SearchStats()
-    accept = None
-    if exclude_identity:
-        ident = tuple(range(g.n))
-        accept = lambda s: s != ident  # noqa: E731
-    got = _search(g.adjacency_bits, g.n, colored.colors, accept, stats)
+    got = _search(g.adjacency_bits, g.n, colored.colors, 0, stats)
     stats.found = got is not None
     return got, stats
 
@@ -359,7 +350,8 @@ def automorphism_group(
         cell, rc, rk, trace = _split(adj, n, c, k, stats)
         levels.append((c, k, cell, rc, rk, trace))
         c, k = rc, rk
-    search = _Search(adj, n, colors, None, stats)
+    # every leaf below maps a base point elsewhere, so none is the identity
+    search = _Search(adj, n, colors, 0, stats)
     gens: list[Perm] = []
     order = 1
     for c, k, cell, rc, rk, trace in reversed(levels):
@@ -407,25 +399,20 @@ def is_color_preserving_automorphism(g: Graph, colors: Sequence[int], p: Perm) -
 # -- edge labelings via the subdivision reduction --------------------------
 
 
-def _subdivision(g: Graph, labels: dict[tuple[int, int], int]):
-    """Bicolored subdivision: one new vertex per edge, colored by its label.
-
-    Original vertices keep one shared marker color, so the two marker classes
-    can never mix and automorphisms of the subdivision restrict exactly to
-    label-preserving automorphisms of g.
-    """
-    edges = g.edge_list()
-    if set(labels) != set(edges):
-        raise ValueError("labeling domain must equal the edge set exactly")
-    values = sorted(set(labels.values()))
-    rank = {val: i + 1 for i, val in enumerate(values)}
-    colors = [0] * g.n + [rank[labels[e]] for e in edges]
-    return _subdivision_bits(g, edges), g.n + len(edges), colors
-
-
 def _subdivision_bits(g: Graph, edges: Sequence[tuple[int, int]]) -> list[int]:
     """Adjacency rows of the subdivision; edge k of ``edges``, the edge set
     of g in ``g.edge_list()`` order, becomes vertex n + k.
+
+    Color edge vertex n + k by the label of edge k and give the original
+    vertices one marker color apart from every label.  Then no automorphism
+    mixes the two kinds, a color-preserving automorphism restricts exactly
+    to a label-preserving automorphism of g, and its image of n + k is
+    n + (the image of edge k); it moves an edge exactly when it moves a
+    position at or after n.  A marker equal to a label could let a rotation
+    of a subdivided cycle map a vertex onto an edge vertex.  The marker sits
+    below every label, so after ``_search`` renumbers the colors densely
+    ``find_preserving_edges`` searches with the colors the D' walker uses
+    (marker 0, labels from 1) and finds the same certificates.
     """
     bits = list(g.adjacency_bits)
     for u, v in edges:
@@ -450,24 +437,20 @@ def preserves_edge_labels(g: Graph, labels: dict[tuple[int, int], int], p: Perm)
     return is_color_preserving_automorphism(g, [0] * g.n, p)
 
 
-def find_preserving_edges(
-    g: Graph, labels: dict[tuple[int, int], int], exclude_identity: bool = True
-) -> Optional[Perm]:
-    """Search for an automorphism preserving every edge label.
+def find_preserving_edges(g: Graph, labels: dict[tuple[int, int], int]) -> Optional[Perm]:
+    """Search for an automorphism preserving every edge label that moves an edge.
 
     An automorphism whose action on the edge set is the identity counts as
-    trivial here (such maps exist only on single-edge components and can
-    never be broken by edge labels), so with ``exclude_identity`` the search
-    looks for a certificate that moves at least one edge.
+    trivial here: such maps exist only on single-edge components and can
+    never be broken by edge labels.
     """
-    bits, total, colors = _subdivision(g, labels)
+    edges = g.edge_list()
+    if set(labels) != set(edges):
+        raise ValueError("labeling domain must equal the edge set exactly")
     n = g.n
-    stats = SearchStats()
-    accept = None
-    if exclude_identity:
-        rng = range(n, total)
-        accept = lambda s: any(s[i] != i for i in rng)  # noqa: E731
-    got = _search(bits, total, colors, accept, stats)
+    values = [labels[e] for e in edges]
+    colors = [min(values, default=0) - 1] * n + values
+    got = _search(_subdivision_bits(g, edges), n + len(edges), colors, n, SearchStats())
     if got is None:
         return None
     vertex_part = Perm(got.image[:n])

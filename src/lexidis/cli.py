@@ -28,6 +28,8 @@ from .autosearch import (
 from .distinguishing import (
     distinguishing_index,
     distinguishing_number,
+    is_distinguishing,
+    is_distinguishing_edges,
     validate_edge_labeling,
     validate_vertex_labeling,
 )
@@ -222,8 +224,6 @@ def _cmd_dnum(args) -> int:
 
 def _cmd_dindex(args) -> int:
     g = _read_graph(args.graph)
-    if g.m == 0:
-        raise CliError("distinguishing index needs at least one edge")
     t0 = time.perf_counter()
     got = distinguishing_index(g, d_max=args.cap)
     ms = (time.perf_counter() - t0) * 1000
@@ -298,8 +298,6 @@ def _cmd_label(args) -> int:
     text = _labeling_text(vertex_labels, edge_labels)
     _write_text(args.output, text)
     if args.certify:
-        from .distinguishing import is_distinguishing, is_distinguishing_edges
-
         if vertex_labels is not None:
             ok = is_distinguishing(prod, vertex_labels)
         else:
@@ -317,17 +315,11 @@ def _cmd_verify(args) -> int:
     kind, labels = _read_labeling(args.labels)
     t0 = time.perf_counter()
     if kind == "vertex":
-        try:
-            validate_vertex_labeling(g, labels)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        cert, _ = find_preserving(ColoredGraph(g, tuple(labels)), exclude_identity=True)
+        validate_vertex_labeling(g, labels)
+        cert, _ = find_preserving(ColoredGraph(g, tuple(labels)))
     else:
-        try:
-            validate_edge_labeling(g, labels)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        cert = find_preserving_edges(g, labels, exclude_identity=True)
+        validate_edge_labeling(g, labels)
+        cert = find_preserving_edges(g, labels)
     ms = (time.perf_counter() - t0) * 1000
     if cert is None:
         _emit(args, {"command": "verify", "kind": kind, "distinguishing": True, "ms": round(ms, 3)},

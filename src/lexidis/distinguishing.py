@@ -8,25 +8,29 @@ alive flag clears while the prefix breaks one of its cycles; a prefix that
 reaches its last moved position with the flag set dies, since the
 permutation then preserves every extension.
 
-Both oracles feed it the same way, and neither lists Aut(G).  The walk
-starts from the twin transpositions: as vertex permutations for D(G)
-(Albertson & Collins 1996), as edge permutations for D'(G) (Kalinowski &
-Pilsniak 2015), leaving out any swap that fixes every edge.  Each leaf
-that survives them goes to a full automorphism search, ``_search`` on the
-vertex colors for D, and for D' on the subdivision colored by the edge
-labels (the search ``find_preserving_edges`` runs, with the subdivision
-built once per walk).  A certificate found there refutes the leaf and is kept for every
-later d (it is an automorphism of the bare graph; for D' its action on the
-edge positions moves an edge, so it is nontrivial).  It fixes every
-position after its last moved one, so it preserves every labeling that
-agrees with the leaf up to there, and the walk backjumps to that position.
+Both oracles ask it the same question on a graph given by bit rows whose
+positions at or after an offset carry the labels: D(G) asks it on G's rows
+with offset 0, and D'(G) on the subdivision's rows with offset n, where
+vertex n + k stands for edge k and the original vertices take color 0,
+below every label.  Neither lists Aut(G).  The walk starts from the twin
+transpositions: as vertex permutations for D(G) (Albertson & Collins
+1996), as edge permutations for D'(G) (Kalinowski & Pilsniak 2015),
+leaving out any swap that fixes every edge.  Each leaf that survives them
+goes to one automorphism search, ``_search``, for the first
+color-preserving automorphism that moves a labeled position; it is the
+search ``find_preserving`` and ``find_preserving_edges`` run.  Its action
+on the labeled positions refutes the leaf and is kept for every later d
+(it comes from an automorphism of the bare graph and moves a position, so
+it is nontrivial).  It fixes every position after its last moved one, so
+it preserves every labeling that agrees with the leaf up to there, and the
+walk backjumps to that position.
 Everything skipped is preserved by a nontrivial automorphism and the walk
 is lexicographic, so the first accepted leaf is the lexicographically
 least distinguishing labeling with the least d.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .autosearch import (
     ColoredGraph,
@@ -42,19 +46,19 @@ VertexLabeling = list[int]
 EdgeLabeling = dict[tuple[int, int], int]
 
 
-def validate_vertex_labeling(g: Graph, labels: Sequence[int], d: int | None = None) -> None:
+def validate_vertex_labeling(g: Graph, labels: Sequence[int]) -> None:
     if len(labels) != g.n:
         raise ValueError(f"{len(labels)} labels for {g.n} vertices")
-    top = d if d is not None else max(labels, default=1)
+    top = max(labels, default=1)
     for v, val in enumerate(labels):
         if not 1 <= val <= top:
             raise ValueError(f"vertex {v}: label {val} outside 1..{top}")
 
 
-def validate_edge_labeling(g: Graph, labels: EdgeLabeling, d: int | None = None) -> None:
+def validate_edge_labeling(g: Graph, labels: EdgeLabeling) -> None:
     if set(labels) != set(g.edge_list()):
         raise ValueError("labeling domain must equal the edge set exactly")
-    top = d if d is not None else max(labels.values(), default=1)
+    top = max(labels.values(), default=1)
     for e, val in labels.items():
         if not 1 <= val <= top:
             raise ValueError(f"edge {e}: label {val} outside 1..{top}")
@@ -63,14 +67,14 @@ def validate_edge_labeling(g: Graph, labels: EdgeLabeling, d: int | None = None)
 def is_distinguishing(g: Graph, labels: Sequence[int]) -> bool:
     """True iff no nontrivial automorphism preserves every vertex label."""
     validate_vertex_labeling(g, labels)
-    got, _ = find_preserving(ColoredGraph(g, tuple(labels)), exclude_identity=True)
+    got, _ = find_preserving(ColoredGraph(g, tuple(labels)))
     return got is None
 
 
 def is_distinguishing_edges(g: Graph, labels: EdgeLabeling) -> bool:
     """True iff no automorphism moving an edge preserves every edge label."""
     validate_edge_labeling(g, labels)
-    return find_preserving_edges(g, labels, exclude_identity=True) is None
+    return find_preserving_edges(g, labels) is None
 
 
 def _twin_pairs(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -93,13 +97,13 @@ class _Walk:
     moved position decides the prune; earlier pairs clear the alive flag.
     """
 
-    __slots__ = ("m", "refute", "checks", "dies", "alive", "buf", "jump")
+    __slots__ = ("bits", "offset", "m", "checks", "dies", "alive", "buf", "jump")
 
-    def __init__(
-        self, m: int, refute: Optional[Callable[[list[int]], Optional[tuple[int, ...]]]]
-    ) -> None:
+    def __init__(self, bits: Sequence[int], offset: int) -> None:
+        m = len(bits) - offset
+        self.bits = bits
+        self.offset = offset
         self.m = m
-        self.refute = refute
         self.checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         self.dies: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         self.alive: list[bool] = []
@@ -133,10 +137,11 @@ class _Walk:
             return False
         buf, alive = self.buf, self.alive
         if k == m:
-            got = self.refute(buf) if self.refute is not None else None
+            off = self.offset
+            got = _search(self.bits, off + m, [0] * off + buf, off, SearchStats())
             if got is None:
                 return True
-            self.jump = self.add(got)
+            self.jump = self.add(tuple(x - off for x in got.image[off:]))
             return False
         chk = self.checks[k]
         # a live permutation whose last pair lands here bans its low label;
@@ -163,20 +168,20 @@ class _Walk:
 
 
 def _least_labeling(
-    m: int,
-    d_max: int,
-    perms: Iterable[tuple[int, ...]],
-    refute: Optional[Callable[[list[int]], Optional[tuple[int, ...]]]] = None,
+    bits: Sequence[int], offset: int, d_max: int, perms: Iterable[tuple[int, ...]]
 ) -> Optional[tuple[int, list[int]]]:
-    """Least d <= d_max and the lex-least restricted-growth labeling of
-    positions 0..m-1 with maximum d that no permutation of ``perms``
-    preserves and ``refute`` does not refute, or None.
+    """Least d <= d_max and the lex-least restricted-growth labeling with
+    maximum d of the positions at or after ``offset`` of the graph with
+    rows ``bits`` (position offset + i is label i) that is preserved by no
+    permutation of ``perms`` and by no automorphism moving a labeled
+    position, or None.
 
-    ``refute`` sees each surviving leaf and returns None to accept it, or a
-    nontrivial permutation preserving it; that permutation is kept for
-    every later d, and the walk resumes at its last moved position.
+    Each leaf that ``perms`` leaves goes to ``_search``, with color 0 on
+    the positions before ``offset``.  The action on the labeled positions
+    of the automorphism it finds is kept for every later d, and the walk
+    resumes at its last moved position.
     """
-    walk = _Walk(m, refute)
+    walk = _Walk(bits, offset)
     for p in perms:
         walk.add(p)
     for d in range(1, d_max + 1):
@@ -202,15 +207,7 @@ def distinguishing_number(
         raise ValueError("d_max must be positive")
     if n == 0:
         return 1, []
-    adj = g.adjacency_bits
-    ident = tuple(range(n))
-    accept = lambda s: s != ident  # noqa: E731
-
-    def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
-        got = _search(adj, n, labels, accept, SearchStats())
-        return None if got is None else got.image
-
-    return _least_labeling(n, d_max, _twin_pairs(g), refute)
+    return _least_labeling(g.adjacency_bits, 0, d_max, _twin_pairs(g))
 
 
 # -- edge index -------------------------------------------------------------
@@ -237,7 +234,6 @@ def distinguishing_index(
         d_max = m
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    n = g.n
     index = {e: i for i, e in enumerate(edges)}
     ident = tuple(range(m))
 
@@ -249,19 +245,7 @@ def distinguishing_index(
 
     # a twin swap fixes every edge only on a K2 component or two isolated vertices
     seeds = (ep for ep in map(action, _twin_pairs(g)) if ep != ident)
-
-    # vertex n + k of the subdivision is edge k; its label is the color, and
-    # the original vertices share color 0, so a certificate's image of
-    # n + k is n + (the image of edge k)
-    bits = _subdivision_bits(g, edges)
-    total = n + m
-    moves_edge = lambda s: any(s[i] != i for i in range(n, total))  # noqa: E731
-
-    def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
-        got = _search(bits, total, [0] * n + labels, moves_edge, SearchStats())
-        return None if got is None else tuple(x - n for x in got.image[n:])
-
-    got = _least_labeling(m, d_max, seeds, refute)
+    got = _least_labeling(_subdivision_bits(g, edges), g.n, d_max, seeds)
     if got is None:
         return None
     d, lab = got

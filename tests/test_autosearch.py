@@ -23,6 +23,7 @@ from lexidis import (
     path,
     preserves_edge_labels,
     spider,
+    star,
 )
 from lexidis.autosearch import SearchStats, _verify, automorphism_group
 
@@ -50,11 +51,6 @@ def test_find_preserving_examples():
 
     got, _ = find_preserving(ColoredGraph(path(3), (1, 2, 3)))
     assert got is None
-
-
-def test_find_preserving_identity_inclusion():
-    got, _ = find_preserving(ColoredGraph(path(3), (1, 2, 3)), exclude_identity=False)
-    assert got is not None and got.is_identity()
 
 
 def test_colored_graph_validation():
@@ -229,3 +225,59 @@ def test_searches_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert found == 0
+
+
+# edge labels in edge_list() order, one digit each, and the certificate
+# find_preserving_edges returns for them (None when distinguishing)
+MARKER_PINS = {
+    'C4': [
+        ('1111', (0, 3, 2, 1)),
+        ('1212', (2, 1, 0, 3)),
+        ('1221', (1, 0, 3, 2)),
+        ('1311', (3, 2, 1, 0)),
+    ],
+    'C6': [
+        ('111111', (0, 5, 4, 3, 2, 1)),
+        ('121212', None),
+        ('113123', None),
+        ('122222', (1, 0, 5, 4, 3, 2)),
+    ],
+    'P4': [
+        ('111', (3, 2, 1, 0)),
+        ('121', (3, 2, 1, 0)),
+        ('312', None),
+    ],
+    'K4': [
+        ('111111', (0, 1, 3, 2)),
+        ('121212', (0, 3, 2, 1)),
+        ('132322', (1, 0, 2, 3)),
+        ('231321', None),
+    ],
+    'star3': [
+        ('111', (0, 1, 3, 2)),
+        ('121', (0, 3, 2, 1)),
+        ('123', None),
+        ('213', None),
+    ],
+    'K2[C4]': [
+        ('111111111111111111111111', (0, 1, 2, 3, 4, 7, 6, 5)),
+        ('121212121212121212121212', (0, 1, 2, 3, 6, 5, 4, 7)),
+        ('121312331313131231132332', None),
+        ('232211313323232331212323', None),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKER_PINS))
+def test_edge_certificates_ignore_label_offset(name):
+    # the original vertices of the subdivision take a marker color below every
+    # label; a marker equal to a label would let a rotation of the subdivided
+    # cycle map a vertex onto an edge vertex
+    g = {"C4": cycle(4), "C6": cycle(6), "P4": path(4), "K4": complete(4),
+         "star3": star(3), "K2[C4]": lex_product(complete(2), cycle(4))}[name]
+    edges = g.edge_list()
+    for digits, cert in MARKER_PINS[name]:
+        lab = [int(x) for x in digits]
+        for shift in (0, -min(lab), -max(lab) - 2):
+            got = find_preserving_edges(g, {e: v + shift for e, v in zip(edges, lab)})
+            assert (None if got is None else got.image) == cert, (digits, shift)

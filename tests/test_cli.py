@@ -358,3 +358,22 @@ def test_unwritable_output_exits_2(tmp_path, capsys, verb):
     code, out, err = run(capsys, *argv, "-o", str(target))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {target}: cannot write")
+
+
+@pytest.mark.parametrize("graph, labels, message", [
+    ("p 3 0\n", None, "distinguishing index needs at least one edge"),
+    ("p 3 2\ne 0 1\ne 1 2\n", "v 0 1\nv 1 0\nv 2 2\n", "vertex 1: label 0 outside 1..2"),
+    ("p 3 2\ne 0 1\ne 1 2\n", "v 0 1\nv 1 1\n", "2 labels for 3 vertices"),
+    ("p 3 2\ne 0 1\ne 1 2\n", "e 0 1 1\n", "labeling domain must equal the edge set exactly"),
+])
+def test_library_value_errors_exit_2(tmp_path, capsys, graph, labels, message):
+    # the library's ValueError reaches the user as the same one-line message
+    g = tmp_path / "g.el"
+    g.write_text(graph)
+    if labels is None:
+        argv = ["dindex", str(g)]
+    else:
+        lab = tmp_path / "lab.txt"
+        lab.write_text(labels)
+        argv = ["verify", str(g), str(lab)]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
