@@ -270,8 +270,7 @@ LABEL_METHODS = {
         None, cons.star_product_edge_labeling(n, h, _require_dindex(h)[1]),
         lex_product(star(n), h))),
     "prop34": (1, ("n", "--n for the path length"), lambda n, h: (
-        None, cons.path_product_edge_labeling(n, h),
-        lex_product(path(n), h) if h.n > 1 else path(n))),
+        None, cons.path_product_edge_labeling(n, h), lex_product(path(n), h))),
     "thm35": (1, None, lambda g: (
         None, cons.p2_product_edge_labeling(g, _require_dindex(g)[1]), lex_product(g, path(2)))),
     "thm36": (2, None, lambda g, h: (
@@ -362,11 +361,11 @@ def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
                     note="D'(G[H]) <= max{D'(G), D'(H)}")
             else:
                 row("product-edge-max", skipped="needs the wreath action")
-            if g.n <= h.m + 1 and sab:
-                row("product-edge-two-labels", upper=2, note="|V(G)| <= |E(H)|+1")
+            if 2 <= g.n <= h.m + 1 and sab:
+                row("product-edge-two-labels", upper=2, note="2 <= |V(G)| <= |E(H)|+1")
             else:
                 row("product-edge-two-labels",
-                    skipped="needs |V(G)| <= |E(H)|+1 and the wreath action")
+                    skipped="needs 2 <= |V(G)| <= |E(H)|+1 and the wreath action")
         else:
             row("product-vertex-range", skipped="factors must be connected")
         if h.n == 2 and h.m == 1:
@@ -400,6 +399,8 @@ def _cmd_bounds(args) -> int:
     h = _read_graph(args.graphs[1]) if len(args.graphs) > 1 else None
     if h is None and args.power is None:
         raise CliError("bounds needs a second graph and/or --power k")
+    if args.power is not None and args.power < 1:
+        raise CliError("k must be positive")
     rows = _bounds_rows(g, h, args.power)
     for r in rows:
         if args.json:

@@ -4,12 +4,18 @@ closed-form counting functions they rely on.
 Every labeling emitted here is meant to be certified by the search engine;
 the counting functions use exact integer arithmetic throughout (ceilings of
 irrational expressions are computed via integer inequalities, never floats).
+
+Every edge labeling has the shape of G[H] itself: a labeling of H's edges
+in each copy H_a, and a labeling of the complete join between H_a and H_b
+for each edge ab of G.  `_product_edge_labeling` walks that shape once, and
+each scheme supplies only its two label rules.  Its keys need no sorting:
+a < b on every edge of G's edge list, so (a, x) always precedes (b, y).
 """
 from __future__ import annotations
 
 import itertools
 from math import comb, isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .distinguishing import (
     EdgeLabeling,
@@ -18,8 +24,6 @@ from .distinguishing import (
     distinguishing_number,
     is_distinguishing,
     is_distinguishing_edges,
-    validate_edge_labeling,
-    validate_vertex_labeling,
 )
 from .graph import Graph, is_connected, path, spider, star
 from .lexprod import ProductIndexer, lex_power, lex_product
@@ -111,19 +115,12 @@ def block_product_labeling(
     and each copy is internally distinguishing.  Only the vertex order of G
     matters to the output; lg is validated but not consulted.
     """
-    validate_vertex_labeling(g, lg)
-    validate_vertex_labeling(h, lh)
     if not is_distinguishing(g, lg):
         raise ValueError("lg is not a distinguishing labeling of g")
     if not is_distinguishing(h, lh):
         raise ValueError("lh is not a distinguishing labeling of h")
     d_h = max(lh, default=1)
-    idx = ProductIndexer(g.n, h.n)
-    out = [0] * (g.n * h.n)
-    for gv in range(g.n):
-        for hv in range(h.n):
-            out[idx.encode(gv, hv)] = lh[hv] + gv * d_h
-    return out
+    return [lh[x] + a * d_h for a in range(g.n) for x in range(h.n)]
 
 
 def pattern_product_labeling(
@@ -136,8 +133,6 @@ def pattern_product_labeling(
     assigned in canonical tier order.  Requires the product's automorphism
     group to be the wreath action (no copy-mixing automorphisms).
     """
-    validate_vertex_labeling(g, lg)
-    validate_vertex_labeling(h, lh)
     if not sabidussi_equal(g, h):
         raise ValueError("product automorphisms exceed the wreath action")
     if not is_distinguishing(g, lg):
@@ -147,12 +142,7 @@ def pattern_product_labeling(
     d_g = max(lg, default=1)
     d_h = max(lh, default=1)
     patterns = pattern_sequence(d_h, d_g)
-    idx = ProductIndexer(g.n, h.n)
-    out = [0] * (g.n * h.n)
-    for gv in range(g.n):
-        pattern = patterns[lg[gv] - 1]
-        for hv in range(h.n):
-            out[idx.encode(gv, hv)] = _apply_pattern(lh[hv], pattern)
+    out = [_apply_pattern(lh[x], patterns[lg[a] - 1]) for a in range(g.n) for x in range(h.n)]
     budget = d_h + min_extra_labels(d_g, d_h)
     assert max(out) <= budget, "pattern assignment exceeded its label budget"
     return out
@@ -208,6 +198,33 @@ def power_distinguishing_bounds(g: Graph, k: int) -> tuple[int, int]:
 # -- edge labelings ----------------------------------------------------------
 
 
+def _product_edge_labeling(
+    g: Graph,
+    h: Graph,
+    inner: Callable[[int, int, tuple[int, int]], int],
+    cross: Callable[[int, int, int, int], int],
+) -> EdgeLabeling:
+    """Edge labeling of G[H] from two label rules.
+
+    inner(a, k, e) labels the k-th edge e of H's edge list inside copy a;
+    cross(a, b, x, y) labels the join edge (a, x)(b, y) for each edge ab of
+    G.  Since a < b for every edge of G's edge list, (a, x) precedes (b, y)
+    in the product's indexing, so every key is already a sorted pair.
+    """
+    idx = ProductIndexer(g.n, h.n)
+    h_edges = h.edge_list()
+    out: EdgeLabeling = {}
+    for a in range(g.n):
+        for k, (x, y) in enumerate(h_edges):
+            out[(idx.encode(a, x), idx.encode(a, y))] = inner(a, k, (x, y))
+    for a, b in g.edge_list():
+        for x in range(h.n):
+            u = idx.encode(a, x)
+            for y in range(h.n):
+                out[(u, idx.encode(b, y))] = cross(a, b, x, y)
+    return out
+
+
 def inherited_edge_labeling(
     g: Graph, h: Graph, lg: EdgeLabeling, lh: EdgeLabeling
 ) -> EdgeLabeling:
@@ -224,25 +241,12 @@ def inherited_edge_labeling(
         raise ValueError("single-edge base needs the dedicated doubled-factor labeling")
     if not sabidussi_equal(g, h):
         raise ValueError("product automorphisms exceed the wreath action")
-    validate_edge_labeling(g, lg)
-    validate_edge_labeling(h, lh)
     if not is_distinguishing_edges(g, lg):
         raise ValueError("lg is not a distinguishing edge labeling of g")
     if not is_distinguishing_edges(h, lh):
         raise ValueError("lh is not a distinguishing edge labeling of h")
-    idx = ProductIndexer(g.n, h.n)
-    out: EdgeLabeling = {}
-    for x, y in h.edge_list():
-        for gv in range(g.n):
-            out[(idx.encode(gv, x), idx.encode(gv, y))] = lh[(x, y)]
-    for a, b in g.edge_list():
-        val = lg[(a, b)]
-        for x in range(h.n):
-            u = idx.encode(a, x)
-            for y in range(h.n):
-                v = idx.encode(b, y)
-                out[(u, v) if u < v else (v, u)] = val
-    return out
+    return _product_edge_labeling(
+        g, h, lambda a, k, e: lh[e], lambda a, b, x, y: lg[(a, b)])
 
 
 def k2_product_edge_labeling(h: Graph) -> EdgeLabeling:
@@ -261,16 +265,8 @@ def k2_product_edge_labeling(h: Graph) -> EdgeLabeling:
         raise ValueError("second factor must be connected")
     k2 = path(2)
     prod = lex_product(k2, h)
-    idx = ProductIndexer(2, h.n)
-    out: EdgeLabeling = {}
-    for x, y in h.edge_list():
-        for copy, val in ((0, 1), (1, 2)):
-            out[(idx.encode(copy, x), idx.encode(copy, y))] = val
-    for j in range(h.n):
-        u = idx.encode(0, j)
-        for i in range(h.n):
-            v = idx.encode(1, i)
-            out[(u, v)] = 2 if i < j else 1
+    out = _product_edge_labeling(
+        k2, h, lambda a, k, e: a + 1, lambda a, b, x, y: 2 if y < x else 1)
     if is_distinguishing_edges(prod, out):
         return out
     found = distinguishing_index(prod, d_max=2)
@@ -337,7 +333,6 @@ def star_product_edge_labeling(
         raise ValueError("second factor must be connected")
     if not sabidussi_equal(star(n), h):
         raise ValueError("product automorphisms exceed the wreath action")
-    validate_edge_labeling(h, lh)
     if not is_distinguishing_edges(h, lh):
         raise ValueError("lh is not a distinguishing edge labeling of h")
     m2 = m * m
@@ -351,20 +346,9 @@ def star_product_edge_labeling(
             cols = _p2_cross_columns(n, d)
     else:
         cols = list(itertools.islice(itertools.product(range(1, d + 1), repeat=m2), n))
-    g = star(n)
-    idx = ProductIndexer(g.n, m)
-    out: EdgeLabeling = {}
-    for x, y in h.edge_list():
-        for copy in range(g.n):
-            out[(idx.encode(copy, x), idx.encode(copy, y))] = lh[(x, y)]
-    for j in range(1, n + 1):
-        col = cols[j - 1]
-        for a in range(m):
-            u = idx.encode(0, a)
-            for b in range(m):
-                v = idx.encode(j, b)
-                out[(u, v) if u < v else (v, u)] = col[a * m + b]
-    return out
+    # the star's edges are (0, j): pendant copy j reads column j - 1
+    return _product_edge_labeling(
+        star(n), h, lambda a, k, e: lh[e], lambda a, b, x, y: cols[b - 1][x * m + y])
 
 
 def path_product_edge_labeling(n: int, h: Graph) -> EdgeLabeling:
@@ -379,26 +363,8 @@ def path_product_edge_labeling(n: int, h: Graph) -> EdgeLabeling:
         raise ValueError("path factor needs at least three vertices")
     if not is_connected(h):
         raise ValueError("second factor must be connected")
-    m = h.n
-    if m == 1:
-        p = path(n)
-        out = {e: 1 for e in p.edge_list()}
-        out[(n - 2, n - 1)] = 2
-        return out
-    idx = ProductIndexer(n, m)
-    out: EdgeLabeling = {}
-    for x, y in h.edge_list():
-        for copy in range(n):
-            out[(idx.encode(copy, x), idx.encode(copy, y))] = 1
-    for i in range(n - 1):
-        final = i == n - 2
-        for j in range(m):
-            u = idx.encode(i, j)
-            for b in range(m):
-                v = idx.encode(i + 1, b)
-                before = b < j
-                out[(u, v)] = (1 if before else 2) if final else (2 if before else 1)
-    return out
+    return _product_edge_labeling(
+        path(n), h, lambda a, k, e: 1, lambda a, b, x, y: 1 + ((y < x) != (b == n - 1)))
 
 
 # -- four-edge bundle patterns for products with a single edge ---------------
@@ -468,22 +434,12 @@ def p2_product_edge_labeling(g: Graph, lg: EdgeLabeling) -> EdgeLabeling:
     p2 = path(2)
     if not sabidussi_equal(g, p2):
         raise ValueError("product automorphisms exceed the wreath action")
-    validate_edge_labeling(g, lg)
     if not is_distinguishing_edges(g, lg):
         raise ValueError("lg is not a distinguishing edge labeling of g")
     d_g = max(lg.values(), default=0)
     patterns = bundle_sequence(d_g) if d_g else []
-    idx = ProductIndexer(g.n, 2)
-    out: EdgeLabeling = {}
-    for gv in range(g.n):
-        out[(idx.encode(gv, 0), idx.encode(gv, 1))] = 1
-    for u, v in g.edge_list():
-        t = patterns[lg[(u, v)] - 1]
-        out[(idx.encode(u, 0), idx.encode(v, 0))] = t[0]
-        out[(idx.encode(u, 0), idx.encode(v, 1))] = t[1]
-        out[(idx.encode(u, 1), idx.encode(v, 0))] = t[2]
-        out[(idx.encode(u, 1), idx.encode(v, 1))] = t[3]
-    return out
+    return _product_edge_labeling(
+        g, p2, lambda a, k, e: 1, lambda a, b, x, y: patterns[lg[(a, b)] - 1][2 * x + y])
 
 
 def two_label_edge_labeling(g: Graph, h: Graph) -> EdgeLabeling:
@@ -492,28 +448,19 @@ def two_label_edge_labeling(g: Graph, h: Graph) -> EdgeLabeling:
     Copy i carries i label-1 edges (a prefix of H's canonical edge order),
     so copies cannot be interchanged; within each G-edge's block, the p-th
     vertex of the lower copy sends p label-2 edges into the higher copy,
-    pinning every copy internally.
+    pinning every copy internally.  A one-vertex G is refused when H has an
+    edge: then G[H] is H, and copy 0 would carry label 2 alone.
     """
     if not is_connected(g) or not is_connected(h):
         raise ValueError("both factors must be connected")
     if g.n > h.m + 1:
         raise ValueError("first factor too large: needs |V(G)| <= |E(H)| + 1")
+    if g.n == 1 and h.m > 0:
+        raise ValueError("first factor too small: needs 2 <= |V(G)| when H has an edge")
     if not sabidussi_equal(g, h):
         raise ValueError("product automorphisms exceed the wreath action")
-    h_edges = h.edge_list()
-    idx = ProductIndexer(g.n, h.n)
-    out: EdgeLabeling = {}
-    for gv in range(g.n):
-        for k, (x, y) in enumerate(h_edges):
-            val = 1 if k < gv else 2
-            out[(idx.encode(gv, x), idx.encode(gv, y))] = val
-    for a, b in g.edge_list():
-        for p in range(h.n):
-            u = idx.encode(a, p)
-            for q in range(h.n):
-                v = idx.encode(b, q)
-                out[(u, v) if u < v else (v, u)] = 2 if q < p else 1
-    return out
+    return _product_edge_labeling(
+        g, h, lambda a, k, e: 1 if k < a else 2, lambda a, b, x, y: 2 if y < x else 1)
 
 
 def power_edge_labeling(g: Graph, k: int) -> EdgeLabeling:

@@ -51,6 +51,7 @@ from lexidis import (
     wreath_generators,
 )
 from lexidis.autosearch import automorphism_group
+from lexidis.cli import _bounds_rows
 
 from .util import (
     catalog,
@@ -216,6 +217,11 @@ def test_criterion_06_sharpness_chain():
     _report(6, t0, "stepwise labelings certified on 42 and 202 vertices within budget")
 
 
+# rows of `lexidis bounds` that bound the distinguishing index; the others
+# bound the distinguishing number
+EDGE_BOUND_ROWS = {"product-edge-max", "product-edge-two-labels", "single-edge-bundles"}
+
+
 def test_criterion_07_bound_conformance(dnum_cache):
     t0 = time.time()
     names = catalog()
@@ -229,6 +235,7 @@ def test_criterion_07_bound_conformance(dnum_cache):
     stepwise_checked = 0
     edge_exact = 0
     edge_constructed = 0
+    rows_checked = 0
     for gn, g, hn, h in pairs:
         prod = lex_product(g, h)
         d_prod = dnum_cache(prod)
@@ -236,6 +243,18 @@ def test_criterion_07_bound_conformance(dnum_cache):
         d_h = dnum_cache(h)
         assert d_h <= d_prod <= d_g * d_h, (gn, hn)
         checked += 1
+        # every numeric row `lexidis bounds` prints holds for the exact values
+        for r in _bounds_rows(g, h, None):
+            if "skipped" in r:
+                continue
+            if r["bound"] in EDGE_BOUND_ROWS:
+                assert prod.m > 0, (gn, hn, r)
+                exact = distinguishing_index(prod)[0]
+            else:
+                exact = d_prod
+            assert r.get("lower", exact) <= exact <= r.get("upper", exact), (gn, hn, r)
+            assert r.get("value", exact) == exact, (gn, hn, r)
+            rows_checked += 1
         sab = sabidussi_equal(g, h)
         if sab:
             assert d_prod <= d_h + min_extra_labels(d_g, d_h), (gn, hn)
@@ -264,11 +283,13 @@ def test_criterion_07_bound_conformance(dnum_cache):
     assert stepwise_checked >= 40
     assert edge_constructed >= 10
     assert edge_exact == edge_constructed
+    assert rows_checked >= 195
     _report(
         7,
         t0,
         f"vertex bounds on {checked} pairs, stepwise on {stepwise_checked}, "
-        f"edge bound constructed on {edge_constructed} (exact oracle on {edge_exact})",
+        f"edge bound constructed on {edge_constructed} (exact oracle on {edge_exact}), "
+        f"{rows_checked} printed bound rows",
     )
 
 

@@ -158,6 +158,56 @@ def test_bounds_human_and_json(tmp_path, capsys):
     assert by_name["product-edge-max"]["upper"] == 2
 
 
+def test_bounds_two_label_row_needs_two_base_vertices(tmp_path, capsys):
+    files = {}
+    for name, g in (("K1", complete(1)), ("P3", path(3)), ("K3", complete(3))):
+        files[name] = tmp_path / f"{name}.el"
+        files[name].write_text(write_edge_list(g))
+    skipped = "needs 2 <= |V(G)| <= |E(H)|+1 and the wreath action"
+    # K1[K3] = K3 has index 3, and K1[K1] has no edge at all
+    for h in ("K3", "K1"):
+        code, out, _ = run(capsys, "--json", "bounds", str(files["K1"]), str(files[h]))
+        assert code == 0
+        rows = {r["bound"]: r for r in map(json.loads, out.splitlines())}
+        assert rows["product-edge-two-labels"] == {
+            "bound": "product-edge-two-labels", "command": "bounds", "skipped": skipped}
+    code, out, _ = run(capsys, "bounds", str(files["P3"]), str(files["P3"]))
+    assert code == 0
+    assert "product-edge-two-labels: upper=2  [2 <= |V(G)| <= |E(H)|+1]" in out.splitlines()
+    # the construction refuses a one-vertex base rather than emit one label
+    code, out, err = run(capsys, "label", "--method", "thm36", str(files["K1"]),
+                         str(files["K3"]), "--certify")
+    assert (code, out) == (2, "")
+    assert err == "error: first factor too small: needs 2 <= |V(G)| when H has an edge\n"
+
+
+@pytest.mark.parametrize("name, g", [("P3", path(3)), ("K3", complete(3))])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_bounds_rejects_nonpositive_power(tmp_path, capsys, name, g, k):
+    f = tmp_path / f"{name}.el"
+    f.write_text(write_edge_list(g))
+    for argv in (("bounds", str(f), "--power", k), ("bounds", str(f), str(f), "--power", k)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: k must be positive\n")
+
+
+@pytest.mark.parametrize("n, digest", [
+    (3, "e76b1dcc817d8ca8337cd2f7967051dece94b65617eb80598a744b66959e1ba5"),
+    (4, "bd2a7668a0060b9a2f27aacef7d5c7fa45d46d04ef976449fdeae82dea0627a0"),
+])
+def test_label_prop34_one_vertex_factor(tmp_path, capsys, n, digest):
+    # P_n[K1] is P_n: all edges 1 but the last, which breaks the flip
+    k1 = tmp_path / "K1.el"
+    k1.write_text(write_edge_list(complete(1)))
+    out_file = tmp_path / "lab.txt"
+    code, out, err = run(capsys, "--json", "label", "--method", "prop34", str(k1),
+                         "--n", str(n), "-o", str(out_file), "--certify")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"certified": True, "command": "label",
+                               "labels_used": 2, "method": "prop34"}
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
 def test_json_outputs_are_stable(tmp_path, capsys):
     g = tmp_path / "c5.el"
     g.write_text(write_edge_list(lex_product(complete(2), path(3))))

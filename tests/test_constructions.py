@@ -268,10 +268,13 @@ def test_path_product_edge_labeling():
         prod = lex_product(path(n), h)
         assert set(lab.values()) == {1, 2}
         assert is_distinguishing_edges(prod, lab)
-    # one-vertex second factor: label the path itself
-    lab = path_product_edge_labeling(4, complete(1))
-    assert lab == {(0, 1): 1, (1, 2): 1, (2, 3): 2}
-    assert is_distinguishing_edges(path(4), lab)
+    # one-vertex second factor: label the path itself, all 1 but the last edge
+    assert path_product_edge_labeling(4, complete(1)) == {(0, 1): 1, (1, 2): 1, (2, 3): 2}
+    for n in range(3, 9):
+        assert lex_product(path(n), complete(1)) == path(n)
+        lab = path_product_edge_labeling(n, complete(1))
+        assert lab == {**{(i, i + 1): 1 for i in range(n - 2)}, (n - 2, n - 1): 2}
+        assert is_distinguishing_edges(path(n), lab)
 
 
 def test_p2_product_edge_labeling():
@@ -304,6 +307,13 @@ def test_two_label_edge_labeling():
         two_label_edge_labeling(complete(4), path(3))  # too many vertices
     with pytest.raises(ValueError):
         two_label_edge_labeling(complete(2), complete(2))
+    # K1[H] = H, and D'(K3) = 3: a one-vertex base is refused once H has an edge
+    assert distinguishing_index(complete(3))[0] == 3
+    for h in (complete(2), path(3), complete(3), cycle(5)):
+        with pytest.raises(ValueError, match=r"^first factor too small: needs 2 <= \|V\(G\)\| "
+                                             r"when H has an edge$"):
+            two_label_edge_labeling(complete(1), h)
+    assert two_label_edge_labeling(complete(1), complete(1)) == {}
 
 
 def test_power_edge_labeling():
@@ -314,3 +324,6 @@ def test_power_edge_labeling():
         power_edge_labeling(path(3), 1)
     with pytest.raises(ValueError):
         power_edge_labeling(complete(2), 2)
+    # every power of K1 is edgeless, and its labeling is empty
+    for k in (2, 3, 4):
+        assert power_edge_labeling(complete(1), k) == {}
