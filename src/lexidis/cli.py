@@ -2,10 +2,14 @@
 
 One verb per invocation: gen, product, aut, dnum, dindex, label, verify,
 bounds.  Graph files may be edge-list text or graph6 (sniffed by first
-byte); '-' means stdin/stdout.  Exit codes: 0 success, 1 negative
-verification, 2 usage or parse error, 3 cap exceeded.  The LEXIDIS_CAP
-environment variable overrides the default cap on ``aut`` listings; the
-``dnum`` and ``dindex`` oracles list no group, so it does not bound them.
+byte); '-' means stdin/stdout.  A vertex labeling is a list and an edge
+labeling a dict, as the library returns them; the type alone picks the
+records written (``v`` or ``e``), the certifier and the kind ``verify``
+reports.  ``dnum`` and ``dindex`` are one handler over the ``ORACLES``
+table.  Exit codes: 0 success, 1 negative verification, 2 usage or parse
+error, 3 cap exceeded.  The LEXIDIS_CAP environment variable overrides the
+default cap on ``aut`` listings; the oracles list no group, so it does not
+bound them.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ from typing import Optional
 
 from . import constructions as cons
 from .autosearch import (
+    DEFAULT_AUT_CAP,
     ColoredGraph,
     automorphism_group,
     enumerate_automorphisms,
@@ -47,15 +52,13 @@ FAMILIES = {"path": path, "cycle": cycle, "complete": complete, "star": star, "s
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
-        super().__init__(message)
-        self.code = code
+    """A usage, input or output error: its message goes to stderr, exit 2."""
 
 
 def _default_cap() -> int:
     raw = os.environ.get("LEXIDIS_CAP")
     if raw is None:
-        return 1_000_000
+        return DEFAULT_AUT_CAP
     try:
         cap = int(raw)
     except ValueError:
@@ -96,12 +99,11 @@ def _write_text(spec: Optional[str], text: str) -> None:
         raise CliError(f"{spec}: cannot write: {exc.strerror or exc}") from None
 
 
-def _graph_format(out: Optional[str], requested: str) -> str:
-    if requested != "auto":
-        return requested
-    if out and out.endswith(".g6"):
-        return "graph6"
-    return "edgelist"
+def _write_graph(args, g: Graph) -> None:
+    fmt = args.format
+    if fmt == "auto":
+        fmt = "graph6" if args.output and args.output.endswith(".g6") else "edgelist"
+    _write_text(args.output, dumps(g, fmt))
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -111,17 +113,16 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _labeling_text(vertex_labels=None, edge_labels=None) -> str:
-    lines = []
-    if vertex_labels is not None:
-        lines.extend(f"v {v} {val}" for v, val in enumerate(vertex_labels))
-    if edge_labels is not None:
-        lines.extend(f"e {u} {v} {val}" for (u, v), val in sorted(edge_labels.items()))
+def _labeling_text(labels) -> str:
+    if isinstance(labels, list):
+        lines = [f"v {v} {val}" for v, val in enumerate(labels)]
+    else:
+        lines = [f"e {u} {v} {val}" for (u, v), val in sorted(labels.items())]
     return "\n".join(lines) + "\n"
 
 
 def _read_labeling(spec: str):
-    """Returns ('vertex', list) or ('edge', dict)."""
+    """A vertex labeling as a list, or an edge labeling as a dict."""
     text = _read_text(spec)
     vmap: dict[int, int] = {}
     emap: dict[tuple[int, int], int] = {}
@@ -149,9 +150,9 @@ def _read_labeling(spec: str):
         n = max(vmap) + 1
         if set(vmap) != set(range(n)):
             raise CliError(f"{spec}: vertex labels must cover 0..{n - 1}")
-        return "vertex", [vmap[v] for v in range(n)]
+        return [vmap[v] for v in range(n)]
     if emap:
-        return "edge", emap
+        return emap
     raise CliError(f"{spec}: no labeling records found")
 
 
@@ -159,10 +160,7 @@ def _read_labeling(spec: str):
 
 
 def _cmd_gen(args) -> int:
-    fam = FAMILIES[args.family]
-    g = fam(args.n)
-    fmt = _graph_format(args.output, args.format)
-    _write_text(args.output, dumps(g, fmt))
+    _write_graph(args, FAMILIES[args.family](args.n))
     return EXIT_OK
 
 
@@ -176,8 +174,7 @@ def _cmd_product(args) -> int:
         if len(gs) != 2:
             raise CliError("product takes two input graphs (or one with --power)")
         result = lex_product(gs[0], gs[1])
-    fmt = _graph_format(args.output, args.format)
-    _write_text(args.output, dumps(result, fmt))
+    _write_graph(args, result)
     return EXIT_OK
 
 
@@ -206,77 +203,65 @@ def _cmd_aut(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dnum(args) -> int:
+# oracle verb -> (help, value symbol, what a refusal found none of, oracle).  Each oracle
+# calls the library through the module global, where perfbench/tracing.py wraps it.
+ORACLES = {
+    "dnum": ("distinguishing number with witness", "D", "labeling",
+             lambda g, cap: distinguishing_number(g, d_max=cap)),
+    "dindex": ("distinguishing index with witness", "D'", "edge labeling",
+               lambda g, cap: distinguishing_index(g, d_max=cap)),
+}
+
+
+def _cmd_oracle(args) -> int:
+    _help, symbol, noun, oracle = ORACLES[args.verb]
     g = _read_graph(args.graph)
     t0 = time.perf_counter()
-    got = distinguishing_number(g, d_max=args.cap)
+    got = oracle(g, args.cap)
     ms = (time.perf_counter() - t0) * 1000
     if got is None:
-        _emit(args, {"command": "dnum", "n": g.n, "value": None, "cap": args.cap},
-              f"no distinguishing labeling with <= {args.cap} labels")
+        _emit(args, {"command": args.verb, "n": g.n, "value": None, "cap": args.cap},
+              f"no distinguishing {noun} with <= {args.cap} labels")
         return EXIT_CAP
     d, witness = got
-    _emit(args, {"command": "dnum", "n": g.n, "m": g.m, "value": d,
-                 "witness": witness, "ms": round(ms, 3)},
-          f"D = {d}\n{_labeling_text(vertex_labels=witness)}".rstrip())
+    rows = witness if isinstance(witness, list) else [
+        [u, v, val] for (u, v), val in sorted(witness.items())]
+    _emit(args, {"command": args.verb, "n": g.n, "m": g.m, "value": d,
+                 "witness": rows, "ms": round(ms, 3)},
+          f"{symbol} = {d}\n{_labeling_text(witness)}".rstrip())
     return EXIT_OK
 
 
-def _cmd_dindex(args) -> int:
-    g = _read_graph(args.graph)
-    t0 = time.perf_counter()
-    got = distinguishing_index(g, d_max=args.cap)
-    ms = (time.perf_counter() - t0) * 1000
-    if got is None:
-        _emit(args, {"command": "dindex", "n": g.n, "value": None, "cap": args.cap},
-              f"no distinguishing edge labeling with <= {args.cap} labels")
-        return EXIT_CAP
-    d, witness = got
-    witness_list = [[u, v, val] for (u, v), val in sorted(witness.items())]
-    _emit(args, {"command": "dindex", "n": g.n, "m": g.m, "value": d,
-                 "witness": witness_list, "ms": round(ms, 3)},
-          f"D' = {d}\n{_labeling_text(edge_labels=witness)}".rstrip())
-    return EXIT_OK
-
-
-def _require_dnum(g: Graph) -> tuple[int, list[int]]:
-    got = distinguishing_number(g)
-    assert got is not None
-    return got
-
-
-def _require_dindex(g: Graph) -> tuple[int, dict]:
-    got = distinguishing_index(g)
+def _exact(verb: str, g: Graph):
+    """The verb's oracle value and witness for g, with no label cap."""
+    got = ORACLES[verb][3](g, None)
     assert got is not None
     return got
 
 
 # label method -> (graph count, (argument, what to ask for) of the option it
 # needs or None, builder).  The builder takes the option's value, if any, then
-# the graphs, and returns (vertex labels, edge labels, product to certify).
+# the graphs, and returns (labeling, product to certify).
 LABEL_METHODS = {
     "thm21": (2, None, lambda g, h: (
-        cons.block_product_labeling(g, h, _require_dnum(g)[1], _require_dnum(h)[1]),
-        None, lex_product(g, h))),
-    "thm22": (2, None, lambda g, h: (
-        cons.pattern_product_labeling(g, h, _require_dnum(g)[1], _require_dnum(h)[1]),
-        None, lex_product(g, h))),
-    "thm31": (2, None, lambda g, h: (
-        None, cons.inherited_edge_labeling(g, h, _require_dindex(g)[1], _require_dindex(h)[1]),
+        cons.block_product_labeling(g, h, _exact("dnum", g)[1], _exact("dnum", h)[1]),
         lex_product(g, h))),
-    "prop32": (1, None, lambda h: (
-        None, cons.k2_product_edge_labeling(h), lex_product(path(2), h))),
+    "thm22": (2, None, lambda g, h: (
+        cons.pattern_product_labeling(g, h, _exact("dnum", g)[1], _exact("dnum", h)[1]),
+        lex_product(g, h))),
+    "thm31": (2, None, lambda g, h: (
+        cons.inherited_edge_labeling(g, h, _exact("dindex", g)[1], _exact("dindex", h)[1]),
+        lex_product(g, h))),
+    "prop32": (1, None, lambda h: (cons.k2_product_edge_labeling(h), lex_product(path(2), h))),
     "prop33": (1, ("n", "--n for the star size"), lambda n, h: (
-        None, cons.star_product_edge_labeling(n, h, _require_dindex(h)[1]),
-        lex_product(star(n), h))),
+        cons.star_product_edge_labeling(n, h, _exact("dindex", h)[1]), lex_product(star(n), h))),
     "prop34": (1, ("n", "--n for the path length"), lambda n, h: (
-        None, cons.path_product_edge_labeling(n, h), lex_product(path(n), h))),
+        cons.path_product_edge_labeling(n, h), lex_product(path(n), h))),
     "thm35": (1, None, lambda g: (
-        None, cons.p2_product_edge_labeling(g, _require_dindex(g)[1]), lex_product(g, path(2)))),
-    "thm36": (2, None, lambda g, h: (
-        None, cons.two_label_edge_labeling(g, h), lex_product(g, h))),
+        cons.p2_product_edge_labeling(g, _exact("dindex", g)[1]), lex_product(g, path(2)))),
+    "thm36": (2, None, lambda g, h: (cons.two_label_edge_labeling(g, h), lex_product(g, h))),
     "power": (1, ("power", "--power k"), lambda k, g: (
-        None, cons.power_edge_labeling(g, k), lex_power(g, k))),
+        cons.power_edge_labeling(g, k), lex_power(g, k))),
 }
 
 
@@ -292,16 +277,12 @@ def _cmd_label(args) -> int:
         if value is None:
             raise CliError(f"method {method} needs {wanted}")
         gs.insert(0, value)
-    vertex_labels, edge_labels, prod = build(*gs)
-
-    text = _labeling_text(vertex_labels, edge_labels)
-    _write_text(args.output, text)
+    labels, prod = build(*gs)
+    _write_text(args.output, _labeling_text(labels))
     if args.certify:
-        if vertex_labels is not None:
-            ok = is_distinguishing(prod, vertex_labels)
-        else:
-            ok = is_distinguishing_edges(prod, edge_labels)
-        count = len(set(vertex_labels)) if vertex_labels is not None else len(set(edge_labels.values()))
+        vertex = isinstance(labels, list)
+        ok = (is_distinguishing if vertex else is_distinguishing_edges)(prod, labels)
+        count = len(set(labels if vertex else labels.values()))
         _emit(args, {"command": "label", "method": method, "certified": ok, "labels_used": count},
               f"certified: {'DISTINGUISHING' if ok else 'NOT DISTINGUISHING'} ({count} labels)")
         if not ok:
@@ -311,22 +292,24 @@ def _cmd_label(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
-    kind, labels = _read_labeling(args.labels)
+    labels = _read_labeling(args.labels)
     t0 = time.perf_counter()
-    if kind == "vertex":
+    if isinstance(labels, list):
+        kind = "vertex"
         validate_vertex_labeling(g, labels)
         cert, _ = find_preserving(ColoredGraph(g, tuple(labels)))
     else:
+        kind = "edge"
         validate_edge_labeling(g, labels)
         cert = find_preserving_edges(g, labels)
     ms = (time.perf_counter() - t0) * 1000
+    payload = {"command": "verify", "kind": kind, "distinguishing": cert is None,
+               "ms": round(ms, 3)}
     if cert is None:
-        _emit(args, {"command": "verify", "kind": kind, "distinguishing": True, "ms": round(ms, 3)},
-              "DISTINGUISHING")
+        _emit(args, payload, "DISTINGUISHING")
         return EXIT_OK
-    _emit(args, {"command": "verify", "kind": kind, "distinguishing": False,
-                 "certificate": cert.cycle_string(), "ms": round(ms, 3)},
-          f"NOT DISTINGUISHING: preserved by {cert.cycle_string()}")
+    payload["certificate"] = cert.cycle_string()
+    _emit(args, payload, f"NOT DISTINGUISHING: preserved by {payload['certificate']}")
     return EXIT_NEGATIVE
 
 
@@ -340,8 +323,8 @@ def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
         conn = is_connected(g) and is_connected(h)
         sab = sabidussi_equal(g, h)
         if conn:
-            dg = _require_dnum(g)[0]
-            dh = _require_dnum(h)[0]
+            dg = _exact("dnum", g)[0]
+            dh = _exact("dnum", h)[0]
             row("product-vertex-range", lower=dh, upper=dg * dh,
                 note="D(H) <= D(G[H]) <= D(G)*D(H)")
             if sab:
@@ -355,8 +338,8 @@ def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
             elif g.m == 0 or h.m == 0:
                 row("product-edge-max", skipped="edgeless factor has no edge index")
             elif sab:
-                dpg = _require_dindex(g)[0]
-                dph = _require_dindex(h)[0]
+                dpg = _exact("dindex", g)[0]
+                dph = _exact("dindex", h)[0]
                 row("product-edge-max", upper=max(dpg, dph),
                     note="D'(G[H]) <= max{D'(G), D'(H)}")
             else:
@@ -369,8 +352,10 @@ def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
         else:
             row("product-vertex-range", skipped="factors must be connected")
         if h.n == 2 and h.m == 1:
-            if sabidussi_equal(g, h) and g.m > 0:
-                dpg = _require_dindex(g)[0]
+            if g.m == 0:
+                row("single-edge-bundles", skipped="edgeless factor has no edge index")
+            elif sab:
+                dpg = _exact("dindex", g)[0]
                 row("single-edge-bundles", upper=cons.bundle_label_budget(dpg),
                     note="bundle-pattern budget for G with a single-edge factor")
             else:
@@ -382,13 +367,15 @@ def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
                 row("spider-single-edge-exact", value=cons.spider_k2_distinguishing_number(nb),
                     note=f"exact for the subdivided star with {nb} branches")
     if k is not None:
-        if sabidussi_equal(g, g) and is_connected(g):
+        if not is_connected(g):
+            row("power-vertex-range", skipped="G must be connected")
+        elif not sabidussi_equal(g, g):
+            row("power-vertex-range", skipped="needs the wreath action on the square")
+        else:
             lo, up = cons.power_distinguishing_bounds(g, k)
             row("power-vertex-range", lower=lo, upper=up, note="powers of G")
             if k >= 2:
                 row("power-edge-two-labels", upper=2, note="all powers take two edge labels")
-        else:
-            row("power-vertex-range", skipped="needs the wreath action on the square")
     if not rows:
         row("none", skipped="provide a second graph and/or --power")
     return rows
@@ -443,15 +430,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", action="store_true")
     p.set_defaults(func=_cmd_aut)
 
-    p = sub.add_parser("dnum", help="distinguishing number with witness")
-    p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=_cmd_dnum)
-
-    p = sub.add_parser("dindex", help="distinguishing index with witness")
-    p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=_cmd_dindex)
+    for verb, (text, *_) in ORACLES.items():
+        p = sub.add_parser(verb, help=text)
+        p.add_argument("graph")
+        p.add_argument("--cap", type=int, default=None)
+        p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("label", help="emit a constructive product labeling")
     p.add_argument("--method", required=True, choices=LABEL_METHODS)
@@ -483,13 +466,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, IndexError) as exc:
+    except (CliError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

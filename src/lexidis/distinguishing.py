@@ -51,7 +51,7 @@ def validate_vertex_labeling(g: Graph, labels: Sequence[int]) -> None:
         raise ValueError(f"{len(labels)} labels for {g.n} vertices")
     top = max(labels, default=1)
     for v, val in enumerate(labels):
-        if not 1 <= val <= top:
+        if val < 1:
             raise ValueError(f"vertex {v}: label {val} outside 1..{top}")
 
 
@@ -60,7 +60,7 @@ def validate_edge_labeling(g: Graph, labels: EdgeLabeling) -> None:
         raise ValueError("labeling domain must equal the edge set exactly")
     top = max(labels.values(), default=1)
     for e, val in labels.items():
-        if not 1 <= val <= top:
+        if val < 1:
             raise ValueError(f"edge {e}: label {val} outside 1..{top}")
 
 

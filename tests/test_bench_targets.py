@@ -25,3 +25,32 @@ def test_every_wrap_target_resolves():
             if not (kind(obj) and obj.__module__ == mod.__name__):
                 missing.append(f"lexidis.{layer}.{name}")
     assert missing == []
+
+
+def test_tracer_sees_every_verbs_library_call(tmp_path, capsys):
+    # a table that holds a library function itself, not a call through the
+    # module global, hides that call from the tracer
+    from lexidis import cli
+    from lexidis.formats import write_edge_list
+    from lexidis.graph import path
+
+    p3, p4 = tmp_path / "p3.el", tmp_path / "p4.el"
+    p3.write_text(write_edge_list(path(3)))
+    p4.write_text(write_edge_list(path(4)))
+    vlab, elab = tmp_path / "v.txt", tmp_path / "e.txt"
+    vlab.write_text("v 0 1\nv 1 1\nv 2 2\n")
+    elab.write_text("e 0 1 1\ne 1 2 1\ne 2 3 2\n")
+    tracer = runpy.run_path(str(TRACING))["Tracer"]()
+    try:
+        tracer.install()
+        for argv in (["dnum", p3], ["dindex", p4], ["verify", p3, vlab], ["verify", p4, elab],
+                     ["label", "--method", "thm36", p3, p3, "--certify"], ["aut", p4]):
+            assert cli.main([str(a) for a in argv]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.missing == []
+    seen = {rec[1] for rec in tracer.spans}
+    assert seen >= {"distinguishing_number", "distinguishing_index", "find_preserving",
+                    "find_preserving_edges", "two_label_edge_labeling",
+                    "is_distinguishing_edges", "automorphism_group"}

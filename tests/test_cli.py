@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,25 @@ def test_bounds_two_label_row_needs_two_base_vertices(tmp_path, capsys):
                          str(files["K3"]), "--certify")
     assert (code, out) == (2, "")
     assert err == "error: first factor too small: needs 2 <= |V(G)| when H has an edge\n"
+
+
+@pytest.mark.parametrize("graphs, power, line", [
+    # two isolated vertices have no closed twins; the row is skipped for the empty edge set
+    (("p 2 0\n", "p 2 1\ne 0 1\n"), (),
+     "single-edge-bundles: n/a (edgeless factor has no edge index)"),
+    (("p 3 3\ne 0 1\ne 0 2\ne 1 2\n", "p 2 1\ne 0 1\n"), (),
+     "single-edge-bundles: n/a (needs no closed twins in G)"),
+    # K1 + K2 has the wreath action on its square; the power bound needs G connected
+    (("p 3 1\ne 1 2\n",), ("--power", "2"), "power-vertex-range: n/a (G must be connected)"),
+], ids=["edgeless-G", "closed-twins", "disconnected-power"])
+def test_bounds_skip_reason_names_the_failed_condition(tmp_path, capsys, graphs, power, line):
+    files = []
+    for i, text in enumerate(graphs):
+        files.append(tmp_path / f"g{i}.el")
+        files[-1].write_text(text)
+    code, out, err = run(capsys, "bounds", *map(str, files), *power)
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
 
 
 @pytest.mark.parametrize("name, g", [("P3", path(3)), ("K3", complete(3))])
@@ -413,6 +433,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, verb):
 @pytest.mark.parametrize("graph, labels, message", [
     ("p 3 0\n", None, "distinguishing index needs at least one edge"),
     ("p 3 2\ne 0 1\ne 1 2\n", "v 0 1\nv 1 0\nv 2 2\n", "vertex 1: label 0 outside 1..2"),
+    ("p 3 2\ne 0 1\ne 1 2\n", "e 0 1 0\ne 1 2 1\n", "edge (0, 1): label 0 outside 1..1"),
     ("p 3 2\ne 0 1\ne 1 2\n", "v 0 1\nv 1 1\n", "2 labels for 3 vertices"),
     ("p 3 2\ne 0 1\ne 1 2\n", "e 0 1 1\n", "labeling domain must equal the edge set exactly"),
 ])
@@ -427,3 +448,56 @@ def test_library_value_errors_exit_2(tmp_path, capsys, graph, labels, message):
         lab.write_text(labels)
         argv = ["verify", str(g), str(lab)]
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# The oracle, verify and graph-writing verbs, pinned before one handler took
+# over dnum and dindex: sha256 of every case's exit code, stdout (``ms``
+# masked), stderr and written file, in order.
+VERB_PINS = {
+    "dnum": "707774b6a979ca9d20d26847a85b50691774ecc1497a9582dbfaafc45e5b604a",
+    "dindex": "7fd544b8584e43bc0cbf1f5ad39a0dd155e36e1cc17ab17bed6f250042b29158",
+    "verify": "e3117b6a9df67ca41eaa054ef2e1742277fb49a747107a65e8c453da0f8eff30",
+    "gen": "46784cbbedd707a1fd7f0ab82a4de728f2e41fef3da3ea8ea3cee57bf41e2dfa",
+    "product": "bec5dc4cf550211813a7f44ce6c0611ecaa52522cf66f785a47151ac8a075936",
+}
+PIN_GRAPHS = {"P3": path(3), "P4": path(4), "C5": cycle(5), "K3": complete(3),
+              "spider3": spider(3), "K2[P3]": lex_product(complete(2), path(3))}
+PIN_LABELINGS = {
+    "P3": ("v 0 1\nv 1 1\nv 2 2\n", "v 0 1\nv 1 2\nv 2 1\n",
+           "e 0 1 1\ne 1 2 2\n", "e 0 1 1\ne 1 2 1\n"),
+    "P4": ("v 0 1\nv 1 1\nv 2 1\nv 3 2\n", "v 0 1\nv 1 2\nv 2 2\nv 3 1\n",
+           "e 0 1 1\ne 1 2 1\ne 2 3 2\n", "e 0 1 1\ne 1 2 2\ne 2 3 1\n"),
+}
+
+
+def _pin_cases(verb):
+    """(argv with @name for files, output file or None) for each pinned case."""
+    if verb in ("dnum", "dindex"):
+        return [([verb, f"@{name}", *cap], None)
+                for name in ("P4", "C5", "K3", "spider3", "K2[P3]")
+                for cap in ((), ("--cap", "1"))]
+    if verb == "verify":
+        return [(["verify", f"@{name}", f"@{name}.{i}"], None)
+                for name in PIN_LABELINGS for i in range(4)]
+    bases = {"gen": [["gen", "--family", "spider", "--n", "3"]],
+             "product": [["product", "@P3", "@P4"], ["product", "@P3", "--power", "2"]]}
+    return [([*base, "-o", f"@x.{ext}"], f"x.{ext}")
+            for base in bases[verb] for ext in ("g6", "el")]
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_PINS))
+def test_verb_output_is_pinned(tmp_path, capsys, verb):
+    for name, g in PIN_GRAPHS.items():
+        (tmp_path / name).write_text(write_edge_list(g))
+    for name, labelings in PIN_LABELINGS.items():
+        for i, text in enumerate(labelings):
+            (tmp_path / f"{name}.{i}").write_text(text)
+    digest = hashlib.sha256()
+    for argv, written in _pin_cases(verb):
+        for mode in ((), ("--json",)):
+            files = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+            code, out, err = run(capsys, *mode, *files)
+            out = re.sub(r'"ms": [-0-9.e+]+', '"ms": 0', out)
+            body = (tmp_path / written).read_text() if written else ""
+            digest.update(f"{code}\n{out}\n{err}\n{body}\n".encode())
+    assert digest.hexdigest() == VERB_PINS[verb]
