@@ -31,6 +31,17 @@ decides: the colorings, rank maps, chosen cells, bases and certificates
 are the same, at a cost per round that follows the classes that changed
 (McKay & Piperno 2014) instead of all of them.
 
+A round packs each signature into one integer: the color, then one
+base-(n + 1) digit per fresh class.  Every digit is a neighbour count, so
+it is below the base, and the integer is the color term plus one term per
+class, count times that class's power of the base.  The terms can be
+added in any order.  Rounds with many fresh classes add them class by
+class, each only at the vertices its members' rows reach, where its count
+is nonzero; so such a round costs its nonzero counts, not every (vertex,
+class) pair.  Rounds with a few classes use Horner's rule per vertex.
+Both give the same integers, so the ranks, traces and certificates do not
+depend on the choice.
+
 Aut(G) comes from one walk down the source path.  The vertices b1, ..., bk
 it individualizes before the coloring turns discrete form a base: only the
 identity fixes them all.  Levels are done deepest first.  At level i every
@@ -94,6 +105,11 @@ class SearchStats:
 _Trace = list[tuple[list[int], dict[int, int], list[int]]]
 
 
+# Rounds with at most this many fresh classes pack each signature by
+# Horner's rule; see ``_signatures``.
+_HORNER_MAX_CLASSES = 4
+
+
 def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> list[int]:
     """Pack each vertex's color and its neighbour counts in the fresh
     classes into one integer: the color digit, then one base-(n + 1) digit
@@ -103,18 +119,49 @@ def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> l
     equals lexicographic order.  Counts against the other classes are left
     out: the caller guarantees each is the same for all vertices of one
     color, so they could not split a class or reorder one.
+
+    With k fresh classes the signature of v is
+    ``c[v] * base**k + sum(count_i(v) * base**(k - 1 - i))``, and each
+    count is below the base, so the terms can be added in any order and
+    give the same integer.  Above ``_HORNER_MAX_CLASSES`` classes, each
+    vertex starts at its color term and each class i adds its term only at
+    the vertices its members' rows reach, the only ones where count_i is
+    nonzero: the many-class rounds of labeled products (a first round, a
+    cell split into singletons) have few nonzero counts among their
+    (vertex, class) pairs.  Up to that many classes, Horner's rule runs per
+    vertex with a neighbour in some fresh class, k steps on small integers.
+    Nearly every round of the small graphs that ``aut`` and the oracles
+    search has two fresh classes, and there the per-class bookkeeping costs
+    more than the per-vertex steps it saves.
     """
     base = n + 1
+    k = len(fresh)
     slot = {cls: i for i, cls in enumerate(fresh)}
-    masks = [0] * len(fresh)
+    masks = [0] * k
     for v, col in enumerate(c):
         i = slot.get(col)
         if i is not None:
             masks[i] |= 1 << v
+    w = base ** k
+    if k > _HORNER_MAX_CLASSES:
+        out = [col * w for col in c]
+        for mask in masks:
+            w //= base
+            hit = 0
+            m = mask
+            while m:
+                low = m & -m
+                m ^= low
+                hit |= adj[low.bit_length() - 1]
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                v = low.bit_length() - 1
+                out[v] += (adj[v] & mask).bit_count() * w
+        return out
     union = 0
     for m in masks:
         union |= m
-    scale = base ** len(fresh)
     out = []
     append = out.append
     for v in range(n):
@@ -124,7 +171,7 @@ def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> l
             for m in masks:
                 s = s * base + (row & m).bit_count()
         else:
-            s = c[v] * scale
+            s = c[v] * w
         append(s)
     return out
 

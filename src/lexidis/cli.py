@@ -216,6 +216,8 @@ ORACLES = {
 def _cmd_oracle(args) -> int:
     _help, symbol, noun, oracle = ORACLES[args.verb]
     g = _read_graph(args.graph)
+    if args.cap is not None and args.cap < 1:
+        raise CliError("cap must be positive")
     t0 = time.perf_counter()
     got = oracle(g, args.cap)
     ms = (time.perf_counter() - t0) * 1000

@@ -14,9 +14,15 @@ padding bits.
 """
 from __future__ import annotations
 
+from itertools import compress
+
 from .graph import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
+# each graph6 data byte to its six bits, most significant first
+_G6_BITS = str.maketrans({chr(63 + x): format(x, "06b") for x in range(64)})
+# the digits of bin() to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class FormatError(ValueError):
@@ -69,8 +75,17 @@ def read_edge_list(text: str) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
+    names = [str(v) for v in range(g.n)]
     lines = [f"p {g.n} {g.m}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edge_list())
+    # one block per vertex u with its line prefix built once; bin() of the
+    # row above u, reversed, has one digit per vertex from u + 1 on, so
+    # compress picks the names of u's neighbours there in ascending order
+    for u, row in enumerate(g.adjacency_bits):
+        above = row >> (u + 1)
+        if above:
+            flags = bin(above)[:1:-1].encode().translate(_BIT_BYTES)
+            prefix = f"e {u} "
+            lines.append(prefix + ("\n" + prefix).join(compress(names[u + 1:], flags)))
     return "\n".join(lines) + "\n"
 
 
@@ -126,12 +141,12 @@ def read_graph6(line: str) -> Graph:
         raise FormatError(f"line 1: graph6 body length {len(body)} wrong for n={n}")
     if body and (min(body) < "?" or max(body) > "~"):
         raise FormatError("line 1: invalid graph6 data byte")
-    bits = "".join([format(ord(c) - 63, "06b") for c in body])
+    bits = body.translate(_G6_BITS)
     if "1" in bits[need:]:
         raise FormatError("line 1: nonzero graph6 padding bits")
     # bit k is the pair (i, j) of the upper triangle in column order, with
-    # column j starting at bit j(j-1)/2
-    edges = []
+    # column j starting at bit j(j-1)/2; each one sets a bit of both rows
+    rows = [0] * n
     j = 1
     start = 0
     k = bits.find("1", 0, need)
@@ -139,9 +154,11 @@ def read_graph6(line: str) -> Graph:
         while k >= start + j:
             start += j
             j += 1
-        edges.append((k - start, j))
+        i = k - start
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
         k = bits.find("1", k + 1, need)
-    return Graph(n, edges)
+    return Graph._from_rows(tuple(rows))
 
 
 def sniff_format(text: str) -> str:

@@ -79,6 +79,16 @@ def test_aut_cap_exit(tmp_path, capsys):
     assert "cap must be positive" in err
 
 
+@pytest.mark.parametrize("verb", ["dnum", "dindex"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_rejects_nonpositive_cap(tmp_path, capsys, verb, cap):
+    p = tmp_path / "k3.el"
+    p.write_text(write_edge_list(complete(3)))
+    code, out, err = run(capsys, verb, str(p), "--cap", cap)
+    assert code == 2 and out == ""
+    assert err == "error: cap must be positive\n"
+
+
 def test_verify_positive_and_negative(tmp_path, capsys):
     g = tmp_path / "p3.el"
     g.write_text(write_edge_list(path(3)))

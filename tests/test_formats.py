@@ -14,7 +14,7 @@ from lexidis.formats import (
     write_graph6,
 )
 
-from .util import random_graph
+from .util import random_graph, reference_read_graph6, reference_write_edge_list
 
 
 def test_edge_list_round_trip():
@@ -98,3 +98,44 @@ def test_sniff_and_generic_io():
     assert sniff_format(write_graph6(g)) == "graph6"
     assert loads(dumps(g, "edgelist")) == g
     assert loads(dumps(g, "graph6")) == g
+
+
+def _io_graphs():
+    """Sparse, dense and complete graphs of 0 to 300 vertices, on both sides
+    of the 62/63 vertex boundary where graph6 takes the '~' size field."""
+    rng = random.Random(2024)
+    for n in (0, 1, 2, 3, 5, 8, 61, 62, 63, 64, 65, 100, 200, 300):
+        for p in (0.02, 0.1, 0.6):
+            yield random_graph(rng, n, p)
+        if n:
+            yield complete(n)
+
+
+def test_write_edge_list_matches_reference_text():
+    for g in _io_graphs():
+        assert write_edge_list(g) == reference_write_edge_list(g)
+
+
+def test_read_graph6_matches_reference_graphs():
+    for g in _io_graphs():
+        s = write_graph6(g)
+        got = read_graph6(s)
+        assert got == reference_read_graph6(s) == g
+        assert (got.n, got.m, got.adjacency_bits) == (g.n, g.m, g.adjacency_bits)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "", ">>graph6<<", "~~??????", "~?", "~??", "~\x7f???", "~?\x3e?", "\x3e", "\x7f",
+        "C", "C~~", "B~", "B" + chr(127), "B" + chr(62), "B\u00e9",
+        "~??~" + "?" * 325, "~??~" + "?" * 327, "~??~" + "?" * 325 + "@",
+        "~??~" + "?" * 325 + "\x7f", "}" + "?" * 315 + "@",
+    ],
+)
+def test_graph6_errors_match_reference_messages(line):
+    with pytest.raises(FormatError) as want:
+        reference_read_graph6(line)
+    with pytest.raises(FormatError) as got:
+        read_graph6(line)
+    assert str(got.value) == str(want.value)

@@ -7,21 +7,24 @@ import pytest
 from lexidis import (
     ColoredGraph,
     Graph,
+    block_product_labeling,
     complete,
     cycle,
+    distinguishing_number,
     find_preserving,
     find_preserving_edges,
     k2_product_edge_labeling,
     lex_product,
     path,
     path_product_edge_labeling,
+    pattern_product_labeling,
     spider,
     spider_distinguishing_labeling,
     star,
 )
 from lexidis import autosearch
 
-from .util import full_refine, full_replay, random_graph
+from .util import dense_signatures, full_refine, full_replay, random_graph
 
 
 def _pin_cases():
@@ -57,6 +60,51 @@ def _pin_cases():
     return out
 
 
+def _flatten_copy(labels, nh: int, copy: int):
+    """The labeling with one H-copy made invariant under Aut(H).  Vertex
+    labels: the copy takes its first vertex's label.  Edge labels: the
+    copy's own edges take one label, and each edge from the copy to a
+    vertex w outside it takes the label of the edge from the copy's first
+    vertex to w."""
+    lo = copy * nh
+    if isinstance(labels, tuple):
+        return labels[:lo] + (labels[lo],) * nh + labels[lo + nh:]
+    inner = [val for (u, v), val in labels.items() if u // nh == v // nh == copy]
+    out = dict(labels)
+    for u, v in labels:
+        if u // nh == v // nh == copy:
+            out[(u, v)] = inner[0]
+        elif copy in (u // nh, v // nh):
+            w = v if u // nh == copy else u
+            out[(u, v)] = labels[(lo, w) if lo < w else (w, lo)]
+    return out
+
+
+def _large_cases():
+    """Searches the size of the benchmark's certify questions: labeled
+    products of 200 and 402 vertices and an edge-labeled product whose
+    subdivision has 229, each distinguishing and with one copy flattened."""
+    sp = lex_product(spider(100), complete(2))
+    sp_lab = tuple(pattern_product_labeling(
+        spider(100), complete(2), spider_distinguishing_labeling(100), [1, 2]))
+    pc = lex_product(path(40), cycle(5))
+    pc_lab = tuple(block_product_labeling(
+        path(40), cycle(5), [1] * 39 + [2], distinguishing_number(cycle(5))[1]))
+    pp = lex_product(path(17), path(3))
+    pp_lab = path_product_edge_labeling(17, path(3))
+    return [
+        ("v", "spider100[K2] pattern", sp, sp_lab),
+        ("v", "spider100[K2] flat 57", sp, _flatten_copy(sp_lab, 2, 57)),
+        ("v", "P40[C5] block", pc, pc_lab),
+        ("v", "P40[C5] block flat 17", pc, _flatten_copy(pc_lab, 5, 17)),
+        ("e", "P17[P3] prop34", pp, pp_lab),
+        ("e", "P17[P3] prop34 flat 5", pp, _flatten_copy(pp_lab, 3, 5)),
+    ]
+
+
+LARGE_CASES = _large_cases()
+
+
 # (certificate image or None, nodes, refinements), as the all-classes
 # refinement produced them
 PINS = {
@@ -77,10 +125,14 @@ PINS = {
     "e K2[C6] flipped": (None, 1, 4),
     "e P4[P3] thm": (None, 1, 4),
     "e P4[P3] const": ((0, 1, 2, 5, 4, 3, 6, 7, 8, 9, 10, 11), 7, 26),
+    # searches of 229 to 402 vertices, as Horner-rule signatures gave them
+    "v spider100[K2] pattern": (None, 1, 2),
+    "v spider100[K2] flat 57": (tuple(range(114)) + (115, 114) + tuple(range(116, 402)), 3, 6),
+    "e P17[P3] prop34 flat 5": (tuple(range(15)) + (17, 16, 15) + tuple(range(18, 51)), 3, 14),
 }
 
 
-PIN_CASES = _pin_cases()
+PIN_CASES = _pin_cases() + [c for c in LARGE_CASES if f"{c[0]} {c[1]}" in PINS]
 
 
 @pytest.mark.parametrize(
@@ -198,3 +250,27 @@ def test_fresh_refinement_matches_all_classes_reference():
             src, tgt, k = rc, follow, rk
     # both outcomes of a replay are exercised
     assert replays > 400 and 50 < nones < replays
+
+
+def test_signatures_match_horner_reference_on_large_searches(monkeypatch):
+    """Every signature the searches of certify-sized inputs compute, many of
+    them in rounds with dozens to hundreds of fresh classes, equals the one
+    Horner's rule gives vertex by vertex."""
+    seen = []
+    signatures = autosearch._signatures
+
+    def checked(adj, n, c, fresh):
+        got = signatures(adj, n, c, fresh)
+        assert got == dense_signatures(adj, n, c, fresh)
+        seen.append((n, len(fresh)))
+        return got
+
+    monkeypatch.setattr(autosearch, "_signatures", checked)
+    for kind, _name, g, labels in LARGE_CASES:
+        if kind == "v":
+            find_preserving(ColoredGraph(g, labels))
+        else:
+            find_preserving_edges(g, labels)
+    large = [k for n, k in seen if n >= 200]
+    assert len(large) == len(seen) >= 40
+    assert sum(k > 20 for k in large) >= 10 and max(large) > 200

@@ -9,6 +9,7 @@ import random
 from itertools import permutations
 
 from lexidis import Graph, Perm, complete, cycle, path, spider, star
+from lexidis.formats import GRAPH6_HEADER, FormatError
 
 # connected graphs on at most 4 vertices, up to isomorphism
 PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -207,3 +208,82 @@ def full_replay(adj, n: int, c, ncolors: int, trace):
         rounds.append(c)
         ncolors = len(rank)
     return rounds
+
+
+def dense_signatures(adj, n: int, c, fresh) -> list[int]:
+    """(color, neighbour count in each class of ``fresh``) packed base n+1
+    by Horner's rule, one vertex at a time: the fresh-class signatures as
+    the search engine computed them before it accumulated them per class."""
+    base = n + 1
+    slot = {cls: i for i, cls in enumerate(fresh)}
+    masks = [0] * len(fresh)
+    for v, col in enumerate(c):
+        i = slot.get(col)
+        if i is not None:
+            masks[i] |= 1 << v
+    out = []
+    for v in range(n):
+        s = c[v]
+        for m in masks:
+            s = s * base + (adj[v] & m).bit_count()
+        out.append(s)
+    return out
+
+
+# -- reference text formats ------------------------------------------------
+# The edge-list writer and graph6 reader as they were before they worked on
+# bit rows directly: one formatted line per edge, one bit string per byte.
+# The writer tests every pair, so it does not share the package's bit scan.
+
+
+def reference_write_edge_list(g: Graph) -> str:
+    rows = g.adjacency_bits
+    lines = [f"p {g.n} {g.m}"]
+    lines.extend(
+        f"e {u} {v}" for u in range(g.n) for v in range(u + 1, g.n) if rows[u] >> v & 1
+    )
+    return "\n".join(lines) + "\n"
+
+
+def reference_read_graph6(line: str) -> Graph:
+    s = line.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):]
+    if not s:
+        raise FormatError("line 1: empty graph6 record")
+    if s[0] == "~":
+        if len(s) >= 2 and s[1] == "~":
+            raise FormatError("line 1: graph6 records beyond 258047 vertices unsupported")
+        if len(s) < 4:
+            raise FormatError("line 1: truncated graph6 size field")
+        vals = [ord(c) - 63 for c in s[1:4]]
+        if any(not 0 <= v <= 63 for v in vals):
+            raise FormatError("line 1: invalid graph6 size byte")
+        n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
+        body = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        if not 0 <= n <= 62:
+            raise FormatError("line 1: invalid graph6 size byte")
+        body = s[1:]
+    need = n * (n - 1) // 2
+    if len(body) != (need + 5) // 6:
+        raise FormatError(f"line 1: graph6 body length {len(body)} wrong for n={n}")
+    if body and (min(body) < "?" or max(body) > "~"):
+        raise FormatError("line 1: invalid graph6 data byte")
+    bits = "".join([format(ord(c) - 63, "06b") for c in body])
+    if "1" in bits[need:]:
+        raise FormatError("line 1: nonzero graph6 padding bits")
+    # bit k is the pair (i, j) of the upper triangle in column order, with
+    # column j starting at bit j(j-1)/2
+    edges = []
+    j = 1
+    start = 0
+    k = bits.find("1", 0, need)
+    while k != -1:
+        while k >= start + j:
+            start += j
+            j += 1
+        edges.append((k - start, j))
+        k = bits.find("1", k + 1, need)
+    return Graph(n, edges)
