@@ -66,9 +66,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import Graph
-from .permgroup import CapExceededError, GeneratorSet, Perm, closure
-
-DEFAULT_AUT_CAP = 1_000_000
+from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, GeneratorSet, Perm, closure
 
 
 @dataclass(frozen=True)
@@ -420,7 +418,7 @@ def automorphism_group(
     return [lv[2][0] for lv in levels], gens, order
 
 
-def enumerate_automorphisms(g: Graph, cap: int = DEFAULT_AUT_CAP) -> list[Perm]:
+def enumerate_automorphisms(g: Graph, cap: int = DEFAULT_LISTING_CAP) -> list[Perm]:
     """All automorphisms of g, identity first, in deterministic search order.
 
     Raises CapExceededError(cap + 1) when the group has more than ``cap``

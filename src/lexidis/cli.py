@@ -7,9 +7,10 @@ labeling a dict, as the library returns them; the type alone picks the
 records written (``v`` or ``e``), the certifier and the kind ``verify``
 reports.  ``dnum`` and ``dindex`` are one handler over the ``ORACLES``
 table.  Exit codes: 0 success, 1 negative verification, 2 usage or parse
-error, 3 cap exceeded.  The LEXIDIS_CAP environment variable overrides the
-default cap on ``aut`` listings; the oracles list no group, so it does not
-bound them.
+error, 3 cap exceeded.  ``aut`` always prints the exact order and strong
+generators; its ``--cap``, or the LEXIDIS_CAP environment variable, bounds
+only the ``--elements`` listing.  The oracles list no group, so no cap
+bounds their work; their ``--cap`` bounds the labels tried.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from typing import Optional
 
 from . import constructions as cons
 from .autosearch import (
-    DEFAULT_AUT_CAP,
     ColoredGraph,
     automorphism_group,
     enumerate_automorphisms,
@@ -41,7 +41,7 @@ from .distinguishing import (
 from .formats import FormatError, dumps, loads
 from .graph import Graph, complete, cycle, is_connected, path, spider, star
 from .lexprod import lex_power, lex_product
-from .permgroup import CapExceededError, sabidussi_equal
+from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, sabidussi_equal
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -58,7 +58,7 @@ class CliError(Exception):
 def _default_cap() -> int:
     raw = os.environ.get("LEXIDIS_CAP")
     if raw is None:
-        return DEFAULT_AUT_CAP
+        return DEFAULT_LISTING_CAP
     try:
         cap = int(raw)
     except ValueError:
@@ -185,10 +185,6 @@ def _cmd_aut(args) -> int:
         raise CliError("cap must be positive")
     t0 = time.perf_counter()
     _base, gens, order = automorphism_group(g)
-    if order > cap:
-        _emit(args, {"command": "aut", "n": g.n, "order": None, "at_least": cap + 1},
-              f"order >= {cap + 1} (cap exceeded)")
-        return EXIT_CAP
     elems = enumerate_automorphisms(g, cap=cap) if args.elements else None
     ms = (time.perf_counter() - t0) * 1000
     payload = {
@@ -339,6 +335,9 @@ def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
                 row("product-edge-max", skipped="second factor is a single edge")
             elif g.m == 0 or h.m == 0:
                 row("product-edge-max", skipped="edgeless factor has no edge index")
+            elif g.n == 2 and g.m == 1:
+                # D'(K2) = 1 cannot pin the copy swap, so K2[H] may need a label more
+                row("product-edge-max", skipped="first factor is a single edge")
             elif sab:
                 dpg = _exact("dindex", g)[0]
                 dph = _exact("dindex", h)[0]
@@ -376,7 +375,9 @@ def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
         else:
             lo, up = cons.power_distinguishing_bounds(g, k)
             row("power-vertex-range", lower=lo, upper=up, note="powers of G")
-            if k >= 2:
+            if k >= 2 and g.m == 0:
+                row("power-edge-two-labels", skipped="edgeless factor has no edge index")
+            elif k >= 2:
                 row("power-edge-two-labels", upper=2, note="all powers take two edge labels")
     if not rows:
         row("none", skipped="provide a second graph and/or --power")
@@ -428,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism group order and generators")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help="bound on the --elements listing")
     p.add_argument("--elements", action="store_true")
     p.set_defaults(func=_cmd_aut)
 

@@ -30,6 +30,7 @@ least distinguishing labeling with the least d.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .autosearch import (
@@ -40,7 +41,7 @@ from .autosearch import (
     find_preserving,
     find_preserving_edges,
 )
-from .graph import Graph
+from .graph import Graph, closed_twin_partition, open_twin_partition
 
 VertexLabeling = list[int]
 EdgeLabeling = dict[tuple[int, int], int]
@@ -79,14 +80,11 @@ def is_distinguishing_edges(g: Graph, labels: EdgeLabeling) -> bool:
 
 def _twin_pairs(g: Graph) -> Iterator[tuple[int, ...]]:
     """Transpositions of open or closed twins, each an automorphism."""
-    bits = g.adjacency_bits
-    for v in range(g.n):
-        for w in range(v + 1, g.n):
-            both = ~((1 << v) | (1 << w))
-            if bits[v] & both == bits[w] & both:
-                swap = list(range(g.n))
-                swap[v], swap[w] = w, v
-                yield tuple(swap)
+    for cls in (*open_twin_partition(g), *closed_twin_partition(g)):
+        for v, w in combinations(cls, 2):
+            swap = list(range(g.n))
+            swap[v], swap[w] = w, v
+            yield tuple(swap)
 
 
 class _Walk:

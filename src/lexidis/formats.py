@@ -21,6 +21,8 @@ from .graph import Graph
 GRAPH6_HEADER = ">>graph6<<"
 # each graph6 data byte to its six bits, most significant first
 _G6_BITS = str.maketrans({chr(63 + x): format(x, "06b") for x in range(64)})
+# and six bits back to their data byte
+_G6_CHARS = {format(x, "06b"): chr(63 + x) for x in range(64)}
 # the digits of bin() to the bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -98,21 +100,12 @@ def _g6_encode_n(n: int) -> str:
 
 
 def write_graph6(g: Graph) -> str:
-    out = [_g6_encode_n(g.n)]
-    bits = 0
-    nbits = 0
-    chunk = 0
-    for j in range(1, g.n):
-        row = g.adjacency_bits[j]
-        for i in range(j):
-            chunk = (chunk << 1) | ((row >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(chunk + 63))
-                chunk = nbits = 0
-    if nbits:
-        out.append(chr((chunk << (6 - nbits)) + 63))
-    return "".join(out)
+    # column j is bits 0..j-1 of row j, least vertex first: the low j bits
+    # in binary, reversed; the zero-padded string goes out six bits a byte
+    rows = g.adjacency_bits
+    bits = "".join([format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)])
+    bits += "0" * (-len(bits) % 6)
+    return _g6_encode_n(g.n) + "".join([_G6_CHARS[bits[k:k + 6]] for k in range(0, len(bits), 6)])
 
 
 def read_graph6(line: str) -> Graph:

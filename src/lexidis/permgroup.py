@@ -11,7 +11,8 @@ from typing import Iterable, Sequence
 from .graph import Graph, closed_twin_partition, complement, components, is_connected, open_twin_partition
 from .lexprod import ProductIndexer
 
-DEFAULT_CLOSURE_CAP = 1_000_000
+# the default bound on every element listing, `aut --elements` included
+DEFAULT_LISTING_CAP = 1_000_000
 
 
 class CapExceededError(RuntimeError):
@@ -132,7 +133,7 @@ class GeneratorSet:
                 raise ValueError(f"generator degree {g.degree} != {self.degree}")
 
 
-def closure(gens: GeneratorSet, cap: int = DEFAULT_CLOSURE_CAP) -> list[Perm]:
+def closure(gens: GeneratorSet, cap: int = DEFAULT_LISTING_CAP) -> list[Perm]:
     """All elements of the generated group, by breadth-first multiplication.
 
     Deterministic: BFS order is fixed by the generator list order, with the

@@ -63,9 +63,17 @@ from .util import (
 )
 
 # closure cross-checks of the criterion 3/4 sweep run on groups up to these
-# orders; the orders themselves come from the search on every pair
+# orders and sympy's order above them; the orders themselves come from the
+# search on every pair
 WREATH_PRECAP = 40_000
 AUT_CAP = 60_000
+
+
+def _sympy_order(gens: GeneratorSet) -> int:
+    """Order of the generated group by sympy, a referee outside the package."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    return PermutationGroup([Permutation(list(p.image)) for p in gens.gens]).order()
 
 
 def _report(num: int, t0: float, detail: str) -> None:
@@ -88,6 +96,8 @@ def sabidussi_sweep():
         if wreath_order <= WREATH_PRECAP:
             assert len(closure(wgens)) == wreath_order, (gn, hn)
             closed += 1
+        else:
+            assert _sympy_order(wgens) == wreath_order, (gn, hn)
         prod = lex_product(g, h)
         rows.append(
             {
@@ -157,13 +167,11 @@ def test_criterion_03_sabidussi_criterion(sabidussi_sweep):
         3,
         t0,
         f"criterion holds on all {len(rows)} pairs "
-        f"(wreath order cross-checked by closure on {closed})",
+        f"(wreath order cross-checked by closure on {closed}, by sympy on {len(rows) - closed})",
     )
 
 
 def test_criterion_04_generated_full_group(sabidussi_sweep):
-    from sympy.combinatorics import Permutation, PermutationGroup
-
     t0 = time.time()
     rows, _, _ = sabidussi_sweep
     false_rows = [row for row in rows if not row["sabidussi"]]
@@ -177,8 +185,7 @@ def test_criterion_04_generated_full_group(sabidussi_sweep):
             assert len(closure(gens)) == row["full_order"], row["pair"]
             closed += 1
         else:
-            group = PermutationGroup([Permutation(list(p.image)) for p in gens.gens])
-            assert group.order() == row["full_order"], row["pair"]
+            assert _sympy_order(gens) == row["full_order"], row["pair"]
     assert closed >= 25
     _report(
         4,
@@ -283,7 +290,8 @@ def test_criterion_07_bound_conformance(dnum_cache):
     assert stepwise_checked >= 40
     assert edge_constructed >= 10
     assert edge_exact == edge_constructed
-    assert rows_checked >= 195
+    # `bounds` skips the edge-max row on a K2 base, where it can be false
+    assert rows_checked >= 193
     _report(
         7,
         t0,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lexidis
-from lexidis import complete, cycle, lex_product, path, spider
+from lexidis import Graph, complete, cycle, distinguishing_index, lex_product, path, spider
 from lexidis.cli import main
 from lexidis.formats import loads, write_edge_list, write_graph6
 
@@ -70,9 +71,11 @@ def test_aut_json(tmp_path, capsys):
 def test_aut_cap_exit(tmp_path, capsys):
     p = tmp_path / "k5.el"
     p.write_text(write_edge_list(complete(5)))
-    code, out, _ = run(capsys, "aut", str(p), "--cap", "10")
-    assert code == 3
-    assert ">=" in out
+    # the cap bounds the element listing, never the order
+    code, out, err = run(capsys, "aut", str(p), "--cap", "10")
+    assert (code, out, err) == (0, "order 120, 4 generators\n", "")
+    code, out, err = run(capsys, "aut", str(p), "--cap", "10", "--elements")
+    assert (code, out, err) == (3, "", "error: cap exceeded: at least 11 elements\n")
     # a zero cap is a usage error, not a fall-back to the default cap
     code, _, err = run(capsys, "aut", str(p), "--cap", "0")
     assert code == 2
@@ -192,6 +195,16 @@ def test_bounds_two_label_row_needs_two_base_vertices(tmp_path, capsys):
     assert err == "error: first factor too small: needs 2 <= |V(G)| when H has an edge\n"
 
 
+# asymmetric, with H and its complement connected, so K2[H] has the wreath action
+ASYM_H = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 5), (3, 4), (4, 5)])
+
+
+def test_single_edge_base_breaks_the_edge_max_bound():
+    # the copy swap of K2[H] survives the one label that pins K2 and H
+    assert distinguishing_index(ASYM_H)[0] == distinguishing_index(complete(2))[0] == 1
+    assert distinguishing_index(lex_product(complete(2), ASYM_H))[0] == 2
+
+
 @pytest.mark.parametrize("graphs, power, line", [
     # two isolated vertices have no closed twins; the row is skipped for the empty edge set
     (("p 2 0\n", "p 2 1\ne 0 1\n"), (),
@@ -200,7 +213,12 @@ def test_bounds_two_label_row_needs_two_base_vertices(tmp_path, capsys):
      "single-edge-bundles: n/a (needs no closed twins in G)"),
     # K1 + K2 has the wreath action on its square; the power bound needs G connected
     (("p 3 1\ne 1 2\n",), ("--power", "2"), "power-vertex-range: n/a (G must be connected)"),
-], ids=["edgeless-G", "closed-twins", "disconnected-power"])
+    # D'(K2[H]) = 2 for this asymmetric H, though max{D'(K2), D'(H)} = 1
+    (("p 2 1\ne 0 1\n", write_edge_list(ASYM_H)), (), "product-edge-max: n/a (first factor is a single edge)"),
+    # K1^k = K1 has no edge to label
+    (("p 1 0\n",), ("--power", "2"),
+     "power-edge-two-labels: n/a (edgeless factor has no edge index)"),
+], ids=["edgeless-G", "closed-twins", "disconnected-power", "single-edge-G", "edgeless-power"])
 def test_bounds_skip_reason_names_the_failed_condition(tmp_path, capsys, graphs, power, line):
     files = []
     for i, text in enumerate(graphs):
@@ -290,7 +308,9 @@ def test_env_cap_override(tmp_path, capsys, monkeypatch):
     p.write_text(write_edge_list(complete(5)))
     monkeypatch.setenv("LEXIDIS_CAP", "10")
     code, out, _ = run(capsys, "aut", str(p))
-    assert code == 3 and ">=" in out
+    assert code == 0 and out.startswith("order 120,")
+    code, out, err = run(capsys, "aut", "--elements", str(p))
+    assert (code, out) == (3, "") and "at least 11" in err
     monkeypatch.setenv("LEXIDIS_CAP", "boom")
     code, _, err = run(capsys, "aut", str(p))
     assert code == 2 and "LEXIDIS_CAP" in err
@@ -312,17 +332,24 @@ def test_dindex_answers_past_the_aut_cap(tmp_path, capsys, monkeypatch):
 def test_aut_refusal_reports_cap_plus_one(tmp_path, capsys, monkeypatch):
     p = tmp_path / "k4k4.el"
     p.write_text(write_edge_list(lex_product(complete(4), complete(4))))
+    # the order comes from strong generators, so 16! needs no listing
     code, out, _ = run(capsys, "--json", "aut", "--cap", "1000", str(p))
-    assert code == 3
-    assert json.loads(out) == {"command": "aut", "n": 16, "order": None, "at_least": 1001}
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["order"], len(payload["generators"])) == (math.factorial(16), 15)
+    # only the listing is refused, by the one cap error every listing raises
+    code, out, err = run(capsys, "--json", "aut", "--cap", "1000", "--elements", str(p))
+    assert (code, out, err) == (3, "", "error: cap exceeded: at least 1001 elements\n")
     monkeypatch.setenv("LEXIDIS_CAP", "9")
-    code, out, _ = run(capsys, "aut", str(p))
-    assert (code, out) == (3, "order >= 10 (cap exceeded)\n")
-    # a group of exactly the cap's size is answered
+    code, out, err = run(capsys, "aut", "--elements", str(p))
+    assert (code, out, err) == (3, "", "error: cap exceeded: at least 10 elements\n")
+    # a group of exactly the cap's size is listed
     c5 = tmp_path / "c5.el"
     c5.write_text(write_edge_list(cycle(5)))
-    code, out, _ = run(capsys, "--json", "aut", "--cap", "10", str(c5))
-    assert code == 0 and json.loads(out)["order"] == 10
+    code, out, _ = run(capsys, "--json", "aut", "--cap", "10", "--elements", str(c5))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["order"], len(payload["elements"])) == (10, 10)
 
 
 def test_aut_elements_listing_is_pinned(tmp_path, capsys):

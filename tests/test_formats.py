@@ -14,7 +14,12 @@ from lexidis.formats import (
     write_graph6,
 )
 
-from .util import random_graph, reference_read_graph6, reference_write_edge_list
+from .util import (
+    random_graph,
+    reference_read_graph6,
+    reference_write_edge_list,
+    reference_write_graph6,
+)
 
 
 def test_edge_list_round_trip():
@@ -114,6 +119,11 @@ def _io_graphs():
 def test_write_edge_list_matches_reference_text():
     for g in _io_graphs():
         assert write_edge_list(g) == reference_write_edge_list(g)
+
+
+def test_write_graph6_matches_reference_text():
+    for g in _io_graphs():
+        assert write_graph6(g) == reference_write_graph6(g)
 
 
 def test_read_graph6_matches_reference_graphs():

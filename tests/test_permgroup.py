@@ -25,6 +25,7 @@ from lexidis import (
     wreath_generators,
     wreath_perm,
 )
+from lexidis.autosearch import automorphism_group
 
 from .util import atlas4, brute_automorphisms, is_automorphism
 
@@ -110,8 +111,7 @@ def test_wreath_perm_shape():
 
 
 def _aut_gens(g):
-    elems = enumerate_automorphisms(g)
-    return GeneratorSet(g.n, tuple(generating_subset(elems)))
+    return GeneratorSet(g.n, tuple(automorphism_group(g)[1]))
 
 
 def test_wreath_closure_orders():

@@ -9,7 +9,7 @@ import random
 from itertools import permutations
 
 from lexidis import Graph, Perm, complete, cycle, path, spider, star
-from lexidis.formats import GRAPH6_HEADER, FormatError
+from lexidis.formats import GRAPH6_HEADER, FormatError, _g6_encode_n
 
 # connected graphs on at most 4 vertices, up to isomorphism
 PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -231,9 +231,10 @@ def dense_signatures(adj, n: int, c, fresh) -> list[int]:
 
 
 # -- reference text formats ------------------------------------------------
-# The edge-list writer and graph6 reader as they were before they worked on
-# bit rows directly: one formatted line per edge, one bit string per byte.
-# The writer tests every pair, so it does not share the package's bit scan.
+# The edge-list and graph6 writers and the graph6 reader as they were before
+# they worked on bit rows directly: one formatted line per edge, one bit per
+# vertex pair, one bit string per byte.  The writers test every pair, so
+# they do not share the package's bit scans.
 
 
 def reference_write_edge_list(g: Graph) -> str:
@@ -243,6 +244,23 @@ def reference_write_edge_list(g: Graph) -> str:
         f"e {u} {v}" for u in range(g.n) for v in range(u + 1, g.n) if rows[u] >> v & 1
     )
     return "\n".join(lines) + "\n"
+
+
+def reference_write_graph6(g: Graph) -> str:
+    out = [_g6_encode_n(g.n)]
+    nbits = 0
+    chunk = 0
+    for j in range(1, g.n):
+        row = g.adjacency_bits[j]
+        for i in range(j):
+            chunk = (chunk << 1) | ((row >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(chunk + 63))
+                chunk = nbits = 0
+    if nbits:
+        out.append(chr((chunk << (6 - nbits)) + 63))
+    return "".join(out)
 
 
 def reference_read_graph6(line: str) -> Graph:
