@@ -11,12 +11,20 @@ counts.  Edge labels use the subdivision with offset n, so an automorphism
 counts when it moves an edge; ``_subdivision_bits`` says why the original
 vertices take a marker color below every label.
 
-The search keeps two colorings of the same graph, a source and a target,
-refined in lockstep to equitable fixpoints.  Branching individualizes the
-least vertex of the smallest non-singleton cell on the source side against
-each candidate in the matching target cell, in ascending vertex order, so
-the first certificate found is deterministic.  Every leaf is re-verified by
-a naive adjacency-and-color check before being reported.
+One walk answers both.  It refines the starting colors and individualizes
+down the first path once, each level taking the least vertex of the
+smallest non-singleton cell, until the coloring is discrete: those
+vertices b1, ..., bk form a base.  Deepest level first, each w of b_i's
+cell outside the orbit of b_i under the automorphisms found so far starts,
+in ascending order, one subtree search with b_i mapped to w (source and
+target refined in lockstep, each leaf re-verified by a naive check), which
+yields an automorphism or proves that none maps b_i to w.  A certificate
+is the first yield: until then every orbit is its base point alone, so the
+leaves come in the order of a depth-first search that tries the identity
+branch first.  Aut(G) drains the walk at offset 0; a finished level's orbit
+is that of the stabilizer of b1..b(i-1), so the generators are strong and
+|Aut(G)| is the product of the orbit lengths, with no element list or
+Schreier-Sims step (McKay & Piperno 2014; Seress 2003).
 
 Each refinement round counts a vertex's neighbours only in the round's
 fresh classes: every class in the first round of a search, the rest of the
@@ -42,17 +50,6 @@ class) pair.  Rounds with a few classes use Horner's rule per vertex.
 Both give the same integers, so the ranks, traces and certificates do not
 depend on the choice.
 
-Aut(G) comes from one walk down the source path.  The vertices b1, ..., bk
-it individualizes before the coloring turns discrete form a base: only the
-identity fixes them all.  Levels are done deepest first.  At level i every
-generator found so far fixes b1..b(i-1); for each w of b_i's cell that is
-not yet in the orbit of b_i under them, one search from the prefix with
-b_i mapped to w either returns an automorphism, kept as a new generator,
-or proves that none maps b_i to w.  When the level is done the orbit is
-the whole orbit of the stabilizer of b1..b(i-1), so the generators are
-strong and |Aut(G)| is the product of the orbit lengths: no element list
-and no Schreier-Sims step are needed (McKay & Piperno 2014; Seress 2003).
-
 ``enumerate_automorphisms`` lists a group under its cap as the closure of
 the strong generators, sorted by the images of the base.  That is the order
 in which a search visiting every leaf reaches them, since candidates are
@@ -63,7 +60,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from math import prod
+from typing import Iterator, Optional, Sequence
 
 from .graph import Graph
 from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, GeneratorSet, Perm, closure
@@ -84,7 +82,7 @@ class ColoredGraph:
 
 
 class SearchStats:
-    """Counters for one search run."""
+    """Counters for one search; ``nodes`` is base-path levels plus subtree node calls."""
 
     __slots__ = ("nodes", "refinements", "found")
 
@@ -283,11 +281,10 @@ def _split(
 
 
 class _Search:
-    """One find-mode search over a fixed graph and colors for automorphisms
-    that move a position at or after ``offset``.
-    """
+    """One walk over a fixed graph and colors for automorphisms that move a
+    position at or after ``offset``; it fills ``base`` and ``orbits``."""
 
-    __slots__ = ("adj", "n", "colors", "offset", "tail", "stats")
+    __slots__ = ("adj", "n", "colors", "offset", "tail", "stats", "base", "orbits")
 
     def __init__(
         self, adj: Sequence[int], n: int, colors: Sequence[int], offset: int, stats: SearchStats
@@ -298,6 +295,43 @@ class _Search:
         self.offset = offset
         self.tail = tuple(range(offset, n))
         self.stats = stats
+        self.base: list[int] = []
+        self.orbits: list[int] = []
+
+    def generators(self) -> Iterator[Perm]:
+        """Yield each automorphism the walk finds, in search order."""
+        adj, n, stats = self.adj, self.n, self.stats
+        if n == 0:
+            return
+        # normalize the starting colors to dense values 0..k-1
+        dense = {val: i for i, val in enumerate(sorted(set(self.colors)))}
+        k = len(dense)
+        c, k, _ = _refine_trace(adj, n, [dense[x] for x in self.colors], k, list(range(k)), stats)
+        levels = []
+        while k < n:
+            stats.nodes += 1
+            cell, rc, rk, trace = _split(adj, n, c, k, stats)
+            levels.append((c, k, cell, rc, rk, trace))
+            self.base.append(cell[0])
+            c, k = rc, rk
+        gens: list[Perm] = []
+        for c, k, cell, rc, rk, trace in reversed(levels):
+            # every generator so far fixes the points above this level
+            orbit = {cell[0]}
+            for w in cell[1:]:
+                if w in orbit:
+                    continue
+                nc = list(c)
+                nc[w] = k
+                rc2 = _replay_trace(adj, n, nc, trace, stats)
+                if rc2 is None:
+                    continue
+                got = self.node(rc, rc2, rk)
+                if got is not None:
+                    gens.append(got)
+                    orbit = _orbit(cell[0], gens)
+                    yield got
+            self.orbits.append(len(orbit))
 
     def node(self, c1: list[int], c2: list[int], ncolors: int) -> Optional[Perm]:
         """First automorphism moving a position at or after the offset that
@@ -334,17 +368,8 @@ def _search(
     adj: Sequence[int], n: int, colors: Sequence[int], offset: int, stats: SearchStats
 ) -> Optional[Perm]:
     """First color-preserving automorphism, in search order, that moves a
-    position at or after ``offset``, or None.
-    """
-    if n == 0:
-        return None
-    # normalize the starting colors to dense values 0..k-1
-    order = sorted(set(colors))
-    dense = {val: i for i, val in enumerate(order)}
-    start = [dense[val] for val in colors]
-    k = len(order)
-    rc, rk, _trace = _refine_trace(adj, n, start, k, list(range(k)), stats)
-    return _Search(adj, n, colors, offset, stats).node(rc, list(rc), rk)
+    position at or after ``offset``, or None: the walk's first generator."""
+    return next(_Search(adj, n, colors, offset, stats).generators(), None)
 
 
 def find_preserving(colored: ColoredGraph) -> tuple[Optional[Perm], SearchStats]:
@@ -382,40 +407,18 @@ def automorphism_group(
     The generators come deepest base level first, each level in ascending
     order of the image of its base point.  ``stats`` collects the work.
     """
-    if stats is None:
-        stats = SearchStats()
-    adj, n = g.adjacency_bits, g.n
-    colors = [0] * n
-    if n == 0:
-        return [], [], 1
-    c, k, _trace = _refine_trace(adj, n, colors, 1, [0], stats)
-    levels = []
-    while k < n:
-        stats.nodes += 1
-        cell, rc, rk, trace = _split(adj, n, c, k, stats)
-        levels.append((c, k, cell, rc, rk, trace))
-        c, k = rc, rk
-    # every leaf below maps a base point elsewhere, so none is the identity
-    search = _Search(adj, n, colors, 0, stats)
-    gens: list[Perm] = []
-    order = 1
-    for c, k, cell, rc, rk, trace in reversed(levels):
-        # every generator so far fixes the points above this level
-        orbit = {cell[0]}
-        for w in cell[1:]:
-            if w in orbit:
-                continue
-            nc = list(c)
-            nc[w] = k
-            rc2 = _replay_trace(adj, n, nc, trace, stats)
-            if rc2 is None:
-                continue
-            got = search.node(rc, rc2, rk)
-            if got is not None:
-                gens.append(got)
-                orbit = _orbit(cell[0], gens)
-        order *= len(orbit)
-    return [lv[2][0] for lv in levels], gens, order
+    search = _Search(g.adjacency_bits, g.n, [0] * g.n, 0, SearchStats() if stats is None else stats)
+    gens = list(search.generators())
+    return search.base, gens, prod(search.orbits)
+
+
+def _elements(n: int, base: list[int], gens: list[Perm], order: int, cap: int) -> list[Perm]:
+    """``enumerate_automorphisms`` for a group already in hand."""
+    if order > cap:
+        raise CapExceededError(cap + 1)
+    elems = closure(GeneratorSet(n, tuple(gens)), cap=order)
+    elems.sort(key=lambda p: [p.image[b] for b in base])
+    return elems
 
 
 def enumerate_automorphisms(g: Graph, cap: int = DEFAULT_LISTING_CAP) -> list[Perm]:
@@ -426,12 +429,7 @@ def enumerate_automorphisms(g: Graph, cap: int = DEFAULT_LISTING_CAP) -> list[Pe
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    base, gens, order = automorphism_group(g)
-    if order > cap:
-        raise CapExceededError(cap + 1)
-    elems = closure(GeneratorSet(g.n, tuple(gens)), cap=order)
-    elems.sort(key=lambda p: [p.image[b] for b in base])
-    return elems
+    return _elements(g.n, *automorphism_group(g), cap)
 
 
 def is_color_preserving_automorphism(g: Graph, colors: Sequence[int], p: Perm) -> bool:

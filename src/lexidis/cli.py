@@ -25,8 +25,8 @@ from typing import Optional
 from . import constructions as cons
 from .autosearch import (
     ColoredGraph,
+    _elements,
     automorphism_group,
-    enumerate_automorphisms,
     find_preserving,
     find_preserving_edges,
 )
@@ -184,8 +184,8 @@ def _cmd_aut(args) -> int:
     if cap < 1:
         raise CliError("cap must be positive")
     t0 = time.perf_counter()
-    _base, gens, order = automorphism_group(g)
-    elems = enumerate_automorphisms(g, cap=cap) if args.elements else None
+    base, gens, order = automorphism_group(g)
+    elems = _elements(g.n, base, gens, order, cap) if args.elements else None
     ms = (time.perf_counter() - t0) * 1000
     payload = {
         "command": "aut", "n": g.n, "m": g.m, "order": order,

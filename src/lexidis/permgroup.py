@@ -1,6 +1,10 @@
 """Permutations, finite group closure, and the automorphism generators of
-lexicographic products: wreath-product maps plus the copy-swap elements that
-appear when the second factor has a disconnected complement.
+lexicographic products: wreath-product maps plus the copy-swap elements of
+twin pairs of the first factor, which appear when the second factor has a
+disconnected complement (closed twins) or is itself disconnected (open
+twins).  Together they generate Aut(G[H]) on every pair of graphs on at
+most 4 vertices whose product group has at most 200 000 elements, the
+range the tests check against the search.
 """
 from __future__ import annotations
 
@@ -214,20 +218,27 @@ def wreath_generators(aut_g: GeneratorSet, aut_h: GeneratorSet, n_g: int, n_h: i
 
 
 def twin_swap_generators(g: Graph, h: Graph) -> GeneratorSet:
-    """Extra product automorphisms from closed-twin pairs of G.
+    """The product automorphisms from twin pairs of G that the wreath action
+    misses.
 
-    For each pair g1, g2 with N[g1] = N[g2] and each connected component C of
-    the complement of H, the permutation that fixes every (v, h) with h in C
-    and swaps (g1, h) with (g2, h) for h outside C.  Empty when G has no such
-    pair or the complement of H is connected (those maps are the identity).
+    For each pair g1, g2 of closed twins (N[g1] = N[g2]) and each connected
+    component C of the complement of H, and for each pair of open twins
+    (N(g1) = N(g2)) and each component C of H itself: the permutation that
+    fixes every (v, h) with h in C and swaps (g1, h) with (g2, h) for h
+    outside C.  The open-twin swaps are the closed-twin swaps of the
+    complements, since the complement of G[H] is the complement of G
+    lexicographically times the complement of H.  A kind is left out when
+    its side of H is connected (those maps are the identity).
     """
     n = g.n * h.n
-    comps = components(complement(h))
     gens: list[Perm] = []
-    if len(comps) >= 2:
-        idx = ProductIndexer(g.n, h.n)
+    idx = ProductIndexer(g.n, h.n)
+    for twins, comps in ((closed_twin_partition(g), components(complement(h))),
+                         (open_twin_partition(g), components(h))):
+        if len(comps) < 2:
+            continue
         pairs: list[tuple[int, int]] = []
-        for cls in closed_twin_partition(g):
+        for cls in twins:
             for i in range(len(cls)):
                 for j in range(i + 1, len(cls)):
                     pairs.append((cls[i], cls[j]))

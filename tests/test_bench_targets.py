@@ -46,6 +46,8 @@ def test_tracer_sees_every_verbs_library_call(tmp_path, capsys):
         for argv in (["dnum", p3], ["dindex", p4], ["verify", p3, vlab], ["verify", p4, elab],
                      ["label", "--method", "thm36", p3, p3, "--certify"], ["aut", p4]):
             assert cli.main([str(a) for a in argv]) == 0
+        mark = len(tracer.spans)
+        assert cli.main(["aut", "--elements", str(p4)]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -54,3 +56,7 @@ def test_tracer_sees_every_verbs_library_call(tmp_path, capsys):
     assert seen >= {"distinguishing_number", "distinguishing_index", "find_preserving",
                     "find_preserving_edges", "two_label_edge_labeling",
                     "is_distinguishing_edges", "automorphism_group"}
+    # `aut --elements` lists the group through `closure`, whose result is
+    # what permgroup.elements counts: the 2 automorphisms of P4
+    assert {rec[1] for rec in tracer.spans[mark:]} >= {"automorphism_group", "closure"}
+    assert tracer.counts["permgroup.elements"] == 2

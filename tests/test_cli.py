@@ -364,6 +364,29 @@ def test_aut_elements_listing_is_pinned(tmp_path, capsys):
     assert digest == "3e3123a1a58b40c0fd70a8e807b19487caaf9dd7f44c84c7ef81f5b84d80b790"
 
 
+def test_aut_elements_runs_one_group_search(tmp_path, capsys, monkeypatch):
+    # the listing closes the generators the one search found, and a refused
+    # listing costs no second search either
+    from lexidis import autosearch
+
+    p = tmp_path / "k2c4.el"
+    p.write_text(write_edge_list(lex_product(complete(2), cycle(4))))
+    walks = []
+    generators = autosearch._Search.generators
+
+    def counted(self):
+        walks.append(self.n)
+        return generators(self)
+
+    monkeypatch.setattr(autosearch._Search, "generators", counted)
+    code, out, _ = run(capsys, "aut", "--elements", str(p))
+    assert code == 0 and out.startswith("order 384, ") and len(out.splitlines()) == 385
+    assert walks == [8]
+    code, out, err = run(capsys, "aut", "--elements", "--cap", "1", str(p))
+    assert (code, out, err) == (3, "", "error: cap exceeded: at least 2 elements\n")
+    assert walks == [8, 8]
+
+
 # One small input per label method, pinned before the method table replaced
 # the if/elif chain: sha256 of the labeling text, and the --json --certify line.
 LABEL_PINS = {

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lexidis import (
     CapExceededError,
     GeneratorSet,
+    Graph,
     Perm,
     closure,
     complement,
@@ -157,6 +158,37 @@ def test_twin_swap_closure_matches_brute_force():
     gens = wreath_generators(_aut_gens(k2), _aut_gens(p3), 2, 3).gens
     gens += twin_swap_generators(k2, p3).gens
     assert len(closure(GeneratorSet(6, gens))) == len(brute_automorphisms(prod))
+
+
+def test_wreath_and_twin_swaps_generate_every_small_product_group():
+    # every pair of graphs on 1-4 vertices, connected or not, whose product
+    # group sympy can order quickly; open twins of G with a disconnected H
+    # need the open-twin swaps (P3[2K1]: wreath 16, full 48)
+    from networkx.generators.atlas import graph_atlas_g
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    atlas = [Graph(a.number_of_nodes(), a.edges()) for a in graph_atlas_g()[1:19]]
+    checked = 0
+    for g in atlas:
+        for h in atlas:
+            order = automorphism_group(lex_product(g, h))[2]
+            if order > 200_000:
+                continue
+            swaps = twin_swap_generators(g, h)
+            assert {p.image for p in swaps.gens} == {
+                p.image for p in twin_swap_generators(complement(g), complement(h)).gens}
+            gens = wreath_generators(_aut_gens(g), _aut_gens(h), g.n, h.n).gens + swaps.gens
+            n = g.n * h.n
+            sym = PermutationGroup([Permutation(list(p.image)) for p in gens] or [Permutation(n - 1)])
+            assert sym.order() == order, (g, h)
+            checked += 1
+    assert checked == 280
+    p3, two_k1 = path(3), Graph(2)
+    assert automorphism_group(lex_product(p3, two_k1))[2] == 48
+    wreath = wreath_generators(_aut_gens(p3), _aut_gens(two_k1), 3, 2)
+    assert len(closure(wreath)) == 16
+    swaps = twin_swap_generators(p3, two_k1).gens
+    assert len(swaps) == 2 and len(closure(GeneratorSet(6, wreath.gens + swaps))) == 48
 
 
 def test_sabidussi_examples():

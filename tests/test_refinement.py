@@ -1,5 +1,6 @@
 """Refinement against fresh classes only: pinned search work and a
-round-by-round comparison with the all-classes reference in tests/util."""
+round-by-round comparison with the all-classes reference in tests/util;
+the base-path walk against the depth-first reference search there."""
 import random
 
 import pytest
@@ -24,7 +25,14 @@ from lexidis import (
 )
 from lexidis import autosearch
 
-from .util import dense_signatures, full_refine, full_replay, random_graph
+from .util import (
+    base_path_rounds,
+    dense_signatures,
+    full_refine,
+    full_replay,
+    random_graph,
+    reference_search,
+)
 
 
 def _pin_cases():
@@ -106,7 +114,9 @@ LARGE_CASES = _large_cases()
 
 
 # (certificate image or None, nodes, refinements), as the all-classes
-# refinement produced them
+# refinement produced them in the depth-first search that
+# ``reference_search`` keeps; the base-path walk does one node call and the
+# base path's replayed rounds fewer
 PINS = {
     "v C5[P4]": ((0, 1, 2, 3, 7, 6, 5, 4) + tuple(range(8, 20)), 3, 6),
     "v P3[C4]": ((0, 1, 2, 3, 4, 5, 6, 7, 10, 9, 8, 11), 4, 8),
@@ -149,11 +159,19 @@ def test_certificates_and_work_are_pinned(kind, name, g, labels, monkeypatch):
     monkeypatch.setattr(autosearch, "SearchStats", Recording)
     if kind == "v":
         got, _ = find_preserving(ColoredGraph(g, labels))
+        adj, colors = g.adjacency_bits, labels
     else:
         got = find_preserving_edges(g, labels)
+        edges = g.edge_list()
+        adj = autosearch._subdivision_bits(g, edges)
+        values = [labels[e] for e in edges]
+        colors = [min(values) - 1] * g.n + values
     (stats,) = made
     image = None if got is None else got.image
-    assert (image, stats.nodes, stats.refinements) == PINS[f"{kind} {name}"]
+    pin_image, pin_nodes, pin_refinements = PINS[f"{kind} {name}"]
+    replayed = base_path_rounds(adj, len(adj), colors)
+    assert (image, stats.nodes, stats.refinements) == (
+        pin_image, pin_nodes - 1, pin_refinements - replayed)
 
 
 def _new_rounds(adj, n, c, trace):
@@ -274,3 +292,38 @@ def test_signatures_match_horner_reference_on_large_searches(monkeypatch):
     large = [k for n, k in seen if n >= 200]
     assert len(large) == len(seen) >= 40
     assert sum(k > 20 for k in large) >= 10 and max(large) > 200
+
+
+def test_walk_finds_the_reference_searchs_first_certificate():
+    """The base-path walk's first generator is the certificate of the
+    depth-first reference search, found with one node call and the base
+    path's replayed rounds fewer: on random colored graphs at offset 0 and
+    on subdivisions of random edge labelings at offset n."""
+    rng = random.Random(1301)
+    found = {0: [0, 0], 1: [0, 0]}
+    for trial in range(240):
+        if trial % 2:
+            a = random_graph(rng, rng.randrange(1, 5), 0.5)
+            g = lex_product(a, random_graph(rng, rng.randrange(1, 5), 0.5))
+        else:
+            g = random_graph(rng, rng.randrange(0, 13), rng.choice([0.1, 0.3, 0.5, 0.8]))
+        palette = rng.choice([1, 2, 3])
+        edge_kind = trial % 3 == 2 and g.m > 0
+        if edge_kind:
+            edges = g.edge_list()
+            adj, offset = autosearch._subdivision_bits(g, edges), g.n
+            colors = [0] * g.n + [rng.randrange(1, palette + 1) for _ in edges]
+        else:
+            adj, offset = g.adjacency_bits, 0
+            colors = [rng.randrange(palette) for _ in range(g.n)]
+        n = len(adj)
+        ref, walk = autosearch.SearchStats(), autosearch.SearchStats()
+        want = reference_search(adj, n, colors, offset, ref)
+        got = autosearch._search(adj, n, colors, offset, walk)
+        assert (got and got.image) == (want and want.image), trial
+        if n:
+            assert walk.nodes == ref.nodes - 1, trial
+            assert walk.refinements == ref.refinements - base_path_rounds(adj, n, colors), trial
+        found[edge_kind][got is not None] += 1
+    # both kinds, each with and without a certificate
+    assert min(found[0] + found[1]) >= 25

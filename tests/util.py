@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from lexidis import Graph, Perm, complete, cycle, path, spider, star
+from lexidis import Graph, Perm, autosearch, complete, cycle, path, spider, star
 from lexidis.formats import GRAPH6_HEADER, FormatError, _g6_encode_n
 
 # connected graphs on at most 4 vertices, up to isomorphism
@@ -228,6 +228,67 @@ def dense_signatures(adj, n: int, c, fresh) -> list[int]:
             s = s * base + (adj[v] & m).bit_count()
         out.append(s)
     return out
+
+
+# -- reference search ------------------------------------------------------
+# The depth-first certificate search the engine ran before every search
+# became a walk down the base path.  Its first branch at each level is the
+# identity, whose refinement trace it replays and whose leaf it rejects.
+
+
+def reference_search(adj, n: int, colors, offset: int, stats):
+    """First color-preserving automorphism, in search order, that moves a
+    position at or after ``offset``, or None."""
+    if n == 0:
+        return None
+    order = sorted(set(colors))
+    dense = {val: i for i, val in enumerate(order)}
+    k = len(order)
+    rc, rk, _ = autosearch._refine_trace(adj, n, [dense[val] for val in colors], k,
+                                         list(range(k)), stats)
+    tail = tuple(range(offset, n))
+
+    def node(c1, c2, ncolors):
+        stats.nodes += 1
+        if ncolors == n:
+            pos2 = [0] * n
+            for v in range(n):
+                pos2[c2[v]] = v
+            st = tuple(pos2[c1[v]] for v in range(n))
+            if st[offset:] == tail or not autosearch._verify(adj, n, colors, st):
+                return None
+            return Perm(st)
+        cell, rc1, rk1, trace = autosearch._split(adj, n, c1, ncolors, stats)
+        for w in range(n):
+            if c2[w] != c1[cell[0]]:
+                continue
+            nc2 = list(c2)
+            nc2[w] = ncolors
+            rc2 = autosearch._replay_trace(adj, n, nc2, trace, stats)
+            if rc2 is not None:
+                got = node(rc1, rc2, rk1)
+                if got is not None:
+                    return got
+        return None
+
+    return node(rc, list(rc), rk)
+
+
+def base_path_rounds(adj, n: int, colors) -> int:
+    """Refinement rounds of the individualizations down the first search
+    path: the rounds that the identity branch of ``reference_search``
+    replays."""
+    stats = autosearch.SearchStats()
+    order = sorted(set(colors))
+    dense = {val: i for i, val in enumerate(order)}
+    k = len(order)
+    c, k, _ = autosearch._refine_trace(adj, n, [dense[val] for val in colors], k,
+                                       list(range(k)), stats)
+    rounds = 0
+    while k < n:
+        _cell, c, k, trace = autosearch._split(adj, n, c, k, stats)
+        rounds += len(trace)
+    return rounds
 
 
 # -- reference text formats ------------------------------------------------
