@@ -28,19 +28,19 @@ def aut_gens(g):
 # The classic failure: K2[K2] = K4.  The wreath action has order 2 * 2^2 = 8,
 # but Aut(K4) is the full symmetric group of order 24.
 k2 = complete(2)
-w = closure(wreath_generators(aut_gens(k2), aut_gens(k2), 2, 2))
+w = closure(wreath_generators(aut_gens(k2), aut_gens(k2)))
 print(f"K2[K2]: wreath order {len(w)}, full group {automorphism_group(complete(4))[2]},",
       f"criterion says equal: {sabidussi_equal(k2, k2)}")
 
 # Adding the copy-swap generators (one per closed-twin pair of the base and
 # per component of the second factor's complement) recovers everything.
 extra = twin_swap_generators(k2, k2)
-both = closure(GeneratorSet(4, wreath_generators(aut_gens(k2), aut_gens(k2), 2, 2).gens + extra.gens))
+both = closure(GeneratorSet(4, wreath_generators(aut_gens(k2), aut_gens(k2)).gens + extra.gens))
 print(f"with {len(extra.gens)} copy-swap generators: order {len(both)}")
 
 # A case where the wreath action is everything: P3[P3].
 p3 = path(3)
-w = closure(wreath_generators(aut_gens(p3), aut_gens(p3), 3, 3))
+w = closure(wreath_generators(aut_gens(p3), aut_gens(p3)))
 print(f"P3[P3]: wreath {len(w)} == full {automorphism_group(lex_product(p3, p3))[2]},",
       f"criterion: {sabidussi_equal(p3, p3)}")
 

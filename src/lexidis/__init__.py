@@ -8,7 +8,6 @@ labelings.
 
 from .graph import (
     Graph,
-    VertexPartition,
     closed_twin_partition,
     complement,
     components,
@@ -20,7 +19,7 @@ from .graph import (
     spider,
     star,
 )
-from .lexprod import ProductIndexer, ProductSizeError, lex_power, lex_product, product_degree
+from .lexprod import ProductSizeError, lex_power, lex_product, product_degree
 from .permgroup import (
     CapExceededError,
     GeneratorSet,
@@ -28,8 +27,6 @@ from .permgroup import (
     closure,
     compose,
     generating_subset,
-    identity,
-    inverse,
     sabidussi_equal,
     twin_swap_generators,
     wreath_generators,

@@ -72,12 +72,17 @@ def _read_text(spec: str) -> str:
     if spec == "-":
         return sys.stdin.read()
     try:
-        with open(spec, "r", encoding="ascii") as fh:
-            return fh.read()
+        with open(spec, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise CliError(f"{spec}: no such file") from None
     except OSError as exc:
         raise CliError(f"{spec}: cannot read: {exc.strerror or exc}") from None
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CliError(f"{spec}: line {line}: byte {data[exc.start]:#04x} is not ASCII") from None
 
 
 def _read_graph(spec: str) -> Graph:
@@ -379,12 +384,12 @@ def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
                 row("power-edge-two-labels", skipped="edgeless factor has no edge index")
             elif k >= 2:
                 row("power-edge-two-labels", upper=2, note="all powers take two edge labels")
-    if not rows:
-        row("none", skipped="provide a second graph and/or --power")
     return rows
 
 
 def _cmd_bounds(args) -> int:
+    if len(args.graphs) > 2:
+        raise CliError(f"bounds takes one or two input graphs, got {len(args.graphs)}")
     g = _read_graph(args.graphs[0])
     h = _read_graph(args.graphs[1]) if len(args.graphs) > 1 else None
     if h is None and args.power is None:

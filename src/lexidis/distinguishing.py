@@ -95,7 +95,7 @@ class _Walk:
     moved position decides the prune; earlier pairs clear the alive flag.
     """
 
-    __slots__ = ("bits", "offset", "m", "checks", "dies", "alive", "buf", "jump")
+    __slots__ = ("bits", "offset", "m", "checks", "dies", "alive", "buf")
 
     def __init__(self, bits: Sequence[int], offset: int) -> None:
         m = len(bits) - offset
@@ -106,7 +106,6 @@ class _Walk:
         self.dies: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         self.alive: list[bool] = []
         self.buf = [0] * m
-        self.jump = m  # where to resume after a leaf certificate; m when none is pending
 
     def add(self, p: tuple[int, ...]) -> int:
         """Track permutation p; returns its last moved position."""
@@ -127,41 +126,57 @@ class _Walk:
         self.dies[last].append((s, low[last]))
         return last
 
-    def rec(self, k: int, top: int, d: int) -> bool:
-        # requires top == d by the end: strings with a smaller maximum were
-        # already covered (and refuted) at their own level
-        m = self.m
-        if d - top > m - k:
-            return False
-        buf, alive = self.buf, self.alive
-        if k == m:
-            off = self.offset
-            got = _search(self.bits, off + m, [0] * off + buf, off, SearchStats())
-            if got is None:
-                return True
-            self.jump = self.add(tuple(x - off for x in got.image[off:]))
-            return False
-        chk = self.checks[k]
-        # a live permutation whose last pair lands here bans its low label;
-        # the set holds for the whole loop, as those flags depend only on
-        # positions < k, and a certificate added with its last pair here
-        # bans just the value it refuted
-        banned = {buf[i] for s, i in self.dies[k] if alive[s]}
-        for val in range(1, min(d, top + 1) + 1):
-            if val in banned:
+    def walk(self, d: int) -> bool:
+        """Whether some labeling with maximum d survives, the first left in
+        ``buf``.  A loop, not a recursion: position k keeps its value buf[k],
+        the top before it, the permutations that value killed and the labels
+        banned there; a refuted leaf pops back to its certificate's last
+        moved position, which tries its next value.
+        """
+        m, buf, alive = self.m, self.buf, self.alive
+        checks, dies, off = self.checks, self.dies, self.offset
+        top = [0] * (m + 1)  # top[k]: the largest label at positions < k
+        # position k's entries are set each time the walk enters k
+        killed: list[list[int]] = [[]] * m
+        banned: list[set[int]] = [set()] * m
+        k, fresh = 0, True
+        while k >= 0:
+            if fresh:
+                # a live permutation whose last pair lands here bans its low
+                # label; the set holds while k advances, as those flags
+                # depend only on positions < k, and a certificate added with
+                # its last pair here bans just the value it refuted
+                banned[k] = {buf[i] for s, i in dies[k] if alive[s]}
+                killed[k] = []
+                buf[k] = 0
+            for s in killed[k]:
+                alive[s] = True
+            val = buf[k] + 1
+            while val in banned[k]:
+                val += 1
+            if val > min(d, top[k] + 1):
+                k, fresh = k - 1, False
                 continue
             buf[k] = val
-            killed = [s for s, i in chk if alive[s] and buf[i] != val]
-            for s in killed:
+            killed[k] = [s for s, i in checks[k] if alive[s] and buf[i] != val]
+            for s in killed[k]:
                 alive[s] = False
-            hit = self.rec(k + 1, max(top, val), d)
-            for s in killed:
-                alive[s] = True
-            if hit:
-                return True
-            if self.jump < k:
-                return False
-            self.jump = m
+            top[k + 1] = max(top[k], val)
+            # the labeling must reach d: strings with a smaller maximum were
+            # already covered (and refuted) at their own level
+            if d - top[k + 1] > m - k - 1:
+                fresh = False
+            elif k + 1 < m:
+                k, fresh = k + 1, True
+            else:
+                got = _search(self.bits, off + m, [0] * off + buf, off, SearchStats())
+                if got is None:
+                    return True
+                last = self.add(tuple(x - off for x in got.image[off:]))
+                for j in range(last + 1, m):
+                    for s in killed[j]:
+                        alive[s] = True
+                k, fresh = last, False
         return False
 
 
@@ -183,7 +198,7 @@ def _least_labeling(
     for p in perms:
         walk.add(p)
     for d in range(1, d_max + 1):
-        if walk.rec(0, 0, d):
+        if walk.walk(d):
             return d, list(walk.buf)
     return None
 

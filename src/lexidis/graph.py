@@ -3,14 +3,16 @@
 Graphs are simple, undirected, and canonically indexed on 0..n-1.  Adjacency
 is stored once, as fixed-width bit rows: bit v of row u is set iff uv is an
 edge.  The rows feed the refinement search (the hot path); edge sets,
-neighbourhoods and degrees are read off them on each call.
+neighbourhoods and degrees are read off them on each call.  The twin
+relations come back as plain tuples of sorted vertex classes, ordered by
+least vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Edge = tuple[int, int]
+Classes = tuple[tuple[int, ...], ...]
 
 
 def _members(row: int) -> list[int]:
@@ -113,51 +115,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class VertexPartition:
-    """Disjoint vertex classes covering 0..n-1, each class sorted."""
-
-    n: int
-    classes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for cls in self.classes:
-            if not cls:
-                raise ValueError("empty partition class")
-            for v in cls:
-                if v in seen:
-                    raise ValueError(f"vertex {v} in two classes")
-                seen.add(v)
-        if seen != set(range(self.n)):
-            raise ValueError("classes do not cover the vertex set")
-
-    @property
-    def is_discrete(self) -> bool:
-        """True when every class is a singleton (the trivial relation)."""
-        return all(len(c) == 1 for c in self.classes)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.classes)
-
-
-def _partition_by(n: int, keys: Iterable[int]) -> VertexPartition:
+def _partition_by(keys: Iterable[int]) -> Classes:
     # vertices are added in ascending order, so each class is sorted and the
     # classes come out ordered by their least vertex
     groups: dict[int, list[int]] = {}
     for v, key in enumerate(keys):
         groups.setdefault(key, []).append(v)
-    return VertexPartition(n, tuple(tuple(vs) for vs in groups.values()))
+    return tuple(tuple(vs) for vs in groups.values())
 
 
-def open_twin_partition(g: Graph) -> VertexPartition:
-    """Partition vertices by equal open neighborhoods N(v)."""
-    return _partition_by(g.n, g.adjacency_bits)
+def open_twin_partition(g: Graph) -> Classes:
+    """Classes of equal open neighborhoods N(v); g.n of them iff no open twins."""
+    return _partition_by(g.adjacency_bits)
 
 
-def closed_twin_partition(g: Graph) -> VertexPartition:
-    """Partition vertices by equal closed neighborhoods N[v]."""
-    return _partition_by(g.n, (row | (1 << v) for v, row in enumerate(g.adjacency_bits)))
+def closed_twin_partition(g: Graph) -> Classes:
+    """Classes of equal closed neighborhoods N[v]; g.n of them iff no closed twins."""
+    return _partition_by((row | (1 << v) for v, row in enumerate(g.adjacency_bits)))
 
 
 def complement(g: Graph) -> Graph:
@@ -190,10 +164,8 @@ def components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff there is a single connected component (true for n <= 1)."""
-    if g.n <= 1:
-        return True
-    return len(components(g)) == 1
+    """True iff there is at most one connected component (true for n <= 1)."""
+    return len(components(g)) <= 1
 
 
 # -- standard families ----------------------------------------------------

@@ -1,11 +1,11 @@
 """Lexicographic product G[H] and its right-nested powers.
 
-Product vertices are indexed by the frozen bijection (g, h) -> g*|V(H)| + h;
-every labeling and certificate in this package refers to that indexing.
+Product vertices are indexed by the frozen bijection (a, x) -> a*|V(H)| + x:
+copy a of H is the block of |V(H)| consecutive indices from a*|V(H)|.  Every
+labeling and certificate in this package refers to that indexing, and each
+module that builds product positions writes the formula inline.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .graph import Graph
 
@@ -15,27 +15,6 @@ MAX_PRODUCT_VERTICES = 200_000
 
 class ProductSizeError(ValueError):
     """Product vertex count exceeds MAX_PRODUCT_VERTICES."""
-
-
-@dataclass(frozen=True)
-class ProductIndexer:
-    """Bijection between pairs (g, h) and vertex indices of G[H]."""
-
-    n_g: int
-    n_h: int
-
-    def encode(self, g: int, h: int) -> int:
-        if not (0 <= g < self.n_g and 0 <= h < self.n_h):
-            raise IndexError(f"pair ({g}, {h}) out of range")
-        return g * self.n_h + h
-
-    def decode(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < self.n_g * self.n_h:
-            raise IndexError(f"index {i} out of range")
-        return divmod(i, self.n_h)
-
-    def __len__(self) -> int:
-        return self.n_g * self.n_h
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:

@@ -1,19 +1,20 @@
 """Permutations, finite group closure, and the automorphism generators of
-lexicographic products: wreath-product maps plus the copy-swap elements of
-twin pairs of the first factor, which appear when the second factor has a
-disconnected complement (closed twins) or is itself disconnected (open
-twins).  Together they generate Aut(G[H]) on every pair of graphs on at
-most 4 vertices whose product group has at most 200 000 elements, the
-range the tests check against the search.
+lexicographic products G[H]: the wreath-product maps, plus the copy swaps
+of twin pairs of G.  ``_twin_sides`` pairs each twin kind of G with its
+side of H (closed twins with the complement of H, open twins with H); a
+disconnected side gives copy swaps, and Sabidussi's criterion (the group is
+the wreath action) holds iff no such kind has a twin pair.  Together they
+generate Aut(G[H]) on every pair of graphs on at most 4 vertices whose
+product group has at most 200 000 elements, the range the tests check.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
-from .graph import Graph, closed_twin_partition, complement, components, is_connected, open_twin_partition
-from .lexprod import ProductIndexer
+from .graph import Classes, Graph, closed_twin_partition, complement, components, open_twin_partition
 
 # the default bound on every element listing, `aut --elements` included
 DEFAULT_LISTING_CAP = 1_000_000
@@ -108,20 +109,12 @@ class Perm:
         raise AttributeError("Perm is immutable")
 
 
-def identity(n: int) -> Perm:
-    return Perm.identity(n)
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply q first, then p: compose(p, q)(v) = p(q(v))."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
     pi = p.image
     return Perm(tuple(pi[w] for w in q.image))
-
-
-def inverse(p: Perm) -> Perm:
-    return p.inverse()
 
 
 @dataclass(frozen=True)
@@ -196,63 +189,53 @@ def wreath_perm(alpha: Perm, betas: Sequence[Perm]) -> Perm:
     return Perm(image)
 
 
-def wreath_generators(aut_g: GeneratorSet, aut_h: GeneratorSet, n_g: int, n_h: int) -> GeneratorSet:
+def wreath_generators(aut_g: GeneratorSet, aut_h: GeneratorSet) -> GeneratorSet:
     """Generators of the wreath action of Aut(G) over Aut(H) on G[H]'s vertices.
 
     Two kinds: (i) each alpha acting on the copy coordinate, and (ii) each
-    beta acting inside one copy, identity elsewhere.
+    beta acting inside one copy, identity elsewhere.  The factor sizes are
+    the degrees of the two generator sets.
     """
-    if aut_g.degree != n_g or aut_h.degree != n_h:
-        raise ValueError("generator degrees do not match the factor sizes")
-    id_h = Perm.identity(n_h)
-    gens: list[Perm] = []
-    for alpha in aut_g.gens:
-        gens.append(wreath_perm(alpha, [id_h] * n_g))
-    id_g = Perm.identity(n_g)
-    for beta in aut_h.gens:
-        for g in range(n_g):
-            betas = [id_h] * n_g
-            betas[g] = beta
-            gens.append(wreath_perm(id_g, betas))
+    n_g, n_h = aut_g.degree, aut_h.degree
+    id_g, id_h = Perm.identity(n_g), Perm.identity(n_h)
+    gens = [wreath_perm(alpha, [id_h] * n_g) for alpha in aut_g.gens]
+    gens += [wreath_perm(id_g, [beta if b == a else id_h for b in range(n_g)])
+             for beta in aut_h.gens for a in range(n_g)]
     return GeneratorSet(n_g * n_h, tuple(gens))
+
+
+def _twin_sides(g: Graph, h: Graph) -> Iterator[tuple[Classes, list[list[int]]]]:
+    """For each twin kind of G whose side of H is disconnected, G's twin
+    classes of that kind and the components of that side: closed twins
+    (N[g1] = N[g2]) with the complement of H, then open twins
+    (N(g1) = N(g2)) with H itself.
+    """
+    for twins, side in ((closed_twin_partition, complement(h)), (open_twin_partition, h)):
+        comps = components(side)
+        if len(comps) > 1:
+            yield twins(g), comps
 
 
 def twin_swap_generators(g: Graph, h: Graph) -> GeneratorSet:
     """The product automorphisms from twin pairs of G that the wreath action
     misses.
 
-    For each pair g1, g2 of closed twins (N[g1] = N[g2]) and each connected
-    component C of the complement of H, and for each pair of open twins
-    (N(g1) = N(g2)) and each component C of H itself: the permutation that
-    fixes every (v, h) with h in C and swaps (g1, h) with (g2, h) for h
-    outside C.  The open-twin swaps are the closed-twin swaps of the
-    complements, since the complement of G[H] is the complement of G
-    lexicographically times the complement of H.  A kind is left out when
-    its side of H is connected (those maps are the identity).
+    For each kind of ``_twin_sides``, each twin pair g1 < g2 of that kind
+    and each component C of its side of H: the permutation that swaps
+    (g1, x) with (g2, x) for every x outside C.  The open-twin swaps are the
+    closed-twin swaps of the complements, since the complement of G[H] is
+    the complement of G lexicographically times the complement of H.
     """
-    n = g.n * h.n
+    n_h, n = h.n, g.n * h.n
     gens: list[Perm] = []
-    idx = ProductIndexer(g.n, h.n)
-    for twins, comps in ((closed_twin_partition(g), components(complement(h))),
-                         (open_twin_partition(g), components(h))):
-        if len(comps) < 2:
-            continue
-        pairs: list[tuple[int, int]] = []
+    for twins, comps in _twin_sides(g, h):
         for cls in twins:
-            for i in range(len(cls)):
-                for j in range(i + 1, len(cls)):
-                    pairs.append((cls[i], cls[j]))
-        for g1, g2 in pairs:
-            for comp in comps:
-                fixed = set(comp)
-                image = list(range(n))
-                for hv in range(h.n):
-                    if hv in fixed:
-                        continue
-                    a = idx.encode(g1, hv)
-                    b = idx.encode(g2, hv)
-                    image[a], image[b] = image[b], image[a]
-                gens.append(Perm(image))
+            for g1, g2 in combinations(cls, 2):
+                for comp in comps:
+                    image = list(range(n))
+                    for x in set(range(n_h)).difference(comp):
+                        image[g1 * n_h + x], image[g2 * n_h + x] = g2 * n_h + x, g1 * n_h + x
+                    gens.append(Perm(image))
     return GeneratorSet(n, tuple(gens))
 
 
@@ -260,10 +243,7 @@ def sabidussi_equal(g: Graph, h: Graph) -> bool:
     """Whether the product's automorphism group is exactly the wreath action.
 
     Holds iff H is connected whenever G has a pair of open twins, and the
-    complement of H is connected whenever G has a pair of closed twins.
+    complement of H is connected whenever G has a pair of closed twins:
+    that is, iff ``twin_swap_generators`` has no swap to add.
     """
-    if not open_twin_partition(g).is_discrete and not is_connected(h):
-        return False
-    if not closed_twin_partition(g).is_discrete and not is_connected(complement(h)):
-        return False
-    return True
+    return all(len(twins) == g.n for twins, _ in _twin_sides(g, h))

@@ -89,9 +89,8 @@ def sabidussi_sweep():
     for gn, g, hn, h in sweep_pairs():
         _, gens_g, order_g = automorphism_group(g)
         _, gens_h, order_h = automorphism_group(h)
-        wgens = wreath_generators(
-            GeneratorSet(g.n, tuple(gens_g)), GeneratorSet(h.n, tuple(gens_h)), g.n, h.n
-        )
+        wgens = wreath_generators(GeneratorSet(g.n, tuple(gens_g)),
+                                  GeneratorSet(h.n, tuple(gens_h)))
         wreath_order = order_g * order_h**g.n
         if wreath_order <= WREATH_PRECAP:
             assert len(closure(wgens)) == wreath_order, (gn, hn)

@@ -475,6 +475,36 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys):
     assert err.startswith(f"error: {tmp_path}: cannot read")
 
 
+def test_non_ascii_inputs_exit_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.el"
+    bad.write_bytes("p 2 1\ne 0 1 # café\n".encode())
+    expected = f"error: {bad}: line 2: byte 0xc3 is not ASCII\n"
+    code, out, err = run(capsys, "dnum", str(bad))
+    assert (code, out, err) == (2, "", expected)
+    g = tmp_path / "p3.el"
+    g.write_text(write_edge_list(path(3)))
+    code, out, err = run(capsys, "verify", str(g), str(bad))
+    assert (code, out, err) == (2, "", expected)
+
+
+def test_bounds_refuses_a_third_graph(tmp_path, capsys):
+    g = tmp_path / "p3.el"
+    g.write_text(write_edge_list(path(3)))
+    # the third input is refused before any file is read, even a missing one
+    for third in (g, tmp_path / "missing.el"):
+        code, out, err = run(capsys, "bounds", str(g), str(g), str(third))
+        assert (code, out, err) == (2, "", "error: bounds takes one or two input graphs, got 3\n")
+
+
+def test_dnum_answers_on_a_long_path(tmp_path, capsys):
+    # one labeled position per vertex: the walker must not recurse per position
+    g = tmp_path / "p1100.el"
+    g.write_text(write_edge_list(path(1100)))
+    code, out, err = run(capsys, "dnum", str(g))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["D = 2", "v 0 1", "v 1 1"]
+
+
 @pytest.mark.parametrize("verb", [
     ["gen", "--family", "path", "--n", "3"],
     ["product", "@", "@"],

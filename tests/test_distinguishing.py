@@ -12,6 +12,7 @@ from lexidis import (
     distinguishing_number,
     is_distinguishing,
     is_distinguishing_edges,
+    lex_power,
     lex_product,
     path,
     spider,
@@ -164,6 +165,14 @@ def test_long_asymmetric_tree_finishes():
     n = 900
     g = Graph(n + 1, [(i, i + 1) for i in range(n - 1)] + [(2, n)])
     assert distinguishing_number(g) == (1, [1] * (n + 1))
+
+
+def test_walker_runs_past_the_recursion_limit():
+    # 2 160 labeled edge positions, more than Python's default frame limit
+    g = lex_power(path(3), 4)
+    assert (g.n, g.m) == (81, 2160)
+    d, w = distinguishing_index(g)
+    assert d == 2 and is_distinguishing_edges(g, w)
 
 
 @pytest.mark.parametrize("name, leaves", [("K3[C4]", 27), ("spider6", 16)])

@@ -67,23 +67,21 @@ def test_closed_neighborhood_size():
 def test_open_twin_partition():
     # both leaves of the 2-star see only the center
     p = open_twin_partition(star(2))
-    assert set(p.classes) == {(0,), (1, 2)}
-    assert not p.is_discrete
+    assert p == ((0,), (1, 2))
     # derived by checking all open-neighborhood pairs directly
     q = open_twin_partition(path(4))
     nbhds = [path(4).neighbors(v) for v in range(4)]
     assert len({frozenset(s) for s in nbhds}) == 4
-    assert q.is_discrete
-    assert open_twin_partition(complete(3)).is_discrete
+    assert q == ((0,), (1,), (2,), (3,))
+    assert open_twin_partition(complete(3)) == ((0,), (1,), (2,))
 
 
 def test_closed_twin_partition():
-    p = closed_twin_partition(complete(2))
-    assert p.classes == ((0, 1),)
+    assert closed_twin_partition(complete(2)) == ((0, 1),)
     for n in (2, 3, 5):
-        assert closed_twin_partition(complete(n)).classes == (tuple(range(n)),)
+        assert closed_twin_partition(complete(n)) == (tuple(range(n)),)
     # hand check of the three closed neighborhoods of the 3-path
-    assert closed_twin_partition(path(3)).is_discrete
+    assert closed_twin_partition(path(3)) == ((0,), (1,), (2,))
 
 
 def test_partition_classes_are_consistent():
@@ -99,7 +97,11 @@ def test_partition_classes_are_consistent():
                 for v in cls:
                     assert key(v) == key(cls[0])
                 reps.append(key(cls[0]))
-            assert len({frozenset(r) for r in reps}) == len(part.classes)
+            assert len({frozenset(r) for r in reps}) == len(part)
+            # sorted classes, ordered by least vertex, covering every vertex once
+            assert all(list(cls) == sorted(cls) for cls in part)
+            assert [cls[0] for cls in part] == sorted(cls[0] for cls in part)
+            assert sorted(v for cls in part for v in cls) == list(range(g.n))
 
 
 def test_complement_examples():

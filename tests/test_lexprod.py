@@ -4,7 +4,6 @@ import pytest
 
 from lexidis import (
     Graph,
-    ProductIndexer,
     ProductSizeError,
     complement,
     complete,
@@ -16,21 +15,6 @@ from lexidis import (
 )
 
 from .util import canonical_form, random_graph, sweep_pairs
-
-
-def test_indexer_bijection():
-    idx = ProductIndexer(3, 4)
-    seen = set()
-    for g in range(3):
-        for h in range(4):
-            i = idx.encode(g, h)
-            assert idx.decode(i) == (g, h)
-            seen.add(i)
-    assert seen == set(range(12))
-    with pytest.raises(IndexError):
-        idx.encode(3, 0)
-    with pytest.raises(IndexError):
-        idx.decode(12)
 
 
 def test_k2_k3_is_k6():
