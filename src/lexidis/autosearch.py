@@ -16,15 +16,19 @@ down the first path once, each level taking the least vertex of the
 smallest non-singleton cell, until the coloring is discrete: those
 vertices b1, ..., bk form a base.  Deepest level first, each w of b_i's
 cell outside the orbit of b_i under the automorphisms found so far starts,
-in ascending order, one subtree search with b_i mapped to w (source and
-target refined in lockstep, each leaf re-verified by a naive check), which
-yields an automorphism or proves that none maps b_i to w.  A certificate
-is the first yield: until then every orbit is its base point alone, so the
-leaves come in the order of a depth-first search that tries the identity
-branch first.  Aut(G) drains the walk at offset 0; a finished level's orbit
-is that of the stabilizer of b1..b(i-1), so the generators are strong and
-|Aut(G)| is the product of the orbit lengths, with no element list or
-Schreier-Sims step (McKay & Piperno 2014; Seress 2003).
+in ascending order, one subtree search with b_i mapped to w, which yields
+an automorphism or proves that none maps b_i to w.  The source side of
+every subtree is the stored first path: individualizing and refining is a
+deterministic function of the coloring, so the source coloring at depth j
+is always the first path's, and only the target side is refined, by
+replaying the first path's trace per choice; each leaf is compared with
+the first path's discrete coloring and re-verified by a naive check.  A
+certificate is the first yield: until then every orbit is its base point
+alone, so the leaves come in the order of a depth-first search that tries
+the identity branch first.  Aut(G) drains the walk at offset 0; a finished
+level's orbit is that of the stabilizer of b1..b(i-1), so the generators
+are strong and |Aut(G)| is the product of the orbit lengths, with no
+element list or Schreier-Sims step (McKay & Piperno 2014; Seress 2003).
 
 Each refinement round counts a vertex's neighbours only in the round's
 fresh classes: every class in the first round of a search, the rest of the
@@ -282,9 +286,17 @@ def _split(
 
 class _Search:
     """One walk over a fixed graph and colors for automorphisms that move a
-    position at or after ``offset``; it fills ``base`` and ``orbits``."""
+    position at or after ``offset``; it fills ``base`` and ``orbits``.
 
-    __slots__ = ("adj", "n", "colors", "offset", "tail", "stats", "base", "orbits")
+    ``levels[j]`` holds the first path's coloring above base point j, its
+    color count, the cell b_j was chosen from and the trace of
+    individualizing b_j; ``leaf`` is the discrete coloring at its end.
+    Every subtree search reads its source side from them.
+    """
+
+    __slots__ = (
+        "adj", "n", "colors", "offset", "tail", "stats", "base", "orbits", "levels", "leaf",
+    )
 
     def __init__(
         self, adj: Sequence[int], n: int, colors: Sequence[int], offset: int, stats: SearchStats
@@ -297,25 +309,28 @@ class _Search:
         self.stats = stats
         self.base: list[int] = []
         self.orbits: list[int] = []
+        self.levels: list[tuple[list[int], int, list[int], _Trace]] = []
+        self.leaf: list[int] = []
 
     def generators(self) -> Iterator[Perm]:
         """Yield each automorphism the walk finds, in search order."""
-        adj, n, stats = self.adj, self.n, self.stats
+        adj, n, stats, levels = self.adj, self.n, self.stats, self.levels
         if n == 0:
             return
         # normalize the starting colors to dense values 0..k-1
         dense = {val: i for i, val in enumerate(sorted(set(self.colors)))}
         k = len(dense)
         c, k, _ = _refine_trace(adj, n, [dense[x] for x in self.colors], k, list(range(k)), stats)
-        levels = []
         while k < n:
             stats.nodes += 1
             cell, rc, rk, trace = _split(adj, n, c, k, stats)
-            levels.append((c, k, cell, rc, rk, trace))
+            levels.append((c, k, cell, trace))
             self.base.append(cell[0])
             c, k = rc, rk
+        self.leaf = c
         gens: list[Perm] = []
-        for c, k, cell, rc, rk, trace in reversed(levels):
+        for depth in range(len(levels) - 1, -1, -1):
+            c, k, cell, trace = levels[depth]
             # every generator so far fixes the points above this level
             orbit = {cell[0]}
             for w in cell[1:]:
@@ -326,39 +341,40 @@ class _Search:
                 rc2 = _replay_trace(adj, n, nc, trace, stats)
                 if rc2 is None:
                     continue
-                got = self.node(rc, rc2, rk)
+                got = self.node(depth + 1, rc2)
                 if got is not None:
                     gens.append(got)
                     orbit = _orbit(cell[0], gens)
                     yield got
             self.orbits.append(len(orbit))
 
-    def node(self, c1: list[int], c2: list[int], ncolors: int) -> Optional[Perm]:
+    def node(self, depth: int, c2: list[int]) -> Optional[Perm]:
         """First automorphism moving a position at or after the offset that
-        maps the refined source coloring c1 onto the target c2, or None.
+        maps the first path's coloring at ``depth`` onto the target c2, or
+        None.  The source side below is the first path itself, so only the
+        target is refined: by replaying the stored trace per choice.
         """
         adj, n, stats = self.adj, self.n, self.stats
         stats.nodes += 1
-        if ncolors == n:
+        if depth == len(self.levels):
             pos2 = [0] * n
             for v in range(n):
                 pos2[c2[v]] = v
-            st = tuple(pos2[c1[v]] for v in range(n))
+            st = tuple(pos2[x] for x in self.leaf)
             if st[self.offset:] == self.tail or not _verify(adj, n, self.colors, st):
                 return None
             return Perm(st)
-        # individualize the source vertex once; replay per target choice
-        cell, rc1, rk, trace = _split(adj, n, c1, ncolors, stats)
-        color = c1[cell[0]]
+        c, k, cell, trace = self.levels[depth]
+        color = c[cell[0]]
         for w in range(n):
             if c2[w] != color:
                 continue
             nc2 = list(c2)
-            nc2[w] = ncolors
+            nc2[w] = k
             rc2 = _replay_trace(adj, n, nc2, trace, stats)
             if rc2 is None:
                 continue
-            got = self.node(rc1, rc2, rk)
+            got = self.node(depth + 1, rc2)
             if got is not None:
                 return got
         return None

@@ -38,7 +38,7 @@ from .distinguishing import (
     validate_edge_labeling,
     validate_vertex_labeling,
 )
-from .formats import FormatError, dumps, loads
+from .formats import FormatError, _plain_integers, dumps, loads
 from .graph import Graph, complete, cycle, is_connected, path, spider, star
 from .lexprod import lex_power, lex_product
 from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, sabidussi_equal
@@ -70,14 +70,15 @@ def _default_cap() -> int:
 
 def _read_text(spec: str) -> str:
     if spec == "-":
-        return sys.stdin.read()
-    try:
-        with open(spec, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        raise CliError(f"{spec}: no such file") from None
-    except OSError as exc:
-        raise CliError(f"{spec}: cannot read: {exc.strerror or exc}") from None
+        data = sys.stdin.buffer.read()
+    else:
+        try:
+            with open(spec, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            raise CliError(f"{spec}: no such file") from None
+        except OSError as exc:
+            raise CliError(f"{spec}: cannot read: {exc.strerror or exc}") from None
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -129,6 +130,7 @@ def _labeling_text(labels) -> str:
 def _read_labeling(spec: str):
     """A vertex labeling as a list, or an edge labeling as a dict."""
     text = _read_text(spec)
+    plain = _plain_integers(text)
     vmap: dict[int, int] = {}
     emap: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,6 +139,8 @@ def _read_labeling(spec: str):
             continue
         parts = line.split()
         try:
+            if not (plain or _plain_integers(line)):
+                raise ValueError
             if parts[0] == "v" and len(parts) == 3:
                 table, key, val = vmap, int(parts[1]), int(parts[2])
             elif parts[0] == "e" and len(parts) == 4:

@@ -6,7 +6,8 @@ Edge-list format::
     e <u> <v>
 
 with 0-based indices, u < v, and '#'-prefixed comment lines ignored.
-Parse errors report 1-based line numbers.
+Integer fields are ASCII digits with an optional leading '-'.  Parse
+errors report 1-based line numbers.
 
 graph6 follows the standard encoding bit-exactly, including the '~'
 extended header for 63..258047 vertices; the reader rejects nonzero
@@ -31,7 +32,21 @@ class FormatError(ValueError):
     """Malformed graph input; the message names the offending line."""
 
 
+def _plain_integers(text: str) -> bool:
+    """Whether every field of text that ``int`` reads is ASCII digits with
+    an optional leading '-'.
+
+    ``int`` also takes '_' between digits, a leading '+' and non-ASCII
+    digits.  The ASCII strings it takes that hold neither '_' nor '+' are
+    exactly the plain ones, so a text passes when it is ASCII and holds
+    neither character.  Readers test the whole text once, and one record
+    line only when the text fails, since a comment may hold them.
+    """
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def read_edge_list(text: str) -> Graph:
+    plain = _plain_integers(text)
     n = m = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -47,6 +62,8 @@ def read_edge_list(text: str) -> Graph:
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 'p <n> <m>'")
             try:
+                if not (plain or _plain_integers(line)):
+                    raise ValueError
                 n, m = int(parts[1]), int(parts[2])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer header fields") from None
@@ -58,6 +75,8 @@ def read_edge_list(text: str) -> Graph:
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
             try:
+                if not (plain or _plain_integers(line)):
+                    raise ValueError
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer endpoints") from None

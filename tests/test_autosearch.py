@@ -25,6 +25,7 @@ from lexidis import (
     spider,
     star,
 )
+from lexidis import autosearch
 from lexidis.autosearch import SearchStats, _verify, automorphism_group
 
 from .util import (
@@ -179,11 +180,32 @@ def test_group_search_work_is_pinned():
     stats = SearchStats()
     base, gens, order = automorphism_group(lex_product(complete(4), complete(4)), stats)
     assert order == math.factorial(16)
-    assert (len(base), len(gens), stats.nodes) == (15, 15, 135)
+    assert (len(base), len(gens), stats.nodes, stats.refinements) == (15, 15, 135, 136)
     stats = SearchStats()
     base, gens, order = automorphism_group(lex_product(cycle(5), path(4)), stats)
     assert order == 10 * 2**5
-    assert (base, len(gens), stats.nodes) == ([0, 4, 16, 8, 12], 7, 29)
+    assert (base, len(gens), stats.nodes, stats.refinements) == ([0, 4, 16, 8, 12], 7, 29, 60)
+    # summed over the sweep: one stats object across all 102 searches
+    stats = SearchStats()
+    for _gn, g, _hn, h in sweep_pairs():
+        automorphism_group(lex_product(g, h), stats)
+    assert (stats.nodes, stats.refinements) == (3670, 4787)
+
+
+def test_group_search_splits_only_down_the_base_path(monkeypatch):
+    # every subtree search reads its source side from the stored first path
+    calls = []
+    split = autosearch._split
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(autosearch, "_split", counted)
+    for gn, g, hn, h in sweep_pairs():
+        calls.clear()
+        base, _, _ = automorphism_group(lex_product(g, h))
+        assert len(calls) == len(base), (gn, hn)
 
 
 def test_enumerated_lists_are_pinned():

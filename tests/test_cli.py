@@ -295,12 +295,35 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "line 1" in err
 
 
-def test_stdin_dash(tmp_path, capsys, monkeypatch):
+def _stdin(monkeypatch, data: bytes):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(complete(4)) + "\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+def test_stdin_dash(tmp_path, capsys, monkeypatch):
+    _stdin(monkeypatch, (write_graph6(complete(4)) + "\n").encode())
     code, out, _ = run(capsys, "dnum", "-")
     assert code == 0 and "D = 4" in out
+
+
+def test_stdin_gets_the_ascii_check_files_get(tmp_path, capsys, monkeypatch):
+    # int() would read the Arabic-Indic digit three as 3
+    g = tmp_path / "k2.el"
+    g.write_text(write_edge_list(complete(2)))
+    _stdin(monkeypatch, b"v 0 1\nv 1 \xd9\xa3\n")
+    assert run(capsys, "verify", str(g), "-") == (
+        2, "", "error: -: line 2: byte 0xd9 is not ASCII\n")
+
+
+@pytest.mark.parametrize("bad", ["v 2 0_3", "v 2 +3", "e 0 1_0 1"])
+def test_labeling_fields_are_plain_integers(tmp_path, capsys, bad):
+    g = tmp_path / "k3.el"
+    g.write_text(write_edge_list(complete(3)))
+    lab = tmp_path / "lab.txt"
+    lab.write_text(f"v 0 1\nv 1 2\n{bad}\n")
+    assert run(capsys, "verify", str(g), str(lab)) == (
+        2, "", f"error: {lab}: line 3: expected 'v <i> <label>' or 'e <u> <v> <label>'\n")
 
 
 def test_env_cap_override(tmp_path, capsys, monkeypatch):

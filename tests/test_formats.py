@@ -30,6 +30,8 @@ def test_edge_list_round_trip():
 def test_edge_list_comments_and_blanks():
     text = "# a comment\n\np 3 2\ne 0 1\n# another\ne 1 2\n"
     assert read_edge_list(text) == path(3)
+    # a comment may hold what an integer field may not
+    assert read_edge_list("# P_3, n = +3, caf\u00e9\n" + text) == path(3)
 
 
 @pytest.mark.parametrize(
@@ -43,6 +45,14 @@ def test_edge_list_comments_and_blanks():
         ("p 3 x\n", "line 1"),
         ("q 3 1\n", "line 1"),
         ("p 2 1\np 2 1\n", "line 2"),
+        # integer fields are ASCII digits with an optional leading '-',
+        # not every literal int() takes
+        ("p 1_0 0\n", "line 1: non-integer header fields"),
+        ("p +3 0\n", "line 1: non-integer header fields"),
+        ("p -3 0\n", "line 1: negative header fields"),
+        ("p 3 1\ne 0 \u0662\n", "line 2: non-integer endpoints"),
+        ("p 3 1\ne 0 1_0\n", "line 2: non-integer endpoints"),
+        ("p 3 1\ne -1 2\n", "line 2: need 0 <= u < v < 3"),
     ],
 )
 def test_edge_list_errors_name_lines(text, fragment):

@@ -294,11 +294,24 @@ def test_signatures_match_horner_reference_on_large_searches(monkeypatch):
     assert sum(k > 20 for k in large) >= 10 and max(large) > 200
 
 
-def test_walk_finds_the_reference_searchs_first_certificate():
+def test_walk_finds_the_reference_searchs_first_certificate(monkeypatch):
     """The base-path walk's first generator is the certificate of the
-    depth-first reference search, found with one node call and the base
-    path's replayed rounds fewer: on random colored graphs at offset 0 and
-    on subdivisions of random edge labelings at offset n."""
+    depth-first reference search, found with one node call fewer and
+    without the rounds the reference spends individualizing its source
+    side: the walk splits only down the base path, once per base point,
+    and every subtree search reads its source side from there.  On random
+    colored graphs at offset 0 and on subdivisions of random edge
+    labelings at offset n."""
+    split_rounds = []
+    split = autosearch._split
+
+    def counted(adj, n, c, ncolors, stats):
+        before = stats.refinements
+        got = split(adj, n, c, ncolors, stats)
+        split_rounds.append(stats.refinements - before)
+        return got
+
+    monkeypatch.setattr(autosearch, "_split", counted)
     rng = random.Random(1301)
     found = {0: [0, 0], 1: [0, 0]}
     for trial in range(240):
@@ -318,12 +331,19 @@ def test_walk_finds_the_reference_searchs_first_certificate():
             colors = [rng.randrange(palette) for _ in range(g.n)]
         n = len(adj)
         ref, walk = autosearch.SearchStats(), autosearch.SearchStats()
+        split_rounds.clear()
         want = reference_search(adj, n, colors, offset, ref)
+        ref_split_rounds = sum(split_rounds)
+        split_rounds.clear()
         got = autosearch._search(adj, n, colors, offset, walk)
+        walk_splits = len(split_rounds)
+        first = autosearch._Search(adj, n, colors, offset, autosearch.SearchStats())
+        next(first.generators(), None)
         assert (got and got.image) == (want and want.image), trial
+        assert walk_splits == len(first.base), trial
         if n:
             assert walk.nodes == ref.nodes - 1, trial
-            assert walk.refinements == ref.refinements - base_path_rounds(adj, n, colors), trial
+            assert walk.refinements == ref.refinements - ref_split_rounds, trial
         found[edge_kind][got is not None] += 1
     # both kinds, each with and without a certificate
     assert min(found[0] + found[1]) >= 25
