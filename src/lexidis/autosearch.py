@@ -32,26 +32,31 @@ element list or Schreier-Sims step (McKay & Piperno 2014; Seress 2003).
 
 Each refinement round counts a vertex's neighbours only in the round's
 fresh classes: every class in the first round of a search, the rest of the
-split cell and the new singleton after an individualization, and otherwise
-the new classes whose parent class split in the previous round.  A class
-that did not split is a vertex set of an earlier round, and a count in it
-was a digit of an earlier signature, which maps one-to-one to the current
-color, on the source side and, while every earlier sorted list matched, on
-the target side too.  So within a color the restricted signatures sort as
-the all-classes ones would, and across colors the leading color digit
-decides: the colorings, rank maps, chosen cells, bases and certificates
-are the same, at a cost per round that follows the classes that changed
-(McKay & Piperno 2014) instead of all of them.
+split cell after an individualization, and otherwise the new classes whose
+parent class split in the previous round, each split class but its last
+child.  A class that did not split is a vertex set of an earlier round, and
+a count in it was fixed by an earlier key, which maps one-to-one to the
+current color, on the source side and, while every earlier sorted list
+matched, on the target side too.  A last child's count is its parent's
+count, fixed the same way, minus its siblings' counts, which come just
+before it (Hopcroft 1971 drops one child as a splitter; here it must be
+the last, so that the order of the keys is kept as well).  So within a
+color the restricted keys sort as the all-classes ones would, and across
+colors the leading color decides: the colorings, rank maps, chosen cells,
+bases and certificates are the same, at a cost per round that follows the
+classes that changed (McKay & Piperno 2014) instead of all of them.
 
-A round packs each signature into one integer: the color, then one
-base-(n + 1) digit per fresh class.  Every digit is a neighbour count, so
-it is below the base, and the integer is the color term plus one term per
-class, count times that class's power of the base.  The terms can be
-added in any order.  Rounds with many fresh classes add them class by
-class, each only at the vertices its members' rows reach, where its count
-is nonzero; so such a round costs its nonzero counts, not every (vertex,
-class) pair.  Rounds with a few classes use Horner's rule per vertex.
-Both give the same integers, so the ranks, traces and certificates do not
+A round keys each vertex by its color and then its count in each fresh
+class, in class order, and sorts the keys.  With at most
+``_HORNER_MAX_CLASSES`` fresh classes, as in nearly every round after an
+individualization, the key is one integer with a base-(n + 1) digit per
+class.  With more, as in a first round or a cell split into singletons,
+one integer would run to thousands of bits, so the key is a tuple of the
+color and one small integer per class that the vertex's row reaches, which
+names the class and the count and sorts as the packed integer would; such a
+round costs its nonzero counts, not every (vertex, class) pair.  The
+colorings follow the order of the keys only, and a replayed round builds
+keys of the recorded kind, so the colorings, traces and certificates do not
 depend on the choice.
 
 ``enumerate_automorphisms`` lists a group under its cap as the closure of
@@ -62,7 +67,6 @@ such leaf that the earlier generators do not already produce.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Optional, Sequence
@@ -102,37 +106,44 @@ class SearchStats:
         )
 
 
-_Trace = list[tuple[list[int], dict[int, int], list[int]]]
+# A vertex's refinement key: one integer in rounds with few fresh classes,
+# a tuple of small integers in rounds with many; see ``_signatures``.
+_Key = int | tuple[int, ...]
+_Trace = list[tuple[list[_Key], dict[_Key, int], list[int]]]
 
 
-# Rounds with at most this many fresh classes pack each signature by
-# Horner's rule; see ``_signatures``.
+# Rounds with at most this many fresh classes pack each key into one
+# integer by Horner's rule; see ``_signatures``.
 _HORNER_MAX_CLASSES = 4
 
 
-def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> list[int]:
-    """Pack each vertex's color and its neighbour counts in the fresh
-    classes into one integer: the color digit, then one base-(n + 1) digit
-    per class of ``fresh``, in ascending class index.
+def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> list[_Key]:
+    """Key each vertex by its color and its neighbour counts in the fresh
+    classes, taken in ascending class index, so that keys compare as those
+    digit strings do.
 
-    Every signature of one round has the same digit count, so integer order
-    equals lexicographic order.  Counts against the other classes are left
-    out: the caller guarantees each is the same for all vertices of one
-    color, so they could not split a class or reorder one.
+    Counts against the other classes are left out: the caller guarantees
+    that each is fixed by the color and the counts before it, so it could
+    not split a class or reorder one.
 
-    With k fresh classes the signature of v is
-    ``c[v] * base**k + sum(count_i(v) * base**(k - 1 - i))``, and each
-    count is below the base, so the terms can be added in any order and
-    give the same integer.  Above ``_HORNER_MAX_CLASSES`` classes, each
-    vertex starts at its color term and each class i adds its term only at
-    the vertices its members' rows reach, the only ones where count_i is
-    nonzero: the many-class rounds of labeled products (a first round, a
-    cell split into singletons) have few nonzero counts among their
-    (vertex, class) pairs.  Up to that many classes, Horner's rule runs per
-    vertex with a neighbour in some fresh class, k steps on small integers.
-    Nearly every round of the small graphs that ``aut`` and the oracles
-    search has two fresh classes, and there the per-class bookkeeping costs
-    more than the per-vertex steps it saves.
+    With k fresh classes and base n + 1, a round with at most
+    ``_HORNER_MAX_CLASSES`` classes packs the key into one integer,
+    ``c[v] * base**k + sum(count_i(v) * base**(k - 1 - i))``, by Horner's
+    rule one class at a time over all vertices.  Nearly every round of the
+    small graphs that ``aut`` and the oracles search has one or two fresh
+    classes, and there a few whole-list passes on small integers cost less
+    than finding the vertices each class's rows reach.
+
+    A round with more classes (a first round, a cell split into singletons)
+    would pack thousands of bits per key, yet has few nonzero counts among
+    its (vertex, class) pairs.  Its key is the tuple of the color and one
+    entry ``(k - 1 - i) * base + count_i(v)`` per class i that v's row
+    reaches, in ascending i; each class adds its entries only at the
+    vertices its members' rows reach.  A count is below the base, so an
+    entry names its class and count, and entries fall with i.  At the first
+    class where two vertices' counts differ, the one with the larger count
+    has the larger entry there, while the other has a smaller entry of a
+    later class or none: tuple order is the packed integers' order.
     """
     base = n + 1
     k = len(fresh)
@@ -142,11 +153,11 @@ def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> l
         i = slot.get(col)
         if i is not None:
             masks[i] |= 1 << v
-    w = base ** k
     if k > _HORNER_MAX_CLASSES:
-        out = [col * w for col in c]
+        keys = [[col] for col in c]
+        entry = k * base
         for mask in masks:
-            w //= base
+            entry -= base
             hit = 0
             m = mask
             while m:
@@ -157,22 +168,11 @@ def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> l
                 low = hit & -hit
                 hit ^= low
                 v = low.bit_length() - 1
-                out[v] += (adj[v] & mask).bit_count() * w
-        return out
-    union = 0
+                keys[v].append(entry + (adj[v] & mask).bit_count())
+        return [tuple(key) for key in keys]
+    out = c
     for m in masks:
-        union |= m
-    out = []
-    append = out.append
-    for v in range(n):
-        row = adj[v]
-        if row & union:
-            s = c[v]
-            for m in masks:
-                s = s * base + (row & m).bit_count()
-        else:
-            s = c[v] * w
-        append(s)
+        out = [s * base + (row & m).bit_count() for s, row in zip(out, adj)]
     return out
 
 
@@ -186,42 +186,58 @@ def _refine_trace(
 ) -> tuple[list[int], int, _Trace]:
     """Refine one coloring to its equitable fixpoint, recording each round.
 
-    Every round recolors vertices by sorted-signature rank, counting
-    neighbours only in the round's fresh classes.  The first round's fresh
-    classes are given: every class of an unrefined coloring, or the two
-    halves of a cell just split by individualizing one vertex out of an
-    equitable coloring.  After that they are the new classes whose parent
-    class split.  A class that did not split is, as a vertex set, a class
-    of an earlier round, and each vertex's count in it was a digit of an
-    earlier signature (or is constant by the same rule one round further
-    back); so it is constant on every current color and the restricted
-    signatures rank vertices exactly as the all-classes ones would.
+    Every round recolors vertices by sorted-key rank, counting neighbours
+    only in the round's fresh classes.  The first round's fresh classes are
+    given: every class of an unrefined coloring, or the rest of a cell that
+    individualizing one vertex split out of an equitable coloring.  After
+    that they are the new classes whose parent class split, except the
+    last child of each.  Think of a round's full key as the color, then
+    the count in every class of the round's input, in class order.  Each
+    count left out is fixed by the color and the counts before it:
 
-    The recorded (sorted signatures, rank map, fresh classes) rounds let
-    the target side of a search node replay the identical renumbering, or
-    prune on mismatch.
+    - a class that did not split is, as a vertex set, a class of the round
+      before, and by this rule one round back the count in it is fixed by
+      that round's key, which maps one-to-one to the current color (in the
+      first round after an individualization, the coloring it split was
+      equitable, so every count in its classes is fixed by the color);
+    - a class P that split into children C1 < ... < Ct was a class of the
+      round before as well, so the count in P is fixed by the current
+      color, and the count in Ct is the count in P minus the counts in
+      C1, ..., C(t-1), whose digits come just before Ct's.  After an
+      individualization the new singleton is the last child of its cell.
+
+    So two vertices of one color that agree on every digit before a
+    dropped one agree on the dropped one too: the restricted keys are
+    equal, and ordered, exactly as the full keys are, and the colorings,
+    traces, bases and certificates are those of all-classes refinement.
+    It must be the last child: leaving out another (Hopcroft's largest,
+    say) keeps the partition but can reorder its colors.
+
+    The recorded (sorted keys, rank map, fresh classes) rounds let the
+    target side of a search node replay the identical renumbering, or prune
+    on mismatch.
     """
     trace: _Trace = []
     while True:
         stats.refinements += 1
         sig = _signatures(adj, n, c, fresh)
         srt = sorted(sig)
-        scale = (n + 1) ** len(fresh)
-        rank: dict[int, int] = {}
-        parents: list[int] = []
+        rank: dict[_Key, int] = {}
         prev = None
         for s in srt:
             if s != prev:
-                rank[s] = len(parents)
-                parents.append(s // scale)
+                rank[s] = len(rank)
                 prev = s
         trace.append((srt, rank, fresh))
-        c = [rank[s] for s in sig]
-        k = len(parents)
+        new = [rank[s] for s in sig]
+        k = len(rank)
         if k == ncolors or k == n:
-            return c, k, trace
-        children = Counter(parents)
-        fresh = [r for r, p in enumerate(parents) if children[p] > 1]
+            return new, k, trace
+        parents = [0] * k
+        for r, p in zip(new, c):
+            parents[r] = p
+        fresh = [r for r in range(k - 1) if parents[r] == parents[r + 1]]
+        c = new
         ncolors = k
 
 
@@ -271,7 +287,7 @@ def _split(
 
     Returns that cell in ascending order, the refined coloring, its color
     count, and the trace the target side replays.  The coloring c must be
-    equitable, so only the cell's rest and the new singleton start fresh.
+    equitable, so only the cell's rest starts fresh.
     """
     cells: list[list[int]] = [[] for _ in range(ncolors)]
     for v in range(n):
@@ -279,8 +295,8 @@ def _split(
     cell = min((x for x in cells if len(x) > 1), key=len)
     nc = list(c)
     nc[cell[0]] = ncolors
-    fresh = [c[cell[0]], ncolors]
-    rc, rk, trace = _refine_trace(adj, n, nc, ncolors + 1, fresh, stats)
+    # the new singleton is the split cell's last child
+    rc, rk, trace = _refine_trace(adj, n, nc, ncolors + 1, [c[cell[0]]], stats)
     return cell, rc, rk, trace
 
 

@@ -55,12 +55,23 @@ class CliError(Exception):
     """A usage, input or output error: its message goes to stderr, exit 2."""
 
 
+def _plain_int(text: str) -> int:
+    """An integer option's value, held to the plain digits input files take."""
+    if not _plain_integers(text):
+        raise ValueError(text)
+    return int(text)
+
+
+# argparse names the type in its message: "invalid int value: '1_0'"
+_plain_int.__name__ = "int"
+
+
 def _default_cap() -> int:
     raw = os.environ.get("LEXIDIS_CAP")
     if raw is None:
         return DEFAULT_LISTING_CAP
     try:
-        cap = int(raw)
+        cap = _plain_int(raw)
     except ValueError:
         raise CliError(f"LEXIDIS_CAP={raw!r} is not an integer") from None
     if cap < 1:
@@ -424,35 +435,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a family graph")
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_plain_int, required=True)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", default="auto", choices=("auto", "edgelist", "graph6"))
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("product", help="lexicographic product or power")
     p.add_argument("graphs", nargs="+")
-    p.add_argument("--power", type=int, default=None)
+    p.add_argument("--power", type=_plain_int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", default="auto", choices=("auto", "edgelist", "graph6"))
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("aut", help="automorphism group order and generators")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None, help="bound on the --elements listing")
+    p.add_argument("--cap", type=_plain_int, default=None, help="bound on the --elements listing")
     p.add_argument("--elements", action="store_true")
     p.set_defaults(func=_cmd_aut)
 
     for verb, (text, *_) in ORACLES.items():
         p = sub.add_parser(verb, help=text)
         p.add_argument("graph")
-        p.add_argument("--cap", type=int, default=None)
+        p.add_argument("--cap", type=_plain_int, default=None)
         p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("label", help="emit a constructive product labeling")
     p.add_argument("--method", required=True, choices=LABEL_METHODS)
     p.add_argument("graphs", nargs="+")
-    p.add_argument("--n", type=int, default=None, help="star size / path length")
-    p.add_argument("--power", type=int, default=None)
+    p.add_argument("--n", type=_plain_int, default=None, help="star size / path length")
+    p.add_argument("--power", type=_plain_int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--certify", action="store_true")
     p.set_defaults(func=_cmd_label)
@@ -464,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="print every applicable bound")
     p.add_argument("graphs", nargs="+")
-    p.add_argument("--power", type=int, default=None)
+    p.add_argument("--power", type=_plain_int, default=None)
     p.set_defaults(func=_cmd_bounds)
 
     return ap

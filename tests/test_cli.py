@@ -339,6 +339,31 @@ def test_env_cap_override(tmp_path, capsys, monkeypatch):
     assert code == 2 and "LEXIDIS_CAP" in err
 
 
+@pytest.mark.parametrize("option, value, argv", [
+    ("--n", "1_0", ["gen", "--family", "path"]),
+    ("--n", "\u0663", ["gen", "--family", "path"]),
+    ("--power", "+2", ["product", "@k2.el"]),
+    ("--cap", "\u0663", ["aut", "@k2.el"]),
+])
+def test_integer_options_take_plain_digits_only(tmp_path, capsys, option, value, argv):
+    # int() would read 1_0 as 10, +2 as 2 and the Arabic-Indic digit three as 3
+    g = tmp_path / "k2.el"
+    g.write_text(write_edge_list(complete(2)))
+    argv = [str(g) if a == "@k2.el" else a for a in argv]
+    code, out, err = run(capsys, *argv, option, value)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("cap", ["1_0", "\u0663", "+3"])
+def test_env_cap_takes_plain_digits_only(tmp_path, capsys, monkeypatch, cap):
+    p = tmp_path / "k4.el"
+    p.write_text(write_edge_list(complete(4)))
+    monkeypatch.setenv("LEXIDIS_CAP", cap)
+    assert run(capsys, "aut", "--elements", str(p)) == (
+        2, "", f"error: LEXIDIS_CAP={cap!r} is not an integer\n")
+
+
 def test_dindex_answers_past_the_aut_cap(tmp_path, capsys, monkeypatch):
     # |Aut(K2[K5])| = 10! is past any listing cap, but dindex lists no group
     p = tmp_path / "k2k5.el"
