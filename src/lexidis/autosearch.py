@@ -92,18 +92,14 @@ class ColoredGraph:
 class SearchStats:
     """Counters for one search; ``nodes`` is base-path levels plus subtree node calls."""
 
-    __slots__ = ("nodes", "refinements", "found")
+    __slots__ = ("nodes", "refinements")
 
     def __init__(self) -> None:
         self.nodes = 0
         self.refinements = 0
-        self.found = False
 
     def __repr__(self) -> str:
-        return (
-            f"SearchStats(nodes={self.nodes}, refinements={self.refinements},"
-            f" found={self.found})"
-        )
+        return f"SearchStats(nodes={self.nodes}, refinements={self.refinements})"
 
 
 # A vertex's refinement key: one integer in rounds with few fresh classes,
@@ -413,7 +409,6 @@ def find_preserving(colored: ColoredGraph) -> tuple[Optional[Perm], SearchStats]
     g = colored.graph
     stats = SearchStats()
     got = _search(g.adjacency_bits, g.n, colored.colors, 0, stats)
-    stats.found = got is not None
     return got, stats
 
 

@@ -6,11 +6,13 @@ byte); '-' means stdin/stdout.  A vertex labeling is a list and an edge
 labeling a dict, as the library returns them; the type alone picks the
 records written (``v`` or ``e``), the certifier and the kind ``verify``
 reports.  ``dnum`` and ``dindex`` are one handler over the ``ORACLES``
-table.  Exit codes: 0 success, 1 negative verification, 2 usage or parse
-error, 3 cap exceeded.  ``aut`` always prints the exact order and strong
-generators; its ``--cap``, or the LEXIDIS_CAP environment variable, bounds
-only the ``--elements`` listing.  The oracles list no group, so no cap
-bounds their work; their ``--cap`` bounds the labels tried.
+table, and ``bounds`` prints the rows of one table of the paper's bounds,
+each with its hypotheses and skip reasons (``_bounds_rows``).  Exit codes:
+0 success, 1 negative verification, 2 usage or parse error, 3 cap exceeded.
+``aut`` always prints the exact order and strong generators; its ``--cap``,
+or the LEXIDIS_CAP environment variable, bounds only the ``--elements``
+listing.  The oracles list no group, so no cap bounds their work; their
+``--cap`` bounds the labels tried.
 """
 from __future__ import annotations
 
@@ -332,73 +334,71 @@ def _cmd_verify(args) -> int:
 
 
 def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
-    rows: list[dict] = []
+    """The rows ``bounds`` prints for G, H and k, from one table of the paper's bounds.
 
-    def row(name: str, **kw) -> None:
-        rows.append({"bound": name, **kw})
-
-    if h is not None:
-        conn = is_connected(g) and is_connected(h)
-        sab = sabidussi_equal(g, h)
-        if conn:
-            dg = _exact("dnum", g)[0]
-            dh = _exact("dnum", h)[0]
-            row("product-vertex-range", lower=dh, upper=dg * dh,
-                note="D(H) <= D(G[H]) <= D(G)*D(H)")
-            if sab:
-                mval = cons.min_extra_labels(dg, dh)
-                row("product-vertex-stepwise", upper=dh + mval, extra_tiers=mval,
-                    note="D(G[H]) <= D(H) + M")
+    A row is (when it is printed, [(hypothesis, reason printed when it fails)],
+    value), each called only when needed; caches that live for this call alone
+    compute each fact and oracle value at most once.
+    """
+    D = functools.cache(lambda x: _exact("dnum", x)[0])
+    Dp = functools.cache(lambda x: _exact("dindex", x)[0])
+    connected, wreath = functools.cache(is_connected), functools.cache(sabidussi_equal)
+    M = functools.cache(lambda: cons.min_extra_labels(D(g), D(h)))
+    k2 = complete(2)
+    held = set()
+    edgeless = "edgeless factor has no edge index"
+    product_wreath = (lambda: wreath(g, h), "needs the wreath action")
+    table = {
+        "product-vertex-range": (
+            lambda: h is not None,
+            [(lambda: connected(g) and connected(h), "factors must be connected")],
+            lambda: {"lower": D(h), "upper": D(g) * D(h), "note": "D(H) <= D(G[H]) <= D(G)*D(H)"}),
+        "product-vertex-stepwise": (
+            lambda: "product-vertex-range" in held, [product_wreath],
+            lambda: {"upper": D(h) + M(), "extra_tiers": M(),
+                     "note": "D(G[H]) <= D(H) + M"}),
+        "product-edge-max": (
+            lambda: "product-vertex-range" in held,
+            [(lambda: h != k2, "second factor is a single edge"),
+             (lambda: g.m and h.m, edgeless),
+             # D'(K2) = 1 cannot pin the copy swap, so K2[H] may need a label more
+             (lambda: g != k2, "first factor is a single edge"),
+             product_wreath],
+            lambda: {"upper": max(Dp(g), Dp(h)), "note": "D'(G[H]) <= max{D'(G), D'(H)}"}),
+        "product-edge-two-labels": (
+            lambda: "product-vertex-range" in held,
+            [(lambda: 2 <= g.n <= h.m + 1 and wreath(g, h),
+              "needs 2 <= |V(G)| <= |E(H)|+1 and the wreath action")],
+            lambda: {"upper": 2, "note": "2 <= |V(G)| <= |E(H)|+1"}),
+        "single-edge-bundles": (
+            lambda: h == k2,
+            [(lambda: g.m, edgeless), (lambda: wreath(g, h), "needs no closed twins in G")],
+            lambda: {"upper": cons.bundle_label_budget(Dp(g)),
+                     "note": "bundle-pattern budget for G with a single-edge factor"}),
+        "spider-single-edge-exact": (
+            lambda: h == k2 and g.n >= 7 and g.n % 2 == 1 and g == spider(g.n // 2), [],
+            lambda: {"value": cons.spider_k2_distinguishing_number(g.n // 2),
+                     "note": f"exact for the subdivided star with {g.n // 2} branches"}),
+        "power-vertex-range": (
+            lambda: k is not None,
+            [(lambda: connected(g), "G must be connected"),
+             (lambda: wreath(g, g), "needs the wreath action on the square")],
+            lambda: dict(zip(("lower", "upper"), cons.power_distinguishing_bounds(g, k)),
+                         note="powers of G")),
+        "power-edge-two-labels": (
+            lambda: "power-vertex-range" in held and k >= 2,
+            [(lambda: g.m, edgeless)],
+            lambda: {"upper": 2, "note": "all powers take two edge labels"}),
+    }
+    rows = []
+    for name, (when, hypotheses, value) in table.items():
+        if when():
+            failed = next((reason for test, reason in hypotheses if not test()), None)
+            if failed is None:
+                held.add(name)
+                rows.append({"bound": name, **value()})
             else:
-                row("product-vertex-stepwise", skipped="needs the wreath action")
-            if h.n == 2 and h.m == 1:
-                row("product-edge-max", skipped="second factor is a single edge")
-            elif g.m == 0 or h.m == 0:
-                row("product-edge-max", skipped="edgeless factor has no edge index")
-            elif g.n == 2 and g.m == 1:
-                # D'(K2) = 1 cannot pin the copy swap, so K2[H] may need a label more
-                row("product-edge-max", skipped="first factor is a single edge")
-            elif sab:
-                dpg = _exact("dindex", g)[0]
-                dph = _exact("dindex", h)[0]
-                row("product-edge-max", upper=max(dpg, dph),
-                    note="D'(G[H]) <= max{D'(G), D'(H)}")
-            else:
-                row("product-edge-max", skipped="needs the wreath action")
-            if 2 <= g.n <= h.m + 1 and sab:
-                row("product-edge-two-labels", upper=2, note="2 <= |V(G)| <= |E(H)|+1")
-            else:
-                row("product-edge-two-labels",
-                    skipped="needs 2 <= |V(G)| <= |E(H)|+1 and the wreath action")
-        else:
-            row("product-vertex-range", skipped="factors must be connected")
-        if h.n == 2 and h.m == 1:
-            if g.m == 0:
-                row("single-edge-bundles", skipped="edgeless factor has no edge index")
-            elif sab:
-                dpg = _exact("dindex", g)[0]
-                row("single-edge-bundles", upper=cons.bundle_label_budget(dpg),
-                    note="bundle-pattern budget for G with a single-edge factor")
-            else:
-                row("single-edge-bundles", skipped="needs no closed twins in G")
-        # spider with a single-edge factor has a closed form
-        if h.n == 2 and h.m == 1 and g.n >= 7 and g.n % 2 == 1:
-            nb = (g.n - 1) // 2
-            if nb >= 3 and g == spider(nb):
-                row("spider-single-edge-exact", value=cons.spider_k2_distinguishing_number(nb),
-                    note=f"exact for the subdivided star with {nb} branches")
-    if k is not None:
-        if not is_connected(g):
-            row("power-vertex-range", skipped="G must be connected")
-        elif not sabidussi_equal(g, g):
-            row("power-vertex-range", skipped="needs the wreath action on the square")
-        else:
-            lo, up = cons.power_distinguishing_bounds(g, k)
-            row("power-vertex-range", lower=lo, upper=up, note="powers of G")
-            if k >= 2 and g.m == 0:
-                row("power-edge-two-labels", skipped="edgeless factor has no edge index")
-            elif k >= 2:
-                row("power-edge-two-labels", upper=2, note="all powers take two edge labels")
+                rows.append({"bound": name, "skipped": failed})
     return rows
 
 

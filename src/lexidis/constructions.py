@@ -230,11 +230,15 @@ def inherited_edge_labeling(
 ) -> EdgeLabeling:
     """Every copy of H carries lh; every cross edge inherits its G-edge label.
 
-    Uses max(d_g, d_h) labels.  Requires the wreath action and that neither
-    factor is a single edge: a lone edge cannot pin its copy internally, and
-    a single-edge base is only pinned by vertex-asymmetric labels, which a
-    one-edge labeling can never supply (its swap survives into the product).
+    Uses max(d_g, d_h) labels.  Requires connected factors, the wreath action
+    and that neither factor is a single edge: a lone edge cannot pin its copy
+    internally, and a single-edge base is only pinned by vertex-asymmetric
+    labels, which a one-edge labeling can never supply (its swap survives
+    into the product).  So does a swap of a disconnected factor that moves
+    no edge, such as that of a K2 component's ends: K3[K1 + K2] keeps it.
     """
+    if not is_connected(g) or not is_connected(h):
+        raise ValueError("both factors must be connected")
     if h.n == 2 and h.m == 1:
         raise ValueError("second factor must not be a single edge")
     if g.n == 2 and g.m == 1:

@@ -44,7 +44,7 @@ def test_find_preserving_examples():
     got, stats = find_preserving(ColoredGraph(cycle(4), (1, 1, 1, 1)))
     assert got is not None and not got.is_identity()
     assert is_color_preserving_automorphism(cycle(4), [1, 1, 1, 1], got)
-    assert stats.found and stats.nodes >= 1
+    assert stats.nodes >= 1
 
     # leaves share a color: the leaf transposition is the first certificate
     got, _ = find_preserving(ColoredGraph(path(3), (1, 2, 1)))

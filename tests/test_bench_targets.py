@@ -48,6 +48,9 @@ def test_tracer_sees_every_verbs_library_call(tmp_path, capsys):
             assert cli.main([str(a) for a in argv]) == 0
         mark = len(tracer.spans)
         assert cli.main(["aut", "--elements", str(p4)]) == 0
+        bounds = len(tracer.spans)
+        # the per-call caches of `bounds` call the module globals the tracer wraps
+        assert cli.main(["bounds", str(p3), str(p3), "--power", "2"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -58,5 +61,9 @@ def test_tracer_sees_every_verbs_library_call(tmp_path, capsys):
                     "is_distinguishing_edges", "automorphism_group"}
     # `aut --elements` lists the group through `closure`, whose result is
     # what permgroup.elements counts: the 2 automorphisms of P4
-    assert {rec[1] for rec in tracer.spans[mark:]} >= {"automorphism_group", "closure"}
+    assert {rec[1] for rec in tracer.spans[mark:bounds]} >= {"automorphism_group", "closure"}
     assert tracer.counts["permgroup.elements"] == 2
+    # called by `bounds` itself, not only inside power_distinguishing_bounds
+    assert tracer.spans[bounds][1] == "main"
+    assert {rec[1] for rec in tracer.spans if rec[4] == bounds} >= {
+        "distinguishing_number", "distinguishing_index", "sabidussi_equal"}

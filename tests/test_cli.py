@@ -172,6 +172,30 @@ def test_bounds_human_and_json(tmp_path, capsys):
     assert by_name["product-edge-max"]["upper"] == 2
 
 
+def test_bounds_runs_each_oracle_once_per_factor(tmp_path, capsys, monkeypatch):
+    # G = H = P3: D(P3) and D'(P3) are read by several rows; the D(G) inside
+    # power_distinguishing_bounds is the construction's own and not counted here
+    from lexidis import cli
+
+    calls = []
+
+    def counted(name):
+        oracle = getattr(cli, name)
+
+        def call(g, *args, **kwargs):
+            calls.append((name, g))
+            return oracle(g, *args, **kwargs)
+        return call
+
+    for name in ("distinguishing_number", "distinguishing_index"):
+        monkeypatch.setattr(cli, name, counted(name))
+    g = tmp_path / "p3.el"
+    g.write_text(write_edge_list(path(3)))
+    code, out, _ = run(capsys, "bounds", str(g), str(g), "--power", "2")
+    assert code == 0 and "product-edge-max: upper=2" in out
+    assert sorted(calls) == [("distinguishing_index", path(3)), ("distinguishing_number", path(3))]
+
+
 def test_bounds_two_label_row_needs_two_base_vertices(tmp_path, capsys):
     files = {}
     for name, g in (("K1", complete(1)), ("P3", path(3)), ("K3", complete(3))):

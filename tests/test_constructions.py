@@ -227,6 +227,20 @@ def test_inherited_edge_labeling_preconditions():
         inherited_edge_labeling(complete(2), path(3), {(0, 1): 1}, lg)
 
 
+# K1 + K2: both labelings distinguish and the wreath action holds, yet the
+# swap of the K2 component's ends, which moves no edge of the factor, moves
+# edges of the product and keeps every inherited label
+K1_K2 = Graph(3, [(1, 2)])
+
+
+@pytest.mark.parametrize("g, h", [(K1_K2, K1_K2), (complete(3), K1_K2), (K1_K2, path(4))],
+                         ids=["K1+K2[K1+K2]", "K3[K1+K2]", "K1+K2[P4]"])
+def test_inherited_edge_labeling_needs_connected_factors(g, h):
+    lg, lh = distinguishing_index(g)[1], distinguishing_index(h)[1]
+    with pytest.raises(ValueError, match="^both factors must be connected$"):
+        inherited_edge_labeling(g, h, lg, lh)
+
+
 def test_k2_product_edge_labeling():
     for h in (path(3), complete(3), cycle(5)):
         lab = k2_product_edge_labeling(h)
