@@ -2,8 +2,9 @@
 
 A small exact-combinatorics toolkit: graph families and products, wreath
 and copy-swap automorphism generators, a color-preserving automorphism
-search, brute-force distinguishing oracles, and certified constructive
-labelings.
+search on a ``Graph`` and a coloring, exact distinguishing oracles by
+minimal-d search over labelings refuted by that search, and certified
+constructive labelings.
 """
 
 from .graph import (
@@ -33,7 +34,6 @@ from .permgroup import (
     wreath_perm,
 )
 from .autosearch import (
-    ColoredGraph,
     SearchStats,
     enumerate_automorphisms,
     find_preserving,

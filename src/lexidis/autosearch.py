@@ -8,7 +8,7 @@ Every certificate search asks one question: the first color-preserving
 automorphism, in search order, that moves a position at or after an
 offset.  Vertex colors use offset 0, so any nontrivial automorphism
 counts.  Edge labels use the subdivision with offset n, so an automorphism
-counts when it moves an edge; ``_subdivision_bits`` says why the original
+counts when it moves an edge; ``_subdivision`` says why the original
 vertices take a marker color below every label.
 
 One walk answers both.  It refines the starting colors and individualizes
@@ -67,26 +67,11 @@ such leaf that the earlier generators do not already produce.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Optional, Sequence
 
 from .graph import Graph
 from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, GeneratorSet, Perm, closure
-
-
-@dataclass(frozen=True)
-class ColoredGraph:
-    """A graph plus one positive integer color per vertex."""
-
-    graph: Graph
-    colors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.colors) != self.graph.n:
-            raise ValueError(
-                f"{len(self.colors)} colors for {self.graph.n} vertices"
-            )
 
 
 class SearchStats:
@@ -297,7 +282,7 @@ def _split(
 
 
 class _Search:
-    """One walk over a fixed graph and colors for automorphisms that move a
+    """One walk over a graph g and its colors for automorphisms that move a
     position at or after ``offset``; it fills ``base`` and ``orbits``.
 
     ``levels[j]`` holds the first path's coloring above base point j, its
@@ -310,14 +295,12 @@ class _Search:
         "adj", "n", "colors", "offset", "tail", "stats", "base", "orbits", "levels", "leaf",
     )
 
-    def __init__(
-        self, adj: Sequence[int], n: int, colors: Sequence[int], offset: int, stats: SearchStats
-    ) -> None:
-        self.adj = adj
-        self.n = n
+    def __init__(self, g: Graph, colors: Sequence[int], offset: int, stats: SearchStats) -> None:
+        self.adj = g.adjacency_bits
+        self.n = g.n
         self.colors = colors
         self.offset = offset
-        self.tail = tuple(range(offset, n))
+        self.tail = tuple(range(offset, g.n))
         self.stats = stats
         self.base: list[int] = []
         self.orbits: list[int] = []
@@ -393,23 +376,24 @@ class _Search:
 
 
 def _search(
-    adj: Sequence[int], n: int, colors: Sequence[int], offset: int, stats: SearchStats
+    g: Graph, colors: Sequence[int], offset: int, stats: SearchStats
 ) -> Optional[Perm]:
-    """First color-preserving automorphism, in search order, that moves a
-    position at or after ``offset``, or None: the walk's first generator."""
-    return next(_Search(adj, n, colors, offset, stats).generators(), None)
+    """First color-preserving automorphism of g, in search order, that moves
+    a position at or after ``offset``, or None: the walk's first generator."""
+    return next(_Search(g, colors, offset, stats).generators(), None)
 
 
-def find_preserving(colored: ColoredGraph) -> tuple[Optional[Perm], SearchStats]:
-    """Search for a nontrivial automorphism preserving every vertex color.
+def find_preserving(g: Graph, colors: Sequence[int]) -> tuple[Optional[Perm], SearchStats]:
+    """Search for a nontrivial automorphism of g preserving every vertex color.
 
     The returned permutation, if any, is a certificate that the coloring is
     not distinguishing; absence means the coloring is distinguishing.
+    Raises ValueError unless there is one color per vertex.
     """
-    g = colored.graph
+    if len(colors) != g.n:
+        raise ValueError(f"{len(colors)} colors for {g.n} vertices")
     stats = SearchStats()
-    got = _search(g.adjacency_bits, g.n, colored.colors, 0, stats)
-    return got, stats
+    return _search(g, colors, 0, stats), stats
 
 
 def _orbit(v: int, gens: Sequence[Perm]) -> set[int]:
@@ -434,7 +418,7 @@ def automorphism_group(
     The generators come deepest base level first, each level in ascending
     order of the image of its base point.  ``stats`` collects the work.
     """
-    search = _Search(g.adjacency_bits, g.n, [0] * g.n, 0, SearchStats() if stats is None else stats)
+    search = _Search(g, [0] * g.n, 0, SearchStats() if stats is None else stats)
     gens = list(search.generators())
     return search.base, gens, prod(search.orbits)
 
@@ -469,9 +453,9 @@ def is_color_preserving_automorphism(g: Graph, colors: Sequence[int], p: Perm) -
 # -- edge labelings via the subdivision reduction --------------------------
 
 
-def _subdivision_bits(g: Graph, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Adjacency rows of the subdivision; edge k of ``edges``, the edge set
-    of g in ``g.edge_list()`` order, becomes vertex n + k.
+def _subdivision(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
+    """The subdivision of g; edge k of ``edges``, the edge set of g in
+    ``g.edge_list()`` order, becomes vertex n + k.
 
     Color edge vertex n + k by the label of edge k and give the original
     vertices one marker color apart from every label.  Then no automorphism
@@ -492,7 +476,7 @@ def _subdivision_bits(g: Graph, edges: Sequence[tuple[int, int]]) -> list[int]:
         bits[u] |= 1 << w
         bits[v] |= 1 << w
         bits.append((1 << u) | (1 << v))
-    return bits
+    return Graph._from_rows(tuple(bits))
 
 
 def preserves_edge_labels(g: Graph, labels: dict[tuple[int, int], int], p: Perm) -> bool:
@@ -520,7 +504,7 @@ def find_preserving_edges(g: Graph, labels: dict[tuple[int, int], int]) -> Optio
     n = g.n
     values = [labels[e] for e in edges]
     colors = [min(values, default=0) - 1] * n + values
-    got = _search(_subdivision_bits(g, edges), n + len(edges), colors, n, SearchStats())
+    got = _search(_subdivision(g, edges), colors, n, SearchStats())
     if got is None:
         return None
     vertex_part = Perm(got.image[:n])

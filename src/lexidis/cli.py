@@ -25,13 +25,7 @@ import time
 from typing import Optional
 
 from . import constructions as cons
-from .autosearch import (
-    ColoredGraph,
-    _elements,
-    automorphism_group,
-    find_preserving,
-    find_preserving_edges,
-)
+from .autosearch import _elements, automorphism_group, find_preserving, find_preserving_edges
 from .distinguishing import (
     distinguishing_index,
     distinguishing_number,
@@ -317,7 +311,7 @@ def _cmd_verify(args) -> int:
     if isinstance(labels, list):
         kind = "vertex"
         validate_vertex_labeling(g, labels)
-        cert, _ = find_preserving(ColoredGraph(g, tuple(labels)))
+        cert, _ = find_preserving(g, labels)
     else:
         kind = "edge"
         validate_edge_labeling(g, labels)
@@ -383,7 +377,7 @@ def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
             lambda: k is not None,
             [(lambda: connected(g), "G must be connected"),
              (lambda: wreath(g, g), "needs the wreath action on the square")],
-            lambda: dict(zip(("lower", "upper"), cons.power_distinguishing_bounds(g, k)),
+            lambda: dict(zip(("lower", "upper"), cons.power_distinguishing_bounds(D(g), k)),
                          note="powers of G")),
         "power-edge-two-labels": (
             lambda: "power-vertex-range" in held and k >= 2,

@@ -21,7 +21,6 @@ from .distinguishing import (
     EdgeLabeling,
     VertexLabeling,
     distinguishing_index,
-    distinguishing_number,
     is_distinguishing,
     is_distinguishing_edges,
 )
@@ -177,19 +176,16 @@ def spider_k2_distinguishing_number(n: int) -> int:
     return r
 
 
-def power_distinguishing_bounds(g: Graph, k: int) -> tuple[int, int]:
-    """(lower, upper) bounds on the distinguishing number of the k-th power.
+def power_distinguishing_bounds(d_g: int, k: int) -> tuple[int, int]:
+    """(lower, upper) bounds on the distinguishing number of the k-th power
+    of a graph G with D(G) = d_g.
 
-    (D(G), D(G) + k - 1) when D(G) > 1, else (1, 1).  Requires the square's
-    automorphism group to be the wreath action.
+    (d_g, d_g + k - 1) when d_g > 1, else (1, 1).  They hold when the
+    square's automorphism group is the wreath action, which the caller
+    checks.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not sabidussi_equal(g, g):
-        raise ValueError("square automorphisms exceed the wreath action")
-    got = distinguishing_number(g)
-    assert got is not None
-    d_g = got[0]
+    if d_g < 1 or k < 1:
+        raise ValueError("D(G) and k must be positive")
     if d_g == 1:
         return 1, 1
     return d_g, d_g + k - 1

@@ -8,21 +8,21 @@ alive flag clears while the prefix breaks one of its cycles; a prefix that
 reaches its last moved position with the flag set dies, since the
 permutation then preserves every extension.
 
-Both oracles ask it the same question on a graph given by bit rows whose
-positions at or after an offset carry the labels: D(G) asks it on G's rows
-with offset 0, and D'(G) on the subdivision's rows with offset n, where
-vertex n + k stands for edge k and the original vertices take color 0,
-below every label.  Neither lists Aut(G).  The walk starts from the twin
-transpositions: as vertex permutations for D(G) (Albertson & Collins
-1996), as edge permutations for D'(G) (Kalinowski & Pilsniak 2015),
-leaving out any swap that fixes every edge.  Each leaf that survives them
-goes to one automorphism search, ``_search``, for the first
-color-preserving automorphism that moves a labeled position; it is the
-search ``find_preserving`` and ``find_preserving_edges`` run.  Its action
-on the labeled positions refutes the leaf and is kept for every later d
-(it comes from an automorphism of the bare graph and moves a position, so
-it is nontrivial).  It fixes every position after its last moved one, so
-it preserves every labeling that agrees with the leaf up to there, and the
+Both oracles ask it the same question on a graph whose positions at or
+after an offset carry the labels: D(G) asks it on G with offset 0, and
+D'(G) on the subdivision of G with offset n, where vertex n + k stands for
+edge k and the original vertices take color 0, below every label.  Neither
+lists Aut(G).  The walk starts from the twin transpositions: as vertex
+permutations for D(G) (Albertson & Collins 1996), as edge permutations for
+D'(G) (Kalinowski & Pilsniak 2015), leaving out any swap that fixes every
+edge.  Each leaf that survives them goes to one automorphism search,
+``_search``, for the first color-preserving automorphism that moves a
+labeled position; it is the search ``find_preserving`` and
+``find_preserving_edges`` run.  Its action on the labeled positions
+refutes the leaf and is kept for every later d (it comes from an
+automorphism of the bare graph and moves a position, so it is
+nontrivial).  It fixes every position after its last moved one, so it
+preserves every labeling that agrees with the leaf up to there, and the
 walk backjumps to that position.
 Everything skipped is preserved by a nontrivial automorphism and the walk
 is lexicographic, so the first accepted leaf is the lexicographically
@@ -34,10 +34,9 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .autosearch import (
-    ColoredGraph,
     SearchStats,
     _search,
-    _subdivision_bits,
+    _subdivision,
     find_preserving,
     find_preserving_edges,
 )
@@ -68,7 +67,7 @@ def validate_edge_labeling(g: Graph, labels: EdgeLabeling) -> None:
 def is_distinguishing(g: Graph, labels: Sequence[int]) -> bool:
     """True iff no nontrivial automorphism preserves every vertex label."""
     validate_vertex_labeling(g, labels)
-    got, _ = find_preserving(ColoredGraph(g, tuple(labels)))
+    got, _ = find_preserving(g, labels)
     return got is None
 
 
@@ -95,11 +94,11 @@ class _Walk:
     moved position decides the prune; earlier pairs clear the alive flag.
     """
 
-    __slots__ = ("bits", "offset", "m", "checks", "dies", "alive", "buf")
+    __slots__ = ("g", "offset", "m", "checks", "dies", "alive", "buf")
 
-    def __init__(self, bits: Sequence[int], offset: int) -> None:
-        m = len(bits) - offset
-        self.bits = bits
+    def __init__(self, g: Graph, offset: int) -> None:
+        m = g.n - offset
+        self.g = g
         self.offset = offset
         self.m = m
         self.checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
@@ -169,7 +168,7 @@ class _Walk:
             elif k + 1 < m:
                 k, fresh = k + 1, True
             else:
-                got = _search(self.bits, off + m, [0] * off + buf, off, SearchStats())
+                got = _search(self.g, [0] * off + buf, off, SearchStats())
                 if got is None:
                     return True
                 last = self.add(tuple(x - off for x in got.image[off:]))
@@ -181,20 +180,19 @@ class _Walk:
 
 
 def _least_labeling(
-    bits: Sequence[int], offset: int, d_max: int, perms: Iterable[tuple[int, ...]]
+    g: Graph, offset: int, d_max: int, perms: Iterable[tuple[int, ...]]
 ) -> Optional[tuple[int, list[int]]]:
     """Least d <= d_max and the lex-least restricted-growth labeling with
-    maximum d of the positions at or after ``offset`` of the graph with
-    rows ``bits`` (position offset + i is label i) that is preserved by no
-    permutation of ``perms`` and by no automorphism moving a labeled
-    position, or None.
+    maximum d of the positions at or after ``offset`` of g (position
+    offset + i is label i) that is preserved by no permutation of ``perms``
+    and by no automorphism moving a labeled position, or None.
 
     Each leaf that ``perms`` leaves goes to ``_search``, with color 0 on
     the positions before ``offset``.  The action on the labeled positions
     of the automorphism it finds is kept for every later d, and the walk
     resumes at its last moved position.
     """
-    walk = _Walk(bits, offset)
+    walk = _Walk(g, offset)
     for p in perms:
         walk.add(p)
     for d in range(1, d_max + 1):
@@ -220,7 +218,7 @@ def distinguishing_number(
         raise ValueError("d_max must be positive")
     if n == 0:
         return 1, []
-    return _least_labeling(g.adjacency_bits, 0, d_max, _twin_pairs(g))
+    return _least_labeling(g, 0, d_max, _twin_pairs(g))
 
 
 # -- edge index -------------------------------------------------------------
@@ -258,7 +256,7 @@ def distinguishing_index(
 
     # a twin swap fixes every edge only on a K2 component or two isolated vertices
     seeds = (ep for ep in map(action, _twin_pairs(g)) if ep != ident)
-    got = _least_labeling(_subdivision_bits(g, edges), g.n, d_max, seeds)
+    got = _least_labeling(_subdivision(g, edges), g.n, d_max, seeds)
     if got is None:
         return None
     d, lab = got

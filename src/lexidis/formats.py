@@ -186,10 +186,17 @@ def sniff_format(text: str) -> str:
 
 
 def loads(text: str) -> Graph:
-    """Parse either supported format, sniffing by the first byte."""
+    """Parse either supported format, sniffing by the first byte.
+
+    A graph6 text holds one record; blank lines around it are ignored.
+    """
     if sniff_format(text) == "edgelist":
         return read_edge_list(text)
-    return read_graph6(text.strip().splitlines()[0])
+    records = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+               if line.strip()]
+    if len(records) > 1:
+        raise FormatError(f"line {records[1][0]}: second graph6 record; one graph per input")
+    return read_graph6(records[0][1])
 
 
 def dumps(g: Graph, fmt: str = "edgelist") -> str:

@@ -17,12 +17,14 @@ class ProductSizeError(ValueError):
     """Product vertex count exceeds MAX_PRODUCT_VERTICES."""
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_PRODUCT_VERTICES:
+        raise ProductSizeError(f"product would have {n} vertices (limit {MAX_PRODUCT_VERTICES})")
+
+
 def lex_product(g: Graph, h: Graph) -> Graph:
     """G[H]: (a,x) ~ (b,y) iff ab is an edge of G, or a == b and xy an edge of H."""
-    if g.n * h.n > MAX_PRODUCT_VERTICES:
-        raise ProductSizeError(
-            f"product would have {g.n * h.n} vertices (limit {MAX_PRODUCT_VERTICES})"
-        )
+    _check_size(g.n * h.n)
     # the row of (a, x) is H's row of x shifted into block a, plus the whole
     # block of every neighbour of a in G
     block = (1 << h.n) - 1
@@ -35,9 +37,19 @@ def lex_product(g: Graph, h: Graph) -> Graph:
 
 
 def lex_power(g: Graph, k: int) -> Graph:
-    """G^k = G[G^{k-1}], right-nested; k >= 1."""
+    """G^k = G[G^{k-1}], right-nested; k >= 1.
+
+    An oversized power is refused before any product is built, naming the
+    first power past the limit; G^k is G itself when |V(G)| <= 1.
+    """
     if k < 1:
         raise ValueError("power needs k >= 1")
+    if g.n <= 1:
+        return g
+    size = g.n
+    for _ in range(k - 1):
+        size *= g.n
+        _check_size(size)
     result = g
     for _ in range(k - 1):
         result = lex_product(g, result)

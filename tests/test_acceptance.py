@@ -14,7 +14,6 @@ import time
 import pytest
 
 from lexidis import (
-    ColoredGraph,
     GeneratorSet,
     Graph,
     closure,
@@ -383,7 +382,7 @@ def test_criterion_13_engine_parity():
         n = rng.randrange(1, 8)
         g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
         colors = [rng.randrange(1, 4) for _ in range(n)]
-        got, _ = find_preserving(ColoredGraph(g, tuple(colors)))
+        got, _ = find_preserving(g, colors)
         assert (got is not None) == naive_color_preserver_exists(g, colors)
     rng = random.Random(7331)
     done = 0

@@ -7,7 +7,6 @@ import pytest
 
 from lexidis import (
     CapExceededError,
-    ColoredGraph,
     Graph,
     Perm,
     complete,
@@ -41,22 +40,24 @@ from .util import (
 
 
 def test_find_preserving_examples():
-    got, stats = find_preserving(ColoredGraph(cycle(4), (1, 1, 1, 1)))
+    got, stats = find_preserving(cycle(4), (1, 1, 1, 1))
     assert got is not None and not got.is_identity()
     assert is_color_preserving_automorphism(cycle(4), [1, 1, 1, 1], got)
     assert stats.nodes >= 1
 
     # leaves share a color: the leaf transposition is the first certificate
-    got, _ = find_preserving(ColoredGraph(path(3), (1, 2, 1)))
+    got, _ = find_preserving(path(3), (1, 2, 1))
     assert got == Perm((2, 1, 0))
 
-    got, _ = find_preserving(ColoredGraph(path(3), (1, 2, 3)))
+    got, _ = find_preserving(path(3), (1, 2, 3))
     assert got is None
 
 
 def test_colored_graph_validation():
-    with pytest.raises(ValueError):
-        ColoredGraph(path(3), (1, 2))
+    # one color per vertex, checked before any search
+    for colors in ((1, 2), (1, 2, 1, 1)):
+        with pytest.raises(ValueError, match=f"{len(colors)} colors for 3 vertices"):
+            find_preserving(path(3), colors)
 
 
 def test_enumerate_small_groups():
@@ -92,7 +93,7 @@ def test_parity_with_naive_enumeration():
         n = rng.randrange(1, 7)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
         colors = [rng.randrange(1, 4) for _ in range(n)]
-        got, _ = find_preserving(ColoredGraph(g, tuple(colors)))
+        got, _ = find_preserving(g, colors)
         assert (got is not None) == naive_color_preserver_exists(g, colors)
         if got is not None:
             assert is_color_preserving_automorphism(g, colors, got)
@@ -144,7 +145,7 @@ def test_certificates_survive_naive_recheck():
     for _ in range(40):
         g = random_graph(rng, rng.randrange(2, 8))
         colors = [rng.randrange(1, 3) for _ in range(g.n)]
-        got, _ = find_preserving(ColoredGraph(g, tuple(colors)))
+        got, _ = find_preserving(g, colors)
         if got is not None:
             assert is_color_preserving_automorphism(g, colors, got)
 
@@ -161,6 +162,46 @@ def test_group_order_matches_brute_force():
         assert order == len(brute), g
         # only the identity fixes the base
         assert [p for p in brute if all(p[b] == b for b in base)] == [tuple(range(g.n))]
+
+
+def test_naive_rechecks_reject_non_preservers():
+    p3, flip = path(3), Perm((2, 1, 0))
+    # the flip moves a color; (0 1) breaks an edge of P4
+    assert not _verify(p3.adjacency_bits, 3, (1, 2, 2), flip.image)
+    assert not is_color_preserving_automorphism(p3, (1, 2, 2), flip)
+    assert not _verify(path(4).adjacency_bits, 4, (0,) * 4, (1, 0, 2, 3))
+    assert not is_color_preserving_automorphism(path(4), (0,) * 4, Perm((1, 0, 2, 3)))
+    # a permutation of the wrong degree
+    assert not is_color_preserving_automorphism(p3, (1, 1, 1), Perm((1, 0)))
+    assert not preserves_edge_labels(p3, {(0, 1): 1, (1, 2): 1}, Perm((1, 0)))
+    # the flip swaps the two labels
+    assert not preserves_edge_labels(p3, {(0, 1): 1, (1, 2): 2}, flip)
+    # (0 1) keeps the one labeled edge, so only the adjacency check rejects it
+    assert not preserves_edge_labels(p3, {(0, 1): 1}, Perm((1, 0, 2)))
+    # and each accepts a preserver
+    assert is_color_preserving_automorphism(p3, (1, 2, 1), flip)
+    assert preserves_edge_labels(p3, {(0, 1): 1, (1, 2): 1}, flip)
+
+
+# a cubic graph whose group search meets a subtree replay that diverges
+# below the base level, where the node tries the next target vertex
+CUBIC12 = Graph(12, [(0, 3), (0, 6), (0, 10), (1, 2), (1, 4), (1, 10), (2, 4), (2, 10),
+                     (3, 5), (3, 11), (4, 9), (5, 7), (5, 8), (6, 7), (6, 9), (7, 8),
+                     (8, 11), (9, 11)])
+
+
+def test_group_order_past_a_subtree_replay_divergence():
+    from networkx import Graph as NxGraph
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    nx_graph = NxGraph(CUBIC12.edge_list())
+    referee = sum(1 for _ in GraphMatcher(nx_graph, nx_graph).isomorphisms_iter())
+    stats = SearchStats()
+    base, gens, order = automorphism_group(CUBIC12, stats)
+    assert order == referee == 4
+    assert base == [0, 4, 1]
+    assert [p.cycle_string() for p in gens] == ["(1 2)", "(0 9)(3 11)(4 10)(5 8)"]
+    assert (stats.nodes, stats.refinements) == (7, 45)
 
 
 def test_group_order_matches_sympy_on_sweep_products():

@@ -173,22 +173,23 @@ def test_bounds_human_and_json(tmp_path, capsys):
 
 
 def test_bounds_runs_each_oracle_once_per_factor(tmp_path, capsys, monkeypatch):
-    # G = H = P3: D(P3) and D'(P3) are read by several rows; the D(G) inside
-    # power_distinguishing_bounds is the construction's own and not counted here
-    from lexidis import cli
+    # G = H = P3: D(P3) and D'(P3) are read by several rows and by the power
+    # row; every module that binds an oracle is counted, constructions too
+    from lexidis import cli, constructions, distinguishing
 
     calls = []
 
-    def counted(name):
-        oracle = getattr(cli, name)
-
+    def counted(name, oracle):
         def call(g, *args, **kwargs):
             calls.append((name, g))
             return oracle(g, *args, **kwargs)
         return call
 
     for name in ("distinguishing_number", "distinguishing_index"):
-        monkeypatch.setattr(cli, name, counted(name))
+        oracle = getattr(distinguishing, name)
+        for module in (cli, constructions):
+            if vars(module).get(name) is oracle:
+                monkeypatch.setattr(module, name, counted(name, oracle))
     g = tmp_path / "p3.el"
     g.write_text(write_edge_list(path(3)))
     code, out, _ = run(capsys, "bounds", str(g), str(g), "--power", "2")
@@ -317,6 +318,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text("e 0 1\n")
     code, _, err = run(capsys, "dnum", str(bad))
     assert code == 2 and "line 1" in err
+
+
+def test_graph6_file_with_two_records_exits_2(tmp_path, capsys):
+    # K3 then C5: answering for K3 alone would print D = 3
+    g = tmp_path / "two.g6"
+    g.write_text("Bw\nDQc\n")
+    assert run(capsys, "dnum", str(g)) == (
+        2, "", f"error: {g}: line 2: second graph6 record; one graph per input\n")
 
 
 def _stdin(monkeypatch, data: bytes):

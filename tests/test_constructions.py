@@ -188,12 +188,14 @@ def test_pattern_product_labeling_preconditions():
 
 
 def test_power_distinguishing_bounds():
-    assert power_distinguishing_bounds(path(3), 2) == (2, 3)
-    asym = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 3)])
-    assert power_distinguishing_bounds(asym, 4) == (1, 1)
-    assert power_distinguishing_bounds(path(3), 1) == (2, 2)
-    with pytest.raises(ValueError):
-        power_distinguishing_bounds(complete(2), 2)
+    # D(P3) = 2; an asymmetric G has D(G) = 1
+    assert power_distinguishing_bounds(2, 2) == (2, 3)
+    assert power_distinguishing_bounds(1, 4) == (1, 1)
+    assert power_distinguishing_bounds(2, 1) == (2, 2)
+    assert power_distinguishing_bounds(3, 5) == (3, 7)
+    for d_g, k in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            power_distinguishing_bounds(d_g, k)
 
 
 # -- edge constructions ------------------------------------------------------

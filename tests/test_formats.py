@@ -115,6 +115,18 @@ def test_sniff_and_generic_io():
     assert loads(dumps(g, "graph6")) == g
 
 
+def test_graph6_text_holds_one_record():
+    # a second record is refused, not ignored
+    with pytest.raises(FormatError, match="^line 2: second graph6 record"):
+        loads("Bw\nDQc\n")
+    with pytest.raises(FormatError, match="^line 4: second graph6 record"):
+        loads("\nBw\n\n  DQc")
+    # one record, with the header, blank lines and surrounding spaces
+    assert loads("Bw") == complete(3)
+    assert loads(">>graph6<<Bw\n") == complete(3)
+    assert loads("\n  Bw  \n\n \n") == complete(3)
+
+
 def _io_graphs():
     """Sparse, dense and complete graphs of 0 to 300 vertices, on both sides
     of the 62/63 vertex boundary where graph6 takes the '~' size field."""

@@ -94,3 +94,21 @@ def test_associativity_up_to_relabeling():
 def test_size_guard():
     with pytest.raises(ProductSizeError):
         lex_product(complete(1000), complete(1000))
+
+
+def test_power_guard_builds_nothing(monkeypatch):
+    # K2^18 would have 262 144 vertices; K1 and the empty graph are their own powers
+    from lexidis import lexprod
+
+    calls = []
+
+    def refuse(g, h):
+        calls.append((g, h))
+        raise AssertionError("lex_power built a product")
+
+    monkeypatch.setattr(lexprod, "lex_product", refuse)
+    with pytest.raises(ProductSizeError, match="262144 vertices"):
+        lex_power(complete(2), 18)
+    assert lex_power(complete(1), 10**9) == complete(1)
+    assert lex_power(Graph(0), 10**9) == Graph(0)
+    assert calls == []

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from lexidis import (
-    ColoredGraph,
     Graph,
     block_product_labeling,
     complete,
@@ -159,12 +158,12 @@ def test_certificates_and_work_are_pinned(kind, name, g, labels, monkeypatch):
 
     monkeypatch.setattr(autosearch, "SearchStats", Recording)
     if kind == "v":
-        got, _ = find_preserving(ColoredGraph(g, labels))
+        got, _ = find_preserving(g, labels)
         adj, colors = g.adjacency_bits, labels
     else:
         got = find_preserving_edges(g, labels)
         edges = g.edge_list()
-        adj = autosearch._subdivision_bits(g, edges)
+        adj = autosearch._subdivision(g, edges).adjacency_bits
         values = [labels[e] for e in edges]
         colors = [min(values) - 1] * g.n + values
     (stats,) = made
@@ -302,7 +301,7 @@ def test_signatures_match_horner_reference_on_large_searches(monkeypatch):
     monkeypatch.setattr(autosearch, "_signatures", checked)
     for kind, _name, g, labels in LARGE_CASES:
         if kind == "v":
-            find_preserving(ColoredGraph(g, labels))
+            find_preserving(g, labels)
         else:
             find_preserving_edges(g, labels)
     large = [k for n, k in seen if n >= 200]
@@ -329,7 +328,7 @@ def test_rounds_count_no_split_class_last_child(monkeypatch):
     counted.clear()
     for kind, _name, g, labels in LARGE_CASES:
         if kind == "v":
-            find_preserving(ColoredGraph(g, labels))
+            find_preserving(g, labels)
         else:
             find_preserving_edges(g, labels)
     assert (len(counted), sum(counted)) == (43, 1427)
@@ -365,20 +364,20 @@ def test_walk_finds_the_reference_searchs_first_certificate(monkeypatch):
         edge_kind = trial % 3 == 2 and g.m > 0
         if edge_kind:
             edges = g.edge_list()
-            adj, offset = autosearch._subdivision_bits(g, edges), g.n
+            searched, offset = autosearch._subdivision(g, edges), g.n
             colors = [0] * g.n + [rng.randrange(1, palette + 1) for _ in edges]
         else:
-            adj, offset = g.adjacency_bits, 0
+            searched, offset = g, 0
             colors = [rng.randrange(palette) for _ in range(g.n)]
-        n = len(adj)
+        n = searched.n
         ref, walk = autosearch.SearchStats(), autosearch.SearchStats()
         split_rounds.clear()
-        want = reference_search(adj, n, colors, offset, ref)
+        want = reference_search(searched.adjacency_bits, n, colors, offset, ref)
         ref_split_rounds = sum(split_rounds)
         split_rounds.clear()
-        got = autosearch._search(adj, n, colors, offset, walk)
+        got = autosearch._search(searched, colors, offset, walk)
         walk_splits = len(split_rounds)
-        first = autosearch._Search(adj, n, colors, offset, autosearch.SearchStats())
+        first = autosearch._Search(searched, colors, offset, autosearch.SearchStats())
         next(first.generators(), None)
         assert (got and got.image) == (want and want.image), trial
         assert walk_splits == len(first.base), trial
