@@ -5,11 +5,18 @@ color-preserving automorphism (find one as a certificate), and what is the
 automorphism group of a graph (a base, strong generators and the order).
 
 Every certificate search asks one question: the first color-preserving
-automorphism, in search order, that moves a position at or after an
-offset.  Vertex colors use offset 0, so any nontrivial automorphism
-counts.  Edge labels use the subdivision with offset n, so an automorphism
-counts when it moves an edge; ``_subdivision`` says why the original
-vertices take a marker color below every label.
+automorphism, in search order, that moves a vertex.  Edge labels are
+searched on the graph itself: with the labels numbered densely in sorted
+order, bit l*n + u of row v is set when uv is an edge labeled l, so a
+refinement digit counts neighbours in one (fresh class, label) pair, and
+``_verify`` maps bit l*n + u to l*n + sigma(u).  An automorphism fixing
+every edge fixes each component of three or more vertices pointwise, so it
+can only swap the ends of a K2 component or permute isolated vertices;
+``_edge_search`` gives each isolated vertex a color of its own and the
+lower end of each K2 component a marker.  Then only the identity fixes
+every edge and the colors, and every label-preserving automorphism agrees
+on the edges with a color-preserving one, so the edge search looks for any
+nontrivial one.
 
 One walk answers both.  It refines the starting colors and individualizes
 down the first path once, each level taking the least vertex of the
@@ -25,10 +32,11 @@ replaying the first path's trace per choice; each leaf is compared with
 the first path's discrete coloring and re-verified by a naive check.  A
 certificate is the first yield: until then every orbit is its base point
 alone, so the leaves come in the order of a depth-first search that tries
-the identity branch first.  Aut(G) drains the walk at offset 0; a finished
-level's orbit is that of the stabilizer of b1..b(i-1), so the generators
-are strong and |Aut(G)| is the product of the orbit lengths, with no
-element list or Schreier-Sims step (McKay & Piperno 2014; Seress 2003).
+the identity branch first; a leaf below a branch b_i -> w, w != b_i, is
+never the identity.  Aut(G) drains the walk; a finished level's orbit is
+that of the stabilizer of b1..b(i-1), so the generators are strong and
+|Aut(G)| is the product of the orbit lengths, with no element list or
+Schreier-Sims step (McKay & Piperno 2014; Seress 2003).
 
 Each refinement round counts a vertex's neighbours only in the round's
 fresh classes: every class in the first round of a search, the rest of the
@@ -39,16 +47,17 @@ a count in it was fixed by an earlier key, which maps one-to-one to the
 current color, on the source side and, while every earlier sorted list
 matched, on the target side too.  A last child's count is its parent's
 count, fixed the same way, minus its siblings' counts, which come just
-before it (Hopcroft 1971 drops one child as a splitter; here it must be
-the last, so that the order of the keys is kept as well).  So within a
-color the restricted keys sort as the all-classes ones would, and across
-colors the leading color decides: the colorings, rank maps, chosen cells,
-bases and certificates are the same, at a cost per round that follows the
-classes that changed (McKay & Piperno 2014) instead of all of them.
+before it, label by label (Hopcroft 1971 drops one child as a splitter;
+here it must be the last, so that the order of the keys is kept as well).
+So within a color the restricted keys sort as the all-classes ones would,
+and across colors the leading color decides: the colorings, rank maps,
+chosen cells, bases and certificates are the same, at a cost per round
+that follows the classes that changed (McKay & Piperno 2014) instead of
+all of them.
 
 A round keys each vertex by its color and then its count in each fresh
-class, in class order, and sorts the keys.  With at most
-``_HORNER_MAX_CLASSES`` fresh classes, as in nearly every round after an
+class and band, in that order, and sorts the keys.  With at most
+``_HORNER_MAX_CLASSES`` such digits, as in nearly every round after an
 individualization, the key is one integer with a base-(n + 1) digit per
 class.  With more, as in a first round or a cell split into singletons,
 one integer would run to thousands of bits, so the key is a tuple of the
@@ -98,10 +107,14 @@ _Trace = list[tuple[list[_Key], dict[_Key, int], list[int]]]
 _HORNER_MAX_CLASSES = 4
 
 
-def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> list[_Key]:
+def _signatures(
+    adj: Sequence[int], n: int, c: list[int], fresh: list[int], cols: Sequence[int]
+) -> list[_Key]:
     """Key each vertex by its color and its neighbour counts in the fresh
     classes, taken in ascending class index, so that keys compare as those
-    digit strings do.
+    digit strings do.  ``cols[p]`` holds the vertices whose row has bit p:
+    the rows themselves for one band, and for rows in bands a class gives
+    one digit per band, in band order, which "class" below then reads as.
 
     Counts against the other classes are left out: the caller guarantees
     that each is fixed by the color and the counts before it, so it could
@@ -120,7 +133,7 @@ def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> l
     its (vertex, class) pairs.  Its key is the tuple of the color and one
     entry ``(k - 1 - i) * base + count_i(v)`` per class i that v's row
     reaches, in ascending i; each class adds its entries only at the
-    vertices its members' rows reach.  A count is below the base, so an
+    vertices its members' columns hold.  A count is below the base, so an
     entry names its class and count, and entries fall with i.  At the first
     class where two vertices' counts differ, the one with the larger count
     has the larger entry there, while the other has a smaller entry of a
@@ -134,6 +147,9 @@ def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> l
         i = slot.get(col)
         if i is not None:
             masks[i] |= 1 << v
+    if len(cols) > n:
+        masks = [m << s for m in masks for s in range(0, len(cols), n)]
+        k = len(masks)
     if k > _HORNER_MAX_CLASSES:
         keys = [[col] for col in c]
         entry = k * base
@@ -144,7 +160,7 @@ def _signatures(adj: Sequence[int], n: int, c: list[int], fresh: list[int]) -> l
             while m:
                 low = m & -m
                 m ^= low
-                hit |= adj[low.bit_length() - 1]
+                hit |= cols[low.bit_length() - 1]
             while hit:
                 low = hit & -hit
                 hit ^= low
@@ -164,6 +180,7 @@ def _refine_trace(
     ncolors: int,
     fresh: list[int],
     stats: SearchStats,
+    cols: Sequence[int],
 ) -> tuple[list[int], int, _Trace]:
     """Refine one coloring to its equitable fixpoint, recording each round.
 
@@ -201,7 +218,7 @@ def _refine_trace(
     trace: _Trace = []
     while True:
         stats.refinements += 1
-        sig = _signatures(adj, n, c, fresh)
+        sig = _signatures(adj, n, c, fresh, cols)
         srt = sorted(sig)
         rank: dict[_Key, int] = {}
         prev = None
@@ -223,7 +240,8 @@ def _refine_trace(
 
 
 def _replay_trace(
-    adj: Sequence[int], n: int, c: list[int], trace: _Trace, stats: SearchStats
+    adj: Sequence[int], n: int, c: list[int], trace: _Trace, stats: SearchStats,
+    cols: Sequence[int],
 ) -> Optional[list[int]]:
     """Refine a coloring along a recorded trace; None when signatures diverge,
     which certifies no automorphism maps the traced coloring onto this one.
@@ -236,18 +254,22 @@ def _replay_trace(
     """
     for srt, rank, fresh in trace:
         stats.refinements += 1
-        sig = _signatures(adj, n, c, fresh)
+        sig = _signatures(adj, n, c, fresh, cols)
         if sorted(sig) != srt:
             return None
         c = [rank[s] for s in sig]
     return c
 
 
-def _verify(adj: Sequence[int], n: int, colors: Sequence[int], sigma: Sequence[int]) -> bool:
-    """Naive check: sigma preserves both adjacency and the given colors."""
+def _verify(
+    adj: Sequence[int], n: int, colors: Sequence[int], sigma: Sequence[int], cols: Sequence[int]
+) -> bool:
+    """Naive check: sigma preserves the colors and, band by band, adjacency."""
     for v in range(n):
         if colors[sigma[v]] != colors[v]:
             return False
+    if len(cols) > n:
+        sigma = [s + x for s in range(0, len(cols), n) for x in sigma]
     for v in range(n):
         row = adj[v]
         mapped = 0
@@ -261,7 +283,8 @@ def _verify(adj: Sequence[int], n: int, colors: Sequence[int], sigma: Sequence[i
 
 
 def _split(
-    adj: Sequence[int], n: int, c: list[int], ncolors: int, stats: SearchStats
+    adj: Sequence[int], n: int, c: list[int], ncolors: int, stats: SearchStats,
+    cols: Sequence[int],
 ) -> tuple[list[int], list[int], int, _Trace]:
     """Individualize the least vertex of the smallest non-singleton cell
     (ties to the lower color) and refine.
@@ -277,13 +300,13 @@ def _split(
     nc = list(c)
     nc[cell[0]] = ncolors
     # the new singleton is the split cell's last child
-    rc, rk, trace = _refine_trace(adj, n, nc, ncolors + 1, [c[cell[0]]], stats)
+    rc, rk, trace = _refine_trace(adj, n, nc, ncolors + 1, [c[cell[0]]], stats, cols)
     return cell, rc, rk, trace
 
 
 class _Search:
-    """One walk over a graph g and its colors for automorphisms that move a
-    position at or after ``offset``; it fills ``base`` and ``orbits``.
+    """One walk over a graph's rows ``adj`` (columns ``cols``, by default the
+    rows) and colors for automorphisms; it fills ``base`` and ``orbits``.
 
     ``levels[j]`` holds the first path's coloring above base point j, its
     color count, the cell b_j was chosen from and the trace of
@@ -291,16 +314,16 @@ class _Search:
     Every subtree search reads its source side from them.
     """
 
-    __slots__ = (
-        "adj", "n", "colors", "offset", "tail", "stats", "base", "orbits", "levels", "leaf",
-    )
+    __slots__ = ("adj", "n", "cols", "colors", "stats", "base", "orbits", "levels", "leaf")
 
-    def __init__(self, g: Graph, colors: Sequence[int], offset: int, stats: SearchStats) -> None:
-        self.adj = g.adjacency_bits
-        self.n = g.n
+    def __init__(
+        self, adj: Sequence[int], n: int, colors: Sequence[int], stats: SearchStats,
+        cols: Optional[Sequence[int]] = None,
+    ) -> None:
+        self.adj = adj
+        self.n = n
+        self.cols = adj if cols is None else cols
         self.colors = colors
-        self.offset = offset
-        self.tail = tuple(range(offset, g.n))
         self.stats = stats
         self.base: list[int] = []
         self.orbits: list[int] = []
@@ -309,16 +332,17 @@ class _Search:
 
     def generators(self) -> Iterator[Perm]:
         """Yield each automorphism the walk finds, in search order."""
-        adj, n, stats, levels = self.adj, self.n, self.stats, self.levels
+        adj, n, cols, stats, levels = self.adj, self.n, self.cols, self.stats, self.levels
         if n == 0:
             return
         # normalize the starting colors to dense values 0..k-1
         dense = {val: i for i, val in enumerate(sorted(set(self.colors)))}
         k = len(dense)
-        c, k, _ = _refine_trace(adj, n, [dense[x] for x in self.colors], k, list(range(k)), stats)
+        c, k, _ = _refine_trace(
+            adj, n, [dense[x] for x in self.colors], k, list(range(k)), stats, cols)
         while k < n:
             stats.nodes += 1
-            cell, rc, rk, trace = _split(adj, n, c, k, stats)
+            cell, rc, rk, trace = _split(adj, n, c, k, stats, cols)
             levels.append((c, k, cell, trace))
             self.base.append(cell[0])
             c, k = rc, rk
@@ -333,7 +357,7 @@ class _Search:
                     continue
                 nc = list(c)
                 nc[w] = k
-                rc2 = _replay_trace(adj, n, nc, trace, stats)
+                rc2 = _replay_trace(adj, n, nc, trace, stats, cols)
                 if rc2 is None:
                     continue
                 got = self.node(depth + 1, rc2)
@@ -344,19 +368,19 @@ class _Search:
             self.orbits.append(len(orbit))
 
     def node(self, depth: int, c2: list[int]) -> Optional[Perm]:
-        """First automorphism moving a position at or after the offset that
-        maps the first path's coloring at ``depth`` onto the target c2, or
-        None.  The source side below is the first path itself, so only the
-        target is refined: by replaying the stored trace per choice.
+        """First automorphism that maps the first path's coloring at
+        ``depth`` onto the target c2, or None.  The source side below is the
+        first path itself, so only the target is refined: by replaying the
+        stored trace per choice.
         """
-        adj, n, stats = self.adj, self.n, self.stats
+        adj, n, cols, stats = self.adj, self.n, self.cols, self.stats
         stats.nodes += 1
         if depth == len(self.levels):
             pos2 = [0] * n
             for v in range(n):
                 pos2[c2[v]] = v
             st = tuple(pos2[x] for x in self.leaf)
-            if st[self.offset:] == self.tail or not _verify(adj, n, self.colors, st):
+            if not _verify(adj, n, self.colors, st, cols):
                 return None
             return Perm(st)
         c, k, cell, trace = self.levels[depth]
@@ -366,7 +390,7 @@ class _Search:
                 continue
             nc2 = list(c2)
             nc2[w] = k
-            rc2 = _replay_trace(adj, n, nc2, trace, stats)
+            rc2 = _replay_trace(adj, n, nc2, trace, stats, cols)
             if rc2 is None:
                 continue
             got = self.node(depth + 1, rc2)
@@ -375,12 +399,10 @@ class _Search:
         return None
 
 
-def _search(
-    g: Graph, colors: Sequence[int], offset: int, stats: SearchStats
-) -> Optional[Perm]:
-    """First color-preserving automorphism of g, in search order, that moves
-    a position at or after ``offset``, or None: the walk's first generator."""
-    return next(_Search(g, colors, offset, stats).generators(), None)
+def _search(g: Graph, colors: Sequence[int], stats: SearchStats) -> Optional[Perm]:
+    """First nontrivial color-preserving automorphism of g, in search order,
+    or None: the walk's first generator."""
+    return next(_Search(g.adjacency_bits, g.n, colors, stats).generators(), None)
 
 
 def find_preserving(g: Graph, colors: Sequence[int]) -> tuple[Optional[Perm], SearchStats]:
@@ -393,7 +415,7 @@ def find_preserving(g: Graph, colors: Sequence[int]) -> tuple[Optional[Perm], Se
     if len(colors) != g.n:
         raise ValueError(f"{len(colors)} colors for {g.n} vertices")
     stats = SearchStats()
-    return _search(g, colors, 0, stats), stats
+    return _search(g, colors, stats), stats
 
 
 def _orbit(v: int, gens: Sequence[Perm]) -> set[int]:
@@ -418,7 +440,7 @@ def automorphism_group(
     The generators come deepest base level first, each level in ascending
     order of the image of its base point.  ``stats`` collects the work.
     """
-    search = _Search(g, [0] * g.n, 0, SearchStats() if stats is None else stats)
+    search = _Search(g.adjacency_bits, g.n, [0] * g.n, SearchStats() if stats is None else stats)
     gens = list(search.generators())
     return search.base, gens, prod(search.orbits)
 
@@ -447,36 +469,35 @@ def is_color_preserving_automorphism(g: Graph, colors: Sequence[int], p: Perm) -
     """Independent naive re-check of a certificate."""
     if p.degree != g.n or len(colors) != g.n:
         return False
-    return _verify(g.adjacency_bits, g.n, colors, p.image)
+    return _verify(g.adjacency_bits, g.n, colors, p.image, g.adjacency_bits)
 
 
-# -- edge labelings via the subdivision reduction --------------------------
+# -- edge labelings, one row band per label --------------------------------
 
 
-def _subdivision(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
-    """The subdivision of g; edge k of ``edges``, the edge set of g in
-    ``g.edge_list()`` order, becomes vertex n + k.
-
-    Color edge vertex n + k by the label of edge k and give the original
-    vertices one marker color apart from every label.  Then no automorphism
-    mixes the two kinds, a color-preserving automorphism restricts exactly
-    to a label-preserving automorphism of g, and its image of n + k is
-    n + (the image of edge k); it moves an edge exactly when it moves a
-    position at or after n.  A marker equal to a label could let a rotation
-    of a subdivided cycle map a vertex onto an edge vertex.  The marker sits
-    below every label, so after ``_search`` renumbers the colors densely
-    ``find_preserving_edges`` searches with the colors the D' walker uses
-    (marker 0, labels from 1) and finds the same certificates.
-    """
-    bits = list(g.adjacency_bits)
-    for u, v in edges:
-        w = len(bits)
-        bits[u] &= ~(1 << v)
-        bits[v] &= ~(1 << u)
-        bits[u] |= 1 << w
-        bits[v] |= 1 << w
-        bits.append((1 << u) | (1 << v))
-    return Graph._from_rows(tuple(bits))
+def _edge_search(
+    g: Graph, edges: Sequence[tuple[int, int]], values: Sequence[int], stats: SearchStats
+) -> Optional[Perm]:
+    """First automorphism of g, in search order, that preserves label
+    values[k] of edge k of ``edges`` (``g.edge_list()``) and moves an edge,
+    or None; the module docstring gives the bands and the colors."""
+    n = g.n
+    shift = {val: i * n for i, val in enumerate(sorted(set(values)))}
+    rows = [0] * n
+    for (u, v), val in zip(edges, values):
+        rows[u] |= 1 << (shift[val] + v)
+        rows[v] |= 1 << (shift[val] + u)
+    # bit l*n + u of row v is bit l*n + v of row u: the columns are the rows' bands
+    full = (1 << n) - 1
+    cols = [row >> s & full for s in shift.values() for row in rows] or rows
+    adj = g.adjacency_bits
+    colors = [0] * n
+    for v, row in enumerate(adj):
+        if not row:
+            colors[v] = v + 2
+        elif row >> v and row == row & -row and adj[row.bit_length() - 1] == 1 << v:
+            colors[v] = 1
+    return next(_Search(rows, n, colors, stats, cols).generators(), None)
 
 
 def preserves_edge_labels(g: Graph, labels: dict[tuple[int, int], int], p: Perm) -> bool:
@@ -495,19 +516,13 @@ def find_preserving_edges(g: Graph, labels: dict[tuple[int, int], int]) -> Optio
     """Search for an automorphism preserving every edge label that moves an edge.
 
     An automorphism whose action on the edge set is the identity counts as
-    trivial here: such maps exist only on single-edge components and can
-    never be broken by edge labels.
+    trivial here: such maps only swap the ends of single-edge components or
+    permute isolated vertices, and can never be broken by edge labels.
     """
     edges = g.edge_list()
     if set(labels) != set(edges):
         raise ValueError("labeling domain must equal the edge set exactly")
-    n = g.n
-    values = [labels[e] for e in edges]
-    colors = [min(values, default=0) - 1] * n + values
-    got = _search(_subdivision(g, edges), colors, n, SearchStats())
-    if got is None:
-        return None
-    vertex_part = Perm(got.image[:n])
-    if not preserves_edge_labels(g, labels, vertex_part):
+    got = _edge_search(g, edges, [labels[e] for e in edges], SearchStats())
+    if got is not None and not preserves_edge_labels(g, labels, got):
         raise AssertionError("internal error: certificate failed re-verification")
-    return vertex_part
+    return got

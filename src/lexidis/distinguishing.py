@@ -8,22 +8,19 @@ alive flag clears while the prefix breaks one of its cycles; a prefix that
 reaches its last moved position with the flag set dies, since the
 permutation then preserves every extension.
 
-Both oracles ask it the same question on a graph whose positions at or
-after an offset carry the labels: D(G) asks it on G with offset 0, and
-D'(G) on the subdivision of G with offset n, where vertex n + k stands for
-edge k and the original vertices take color 0, below every label.  Neither
-lists Aut(G).  The walk starts from the twin transpositions: as vertex
-permutations for D(G) (Albertson & Collins 1996), as edge permutations for
-D'(G) (Kalinowski & Pilsniak 2015), leaving out any swap that fixes every
-edge.  Each leaf that survives them goes to one automorphism search,
-``_search``, for the first color-preserving automorphism that moves a
-labeled position; it is the search ``find_preserving`` and
-``find_preserving_edges`` run.  Its action on the labeled positions
-refutes the leaf and is kept for every later d (it comes from an
-automorphism of the bare graph and moves a position, so it is
-nontrivial).  It fixes every position after its last moved one, so it
-preserves every labeling that agrees with the leaf up to there, and the
-walk backjumps to that position.
+The positions are the vertices of G for D(G) and its edges, in
+``edge_list()`` order, for D'(G); neither oracle lists Aut(G).  The walk
+starts from the twin transpositions: as vertex permutations for D(G)
+(Albertson & Collins 1996), as edge permutations for D'(G) (Kalinowski &
+Pilsniak 2015), leaving out any swap that fixes every edge.  Each leaf
+that survives them goes to one automorphism search, the one
+``find_preserving`` runs for D and ``find_preserving_edges`` for D': the
+first automorphism preserving the labels that moves a vertex, or an edge.
+Its action on the positions refutes the leaf and is kept for every later
+d (it comes from an automorphism of the bare graph and moves a position,
+so it is nontrivial).  It fixes every position after its last moved one,
+so it preserves every labeling that agrees with the leaf up to there, and
+the walk backjumps to that position.
 Everything skipped is preserved by a nontrivial automorphism and the walk
 is lexicographic, so the first accepted leaf is the lexicographically
 least distinguishing labeling with the least d.
@@ -31,12 +28,12 @@ least distinguishing labeling with the least d.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .autosearch import (
     SearchStats,
+    _edge_search,
     _search,
-    _subdivision,
     find_preserving,
     find_preserving_edges,
 )
@@ -44,6 +41,7 @@ from .graph import Graph, closed_twin_partition, open_twin_partition
 
 VertexLabeling = list[int]
 EdgeLabeling = dict[tuple[int, int], int]
+Refuter = Callable[[list[int]], Optional[tuple[int, ...]]]
 
 
 def validate_vertex_labeling(g: Graph, labels: Sequence[int]) -> None:
@@ -94,12 +92,10 @@ class _Walk:
     moved position decides the prune; earlier pairs clear the alive flag.
     """
 
-    __slots__ = ("g", "offset", "m", "checks", "dies", "alive", "buf")
+    __slots__ = ("refute", "m", "checks", "dies", "alive", "buf")
 
-    def __init__(self, g: Graph, offset: int) -> None:
-        m = g.n - offset
-        self.g = g
-        self.offset = offset
+    def __init__(self, m: int, refute: Refuter) -> None:
+        self.refute = refute
         self.m = m
         self.checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         self.dies: list[list[tuple[int, int]]] = [[] for _ in range(m)]
@@ -133,7 +129,7 @@ class _Walk:
         moved position, which tries its next value.
         """
         m, buf, alive = self.m, self.buf, self.alive
-        checks, dies, off = self.checks, self.dies, self.offset
+        checks, dies = self.checks, self.dies
         top = [0] * (m + 1)  # top[k]: the largest label at positions < k
         # position k's entries are set each time the walk enters k
         killed: list[list[int]] = [[]] * m
@@ -168,10 +164,10 @@ class _Walk:
             elif k + 1 < m:
                 k, fresh = k + 1, True
             else:
-                got = _search(self.g, [0] * off + buf, off, SearchStats())
+                got = self.refute(buf)
                 if got is None:
                     return True
-                last = self.add(tuple(x - off for x in got.image[off:]))
+                last = self.add(got)
                 for j in range(last + 1, m):
                     for s in killed[j]:
                         alive[s] = True
@@ -180,19 +176,18 @@ class _Walk:
 
 
 def _least_labeling(
-    g: Graph, offset: int, d_max: int, perms: Iterable[tuple[int, ...]]
+    m: int, refute: Refuter, d_max: int, perms: Iterable[tuple[int, ...]]
 ) -> Optional[tuple[int, list[int]]]:
     """Least d <= d_max and the lex-least restricted-growth labeling with
-    maximum d of the positions at or after ``offset`` of g (position
-    offset + i is label i) that is preserved by no permutation of ``perms``
-    and by no automorphism moving a labeled position, or None.
+    maximum d of m positions that is preserved by no permutation of
+    ``perms`` and that ``refute`` leaves, or None.
 
-    Each leaf that ``perms`` leaves goes to ``_search``, with color 0 on
-    the positions before ``offset``.  The action on the labeled positions
-    of the automorphism it finds is kept for every later d, and the walk
-    resumes at its last moved position.
+    ``refute`` takes each leaf that ``perms`` leaves and returns a
+    nontrivial permutation of the positions preserving it, or None.  The
+    permutation is kept for every later d, and the walk resumes at its last
+    moved position.
     """
-    walk = _Walk(g, offset)
+    walk = _Walk(m, refute)
     for p in perms:
         walk.add(p)
     for d in range(1, d_max + 1):
@@ -218,7 +213,12 @@ def distinguishing_number(
         raise ValueError("d_max must be positive")
     if n == 0:
         return 1, []
-    return _least_labeling(g, 0, d_max, _twin_pairs(g))
+
+    def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
+        got = _search(g, labels, SearchStats())
+        return None if got is None else got.image
+
+    return _least_labeling(n, refute, d_max, _twin_pairs(g))
 
 
 # -- edge index -------------------------------------------------------------
@@ -232,8 +232,8 @@ def distinguishing_index(
     Returns None when no distinguishing edge labeling with at most ``d_max``
     labels exists; the default cap, the edge count, always suffices.
     Requires at least one edge.  The walk starts from the edge actions of
-    the twin transpositions and refutes each surviving leaf with the search
-    of ``find_preserving_edges`` on the subdivision, so Aut(g) is never
+    the twin transpositions and refutes each surviving leaf with the edge
+    action of the search ``find_preserving_edges`` runs, so Aut(g) is never
     listed.  ``aut_cap`` is accepted for old callers and ignored, as there
     is no group listing left to cap.
     """
@@ -256,7 +256,12 @@ def distinguishing_index(
 
     # a twin swap fixes every edge only on a K2 component or two isolated vertices
     seeds = (ep for ep in map(action, _twin_pairs(g)) if ep != ident)
-    got = _least_labeling(_subdivision(g, edges), g.n, d_max, seeds)
+
+    def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
+        got = _edge_search(g, edges, labels, SearchStats())
+        return None if got is None else action(got.image)
+
+    got = _least_labeling(m, refute, d_max, seeds)
     if got is None:
         return None
     d, lab = got

@@ -127,35 +127,35 @@ def write_graph6(g: Graph) -> str:
     return _g6_encode_n(g.n) + "".join([_G6_CHARS[bits[k:k + 6]] for k in range(0, len(bits), 6)])
 
 
-def read_graph6(line: str) -> Graph:
+def read_graph6(line: str, lineno: int = 1) -> Graph:
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
-        raise FormatError("line 1: empty graph6 record")
+        raise FormatError(f"line {lineno}: empty graph6 record")
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
-            raise FormatError("line 1: graph6 records beyond 258047 vertices unsupported")
+            raise FormatError(f"line {lineno}: graph6 records beyond 258047 vertices unsupported")
         if len(s) < 4:
-            raise FormatError("line 1: truncated graph6 size field")
+            raise FormatError(f"line {lineno}: truncated graph6 size field")
         vals = [ord(c) - 63 for c in s[1:4]]
         if any(not 0 <= v <= 63 for v in vals):
-            raise FormatError("line 1: invalid graph6 size byte")
+            raise FormatError(f"line {lineno}: invalid graph6 size byte")
         n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
         body = s[4:]
     else:
         n = ord(s[0]) - 63
         if not 0 <= n <= 62:
-            raise FormatError("line 1: invalid graph6 size byte")
+            raise FormatError(f"line {lineno}: invalid graph6 size byte")
         body = s[1:]
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
-        raise FormatError(f"line 1: graph6 body length {len(body)} wrong for n={n}")
+        raise FormatError(f"line {lineno}: graph6 body length {len(body)} wrong for n={n}")
     if body and (min(body) < "?" or max(body) > "~"):
-        raise FormatError("line 1: invalid graph6 data byte")
+        raise FormatError(f"line {lineno}: invalid graph6 data byte")
     bits = body.translate(_G6_BITS)
     if "1" in bits[need:]:
-        raise FormatError("line 1: nonzero graph6 padding bits")
+        raise FormatError(f"line {lineno}: nonzero graph6 padding bits")
     # bit k is the pair (i, j) of the upper triangle in column order, with
     # column j starting at bit j(j-1)/2; each one sets a bit of both rows
     rows = [0] * n
@@ -196,7 +196,7 @@ def loads(text: str) -> Graph:
                if line.strip()]
     if len(records) > 1:
         raise FormatError(f"line {records[1][0]}: second graph6 record; one graph per input")
-    return read_graph6(records[0][1])
+    return read_graph6(records[0][1], records[0][0])
 
 
 def dumps(g: Graph, fmt: str = "edgelist") -> str:

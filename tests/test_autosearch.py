@@ -167,9 +167,10 @@ def test_group_order_matches_brute_force():
 def test_naive_rechecks_reject_non_preservers():
     p3, flip = path(3), Perm((2, 1, 0))
     # the flip moves a color; (0 1) breaks an edge of P4
-    assert not _verify(p3.adjacency_bits, 3, (1, 2, 2), flip.image)
+    assert not _verify(p3.adjacency_bits, 3, (1, 2, 2), flip.image, p3.adjacency_bits)
     assert not is_color_preserving_automorphism(p3, (1, 2, 2), flip)
-    assert not _verify(path(4).adjacency_bits, 4, (0,) * 4, (1, 0, 2, 3))
+    p4 = path(4).adjacency_bits
+    assert not _verify(p4, 4, (0,) * 4, (1, 0, 2, 3), p4)
     assert not is_color_preserving_automorphism(path(4), (0,) * 4, Perm((1, 0, 2, 3)))
     # a permutation of the wrong degree
     assert not is_color_preserving_automorphism(p3, (1, 1, 1), Perm((1, 0)))
@@ -211,7 +212,8 @@ def test_group_order_matches_sympy_on_sweep_products():
         prod = lex_product(g, h)
         _, gens, order = automorphism_group(prod)
         for p in gens:
-            assert _verify(prod.adjacency_bits, prod.n, [0] * prod.n, p.image), (gn, hn)
+            rows = prod.adjacency_bits
+            assert _verify(rows, prod.n, [0] * prod.n, p.image, rows), (gn, hn)
         sym = [Permutation(list(p.image)) for p in gens] or [Permutation(prod.n - 1)]
         assert PermutationGroup(sym).order() == order, (gn, hn)
 
@@ -333,9 +335,9 @@ MARKER_PINS = {
 
 @pytest.mark.parametrize("name", sorted(MARKER_PINS))
 def test_edge_certificates_ignore_label_offset(name):
-    # the original vertices of the subdivision take a marker color below every
-    # label; a marker equal to a label would let a rotation of the subdivided
-    # cycle map a vertex onto an edge vertex
+    # labels become row bands in sorted order, so shifting every label keeps
+    # the certificate; these are the certificates the subdivision search
+    # found, with its vertices marked below every label
     g = {"C4": cycle(4), "C6": cycle(6), "P4": path(4), "K4": complete(4),
          "star3": star(3), "K2[C4]": lex_product(complete(2), cycle(4))}[name]
     edges = g.edge_list()

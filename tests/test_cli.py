@@ -114,6 +114,17 @@ def test_verify_edge_labeling(tmp_path, capsys):
     assert code == 0 and "DISTINGUISHING" in out
 
 
+def test_verify_edge_labeling_with_isolated_vertices(tmp_path, capsys):
+    # K2 plus nine isolated vertices: the searches that swept the 2 * 9!
+    # automorphisms fixing the edge took seconds and grew tenfold per vertex
+    g = tmp_path / "k2_9k1.el"
+    g.write_text(write_edge_list(Graph(11, [(0, 1)])))
+    lab = tmp_path / "lab.txt"
+    lab.write_text("e 0 1 1\n")
+    code, out, _ = run(capsys, "verify", str(g), str(lab))
+    assert code == 0 and "DISTINGUISHING" in out
+
+
 @pytest.mark.parametrize(
     "graph, records, line",
     [

@@ -208,13 +208,13 @@ D_PRIME_LEAVES = {
 
 @pytest.mark.parametrize("name", sorted(D_PRIME_LEAVES))
 def test_edge_leaf_certificates_prune(monkeypatch, name):
-    # every D' leaf that survives the twin seeds runs one subdivision search;
+    # every D' leaf that survives the twin seeds runs one banded edge search;
     # the groups here have up to 16! elements and none is listed
     import lexidis.distinguishing as dist
 
     g, leaves = D_PRIME_LEAVES[name]
     calls = []
-    inner = dist._search
+    inner = dist._edge_search
 
     def counting(*args, **kwargs):
         calls.append(None)
@@ -222,7 +222,7 @@ def test_edge_leaf_certificates_prune(monkeypatch, name):
         assert len(calls) <= leaves, f"more than {leaves} leaf searches"
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(dist, "_search", counting)
+    monkeypatch.setattr(dist, "_edge_search", counting)
     d, w = distinguishing_index(g)
     monkeypatch.undo()
     assert len(calls) == leaves

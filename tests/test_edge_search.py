@@ -1,0 +1,171 @@
+"""Edge-labeling searches: golden values over the graph atlas, the
+subdivision search as a referee, and graphs whose automorphisms that fix
+every edge form a large group."""
+import hashlib
+import random
+
+import pytest
+
+from lexidis import (
+    Graph,
+    autosearch,
+    distinguishing_index,
+    find_preserving_edges,
+    preserves_edge_labels,
+)
+import lexidis.distinguishing as dist
+
+from .util import (
+    edge_action_is_trivial,
+    naive_edge_preserver_exists,
+    random_graph,
+    reference_search,
+    subdivision,
+    subdivision_colors,
+)
+
+
+def _atlas_with_edges():
+    """(atlas index, Graph) for every networkx-atlas graph with an edge:
+    the 1 245 graphs on 2 to 7 vertices that are not edgeless."""
+    from networkx.generators.atlas import graph_atlas_g
+
+    return [
+        (i, Graph(x.number_of_nodes(), x.edges()))
+        for i, x in enumerate(graph_atlas_g())
+        if x.number_of_edges()
+    ]
+
+
+def test_edge_index_and_refutations_are_pinned():
+    """Digest of (D', witness) over every atlas graph with an edge, and of
+    which random 2-label edge labelings on atlas graphs up to 6 vertices
+    ``find_preserving_edges`` refutes.  Witnesses are the lex-least ones
+    and refutations are facts about the labelings, so neither may depend
+    on how the search encodes the labels or orders its work."""
+    graphs = _atlas_with_edges()
+    assert len(graphs) == 1245
+    values = hashlib.sha256()
+    for i, g in graphs:
+        d, w = distinguishing_index(g)
+        values.update(repr((i, d, [w[e] for e in g.edge_list()])).encode())
+    rng = random.Random(1903)
+    refuted = hashlib.sha256()
+    tried = found = 0
+    for i, g in graphs:
+        if g.n > 6:
+            continue
+        for _ in range(3):
+            labels = {e: rng.randrange(1, 3) for e in g.edge_list()}
+            got = find_preserving_edges(g, labels) is not None
+            refuted.update(repr((i, got)).encode())
+            tried += 1
+            found += got
+    assert (tried, found) == (606, 298)
+    assert values.hexdigest() == "63757c6b7c055b5dd617073fcb1f1fe9c461bebde650bfbde83aef08b137c68d"
+    assert refuted.hexdigest() == "b31bd431f8aae7214fca9e9cad3b06835360504c0c68b621e1706198476e4487"
+
+
+def _with_small_components(rng: random.Random, g: Graph) -> Graph:
+    """g plus a few K2 components and isolated vertices, relabeled at
+    random so that either end of a K2 can be the lower one."""
+    pairs, singles = rng.randrange(3), rng.randrange(4)
+    n = g.n + 2 * pairs + singles
+    edges = g.edge_list() + [(g.n + 2 * i, g.n + 2 * i + 1) for i in range(pairs)]
+    order = list(range(n))
+    rng.shuffle(order)
+    return Graph(n, [(order[u], order[v]) for u, v in edges])
+
+
+def test_band_search_agrees_with_the_subdivision_referee():
+    """On random edge labelings, many of them on disconnected graphs with
+    isolated vertices and K2 components, the band search finds a
+    certificate exactly when the depth-first reference search on the
+    subdivision finds an automorphism moving a position at or after n, and
+    every certificate preserves the labels and moves an edge; on graphs of
+    at most five vertices an n! scan agrees as well."""
+    rng = random.Random(1907)
+    tried = found = small = 0
+    for trial in range(400):
+        g = random_graph(rng, rng.randrange(1, 9), rng.choice([0.2, 0.4, 0.7]))
+        if trial % 2:
+            g = _with_small_components(rng, g)
+        if g.m == 0:
+            continue
+        edges = g.edge_list()
+        labels = {e: rng.randrange(1, rng.choice([1, 2, 3]) + 1) for e in edges}
+        got = find_preserving_edges(g, labels)
+        sub = subdivision(g, edges)
+        want = reference_search(
+            sub, len(sub), subdivision_colors(g, labels), g.n, autosearch.SearchStats())
+        assert (got is None) == (want is None), trial
+        if got is not None:
+            assert preserves_edge_labels(g, labels, got), trial
+            assert not edge_action_is_trivial(g, got), trial
+        if g.n <= 5:
+            assert (got is not None) == naive_edge_preserver_exists(g, labels), trial
+            small += 1
+        tried += 1
+        found += got is not None
+    assert tried >= 300 and 100 <= found <= tried - 100 and small >= 50
+
+
+def _recorded(monkeypatch):
+    made = []
+
+    class Recording(autosearch.SearchStats):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(autosearch, "SearchStats", Recording)
+    monkeypatch.setattr(dist, "SearchStats", Recording)
+    return made
+
+
+def _k3_plus(isolated: int) -> Graph:
+    return Graph(3 + isolated, [(0, 1), (0, 2), (1, 2)])
+
+
+def _matching(k: int) -> Graph:
+    return Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+# input -> (answer, searches, nodes, refinements).  Searches that swept
+# every automorphism fixing every edge before answering None took 11.5 s,
+# 0.74 s and 0.68 s on the first three, growing tenfold per isolated
+# vertex, twofold per matching edge and eightfold per isolated vertex.
+EDGE_FIXING = {
+    "find_preserving_edges K2 + 9K1": (
+        lambda: find_preserving_edges(Graph(11, [(0, 1)]), {(0, 1): 1}), None, 1, 0, 1),
+    "find_preserving_edges 14K2, distinct labels": (
+        lambda: find_preserving_edges(_matching(14), {(2 * i, 2 * i + 1): i + 1 for i in range(14)}),
+        None, 1, 0, 1),
+    "distinguishing_index K3 + 8K1": (
+        lambda: distinguishing_index(_k3_plus(8)), (3, {(0, 1): 1, (0, 2): 2, (1, 2): 3}), 1, 0, 1),
+    "distinguishing_index K3 + 30K1": (
+        lambda: distinguishing_index(_k3_plus(30)), (3, {(0, 1): 1, (0, 2): 2, (1, 2): 3}), 1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_FIXING))
+def test_edge_searches_skip_automorphisms_fixing_every_edge(monkeypatch, name):
+    # isolated vertices take colors of their own and each K2 component's
+    # lower end a marker, so only the identity fixes every edge
+    run, answer, searches, nodes, refinements = EDGE_FIXING[name]
+    made = _recorded(monkeypatch)
+    assert run() == answer
+    assert (len(made), sum(s.nodes for s in made), sum(s.refinements for s in made)) == (
+        searches, nodes, refinements)
+
+
+def test_matching_with_equal_labels_is_refuted(monkeypatch):
+    # equal labels let two K2 components trade places: a certificate that
+    # moves an edge, with each lower end mapped onto a lower end
+    made = _recorded(monkeypatch)
+    g = _matching(14)
+    labels = {e: 1 for e in g.edge_list()}
+    got = find_preserving_edges(g, labels)
+    assert got.cycle_string() == "(24 26)(25 27)"
+    assert preserves_edge_labels(g, labels, got) and not edge_action_is_trivial(g, got)
+    assert [(s.nodes, s.refinements) for s in made] == [(14, 27)]

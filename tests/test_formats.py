@@ -166,8 +166,18 @@ def test_read_graph6_matches_reference_graphs():
     ],
 )
 def test_graph6_errors_match_reference_messages(line):
-    with pytest.raises(FormatError) as want:
-        reference_read_graph6(line)
-    with pytest.raises(FormatError) as got:
-        read_graph6(line)
-    assert str(got.value) == str(want.value)
+    # each message names the record's line; loads passes the line it sits on
+    for lineno in (1, 3):
+        with pytest.raises(FormatError) as want:
+            reference_read_graph6(line, lineno)
+        with pytest.raises(FormatError) as got:
+            read_graph6(line, lineno)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"line {lineno}: ")
+
+
+def test_graph6_errors_name_the_records_line():
+    with pytest.raises(FormatError, match="^line 3: nonzero graph6 padding bits$"):
+        loads("\n\nB~\n")
+    with pytest.raises(FormatError, match="^line 2: invalid graph6 size byte$"):
+        loads("\n" + chr(127) + "\n\n")

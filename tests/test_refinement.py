@@ -18,6 +18,7 @@ from lexidis import (
     path,
     path_product_edge_labeling,
     pattern_product_labeling,
+    preserves_edge_labels,
     spider,
     spider_distinguishing_labeling,
     star,
@@ -25,12 +26,15 @@ from lexidis import (
 from lexidis import autosearch
 
 from .util import (
+    banded_input,
     base_path_rounds,
     dense_signatures,
     full_refine,
     full_replay,
     random_graph,
     reference_search,
+    subdivision,
+    subdivision_colors,
     sweep_pairs,
 )
 
@@ -90,8 +94,9 @@ def _flatten_copy(labels, nh: int, copy: int):
 
 def _large_cases():
     """Searches the size of the benchmark's certify questions: labeled
-    products of 200 and 402 vertices and an edge-labeled product whose
-    subdivision has 229, each distinguishing and with one copy flattened."""
+    products of 200 and 402 vertices and an edge-labeled product of 51
+    vertices in two label bands, each distinguishing and with one copy
+    flattened."""
     sp = lex_product(spider(100), complete(2))
     sp_lab = tuple(pattern_product_labeling(
         spider(100), complete(2), spider_distinguishing_labeling(100), [1, 2]))
@@ -128,17 +133,19 @@ PINS = {
     "v K2[C6]": (None, 1, 2),
     "v spider9[K2] doubled": (tuple(range(26)) + (27, 26) + tuple(range(28, 38)), 21, 41),
     "v C5[P4] const": (tuple(range(12)) + (15, 14, 13, 12, 16, 17, 18, 19), 7, 25),
-    "e C5[P4] sparse": (None, 1, 6),
-    "e P3[C4] sparse": ((0, 1, 2, 3, 4, 7, 6, 5, 8, 9, 10, 11), 7, 40),
-    "e K3[C4] sparse": ((0, 3, 2, 1) + tuple(range(4, 12)), 4, 22),
-    "e K2[C6] thm": (None, 1, 4),
-    "e K2[C6] flipped": (None, 1, 4),
-    "e P4[P3] thm": (None, 1, 4),
-    "e P4[P3] const": ((0, 1, 2, 5, 4, 3, 6, 7, 8, 9, 10, 11), 7, 26),
-    # searches of 229 to 402 vertices, as Horner-rule signatures gave them
+    # edge rows search the graph's own vertices, one row band per label
+    "e C5[P4] sparse": (None, 1, 3),
+    "e P3[C4] sparse": ((0, 1, 2, 3, 4, 7, 6, 5, 8, 9, 10, 11), 6, 19),
+    "e K3[C4] sparse": ((0, 3, 2, 1) + tuple(range(4, 12)), 4, 13),
+    "e K2[C6] thm": (None, 1, 2),
+    "e K2[C6] flipped": (None, 1, 2),
+    "e P4[P3] thm": (None, 1, 2),
+    # the subdivision's search reached (3 5) first; both preserve the labels
+    "e P4[P3] const": ((0, 1, 2, 3, 4, 5, 8, 7, 6, 9, 10, 11), 7, 15),
+    # searches of 200 to 402 vertices, as Horner-rule signatures gave them
     "v spider100[K2] pattern": (None, 1, 2),
     "v spider100[K2] flat 57": (tuple(range(114)) + (115, 114) + tuple(range(116, 402)), 3, 6),
-    "e P17[P3] prop34 flat 5": (tuple(range(15)) + (17, 16, 15) + tuple(range(18, 51)), 3, 14),
+    "e P17[P3] prop34 flat 5": (tuple(range(15)) + (17, 16, 15) + tuple(range(18, 51)), 3, 9),
 }
 
 
@@ -159,17 +166,16 @@ def test_certificates_and_work_are_pinned(kind, name, g, labels, monkeypatch):
     monkeypatch.setattr(autosearch, "SearchStats", Recording)
     if kind == "v":
         got, _ = find_preserving(g, labels)
-        adj, colors = g.adjacency_bits, labels
+        adj, colors, cols = g.adjacency_bits, labels, g.adjacency_bits
     else:
         got = find_preserving_edges(g, labels)
-        edges = g.edge_list()
-        adj = autosearch._subdivision(g, edges).adjacency_bits
-        values = [labels[e] for e in edges]
-        colors = [min(values) - 1] * g.n + values
+        adj, colors, cols = banded_input(g, labels)
+        if got is not None:
+            assert preserves_edge_labels(g, labels, got)
     (stats,) = made
     image = None if got is None else got.image
     pin_image, pin_nodes, pin_refinements = PINS[f"{kind} {name}"]
-    replayed = base_path_rounds(adj, len(adj), colors)
+    replayed = base_path_rounds(adj, g.n, colors, cols)
     assert (image, stats.nodes, stats.refinements) == (
         pin_image, pin_nodes - 1, pin_refinements - replayed)
 
@@ -179,7 +185,7 @@ def _new_rounds(adj, n, c, trace):
     sorted signatures first differ from the recorded ones."""
     out = []
     for srt, rank, fresh in trace:
-        sig = autosearch._signatures(adj, n, c, fresh)
+        sig = autosearch._signatures(adj, n, c, fresh, adj)
         if sorted(sig) != srt:
             return None
         c = [rank[s] for s in sig]
@@ -189,7 +195,7 @@ def _new_rounds(adj, n, c, trace):
 
 def _refine_both(adj, n, c, ncolors, fresh):
     stats = autosearch.SearchStats()
-    got, k, trace = autosearch._refine_trace(adj, n, list(c), ncolors, fresh, stats)
+    got, k, trace = autosearch._refine_trace(adj, n, list(c), ncolors, fresh, stats, adj)
     rounds, ref_trace = full_refine(adj, n, c, ncolors)
     assert _new_rounds(adj, n, c, trace) == rounds
     assert got == rounds[-1]
@@ -200,7 +206,7 @@ def _refine_both(adj, n, c, ncolors, fresh):
 
 def _replay_both(adj, n, c, ncolors, trace, ref_trace):
     stats = autosearch.SearchStats()
-    got = autosearch._replay_trace(adj, n, list(c), trace, stats)
+    got = autosearch._replay_trace(adj, n, list(c), trace, stats, adj)
     rounds = full_replay(adj, n, c, ncolors, ref_trace)
     assert _new_rounds(adj, n, c, trace) == rounds
     if rounds is None:
@@ -283,19 +289,21 @@ def test_signatures_match_horner_reference_on_large_searches(monkeypatch):
     """Every key the searches of certify-sized inputs compute, many of them
     in rounds with dozens to hundreds of fresh classes, agrees with the
     integer Horner's rule gives vertex by vertex: equal to it in rounds of
-    at most ``_HORNER_MAX_CLASSES`` classes, and ranking the vertices as it
-    does in the rounds with more, whose keys are tuples."""
+    at most ``_HORNER_MAX_CLASSES`` digits, one per (class, band), and
+    ranking the vertices as it does in the rounds with more, whose keys are
+    tuples."""
     seen = []
     signatures = autosearch._signatures
 
-    def checked(adj, n, c, fresh):
-        got = signatures(adj, n, c, fresh)
-        want = dense_signatures(adj, n, c, fresh)
-        if len(fresh) <= autosearch._HORNER_MAX_CLASSES:
+    def checked(adj, n, c, fresh, cols):
+        got = signatures(adj, n, c, fresh, cols)
+        bands = len(cols) // n
+        want = dense_signatures(adj, n, c, fresh, bands)
+        if len(fresh) * bands <= autosearch._HORNER_MAX_CLASSES:
             assert got == want
         else:
             assert _dense_ranks(got) == _dense_ranks(want)
-        seen.append((n, len(fresh)))
+        seen.append((n, bands, len(fresh)))
         return got
 
     monkeypatch.setattr(autosearch, "_signatures", checked)
@@ -304,22 +312,28 @@ def test_signatures_match_horner_reference_on_large_searches(monkeypatch):
             find_preserving(g, labels)
         else:
             find_preserving_edges(g, labels)
-    large = [k for n, k in seen if n >= 200]
-    assert len(large) == len(seen) >= 40
-    assert sum(k > 20 for k in large) >= 10 and max(large) > 200
+    # vertex searches of 200 and 402 vertices and edge searches in two bands
+    assert {(n, bands) for n, bands, _k in seen} == {(200, 1), (402, 1), (51, 2)}
+    digits = [k * bands for _n, bands, k in seen]
+    assert len(digits) >= 30 and max(digits) > 200
+    assert sum(d > autosearch._HORNER_MAX_CLASSES for d in digits) >= 20
+    # each kind of key in the edge searches
+    edge = [k * bands for _n, bands, k in seen if bands > 1]
+    assert min(edge) <= autosearch._HORNER_MAX_CLASSES < max(edge)
 
 
 def test_rounds_count_no_split_class_last_child(monkeypatch):
     """Fresh classes counted over all rounds, pinned.  Every split class
     leaves out its last child and an individualization its new singleton;
     counting every child, with the same rounds, gave 9 813 on the sweep's
-    group searches and 1 689 on the certify-sized searches."""
+    group searches and 1 263 on the certify-sized searches (1 689 when the
+    edge searches ran on the subdivision, whose rounds counted 1 427)."""
     counted = []
     signatures = autosearch._signatures
 
-    def counting(adj, n, c, fresh):
+    def counting(adj, n, c, fresh, cols):
         counted.append(len(fresh))
-        return signatures(adj, n, c, fresh)
+        return signatures(adj, n, c, fresh, cols)
 
     monkeypatch.setattr(autosearch, "_signatures", counting)
     for _gn, g, _hn, h in sweep_pairs():
@@ -331,7 +345,7 @@ def test_rounds_count_no_split_class_last_child(monkeypatch):
             find_preserving(g, labels)
         else:
             find_preserving_edges(g, labels)
-    assert (len(counted), sum(counted)) == (43, 1427)
+    assert (len(counted), sum(counted)) == (30, 1084)
 
 
 def test_walk_finds_the_reference_searchs_first_certificate(monkeypatch):
@@ -340,14 +354,16 @@ def test_walk_finds_the_reference_searchs_first_certificate(monkeypatch):
     without the rounds the reference spends individualizing its source
     side: the walk splits only down the base path, once per base point,
     and every subtree search reads its source side from there.  On random
-    colored graphs at offset 0 and on subdivisions of random edge
-    labelings at offset n."""
+    colored graphs, and on random edge labelings in label bands, where the
+    reference on the subdivision at offset n (an automorphism moving a
+    position at or after n moves an edge) finds a certificate too exactly
+    when the walk does."""
     split_rounds = []
     split = autosearch._split
 
-    def counted(adj, n, c, ncolors, stats):
+    def counted(adj, n, c, ncolors, stats, cols):
         before = stats.refinements
-        got = split(adj, n, c, ncolors, stats)
+        got = split(adj, n, c, ncolors, stats, cols)
         split_rounds.append(stats.refinements - before)
         return got
 
@@ -362,28 +378,37 @@ def test_walk_finds_the_reference_searchs_first_certificate(monkeypatch):
             g = random_graph(rng, rng.randrange(0, 13), rng.choice([0.1, 0.3, 0.5, 0.8]))
         palette = rng.choice([1, 2, 3])
         edge_kind = trial % 3 == 2 and g.m > 0
+        edges = g.edge_list()
         if edge_kind:
-            edges = g.edge_list()
-            searched, offset = autosearch._subdivision(g, edges), g.n
-            colors = [0] * g.n + [rng.randrange(1, palette + 1) for _ in edges]
+            labels = {e: rng.randrange(1, palette + 1) for e in edges}
+            adj, colors, cols = banded_input(g, labels)
         else:
-            searched, offset = g, 0
-            colors = [rng.randrange(palette) for _ in range(g.n)]
-        n = searched.n
+            adj, colors = g.adjacency_bits, [rng.randrange(palette) for _ in range(g.n)]
+            cols = adj
+        n = g.n
         ref, walk = autosearch.SearchStats(), autosearch.SearchStats()
         split_rounds.clear()
-        want = reference_search(searched.adjacency_bits, n, colors, offset, ref)
+        want = reference_search(adj, n, colors, 0, ref, cols)
         ref_split_rounds = sum(split_rounds)
         split_rounds.clear()
-        got = autosearch._search(searched, colors, offset, walk)
+        if edge_kind:
+            got = autosearch._edge_search(g, edges, [labels[e] for e in edges], walk)
+        else:
+            got = autosearch._search(g, colors, walk)
         walk_splits = len(split_rounds)
-        first = autosearch._Search(searched, colors, offset, autosearch.SearchStats())
+        first = autosearch._Search(adj, n, colors, autosearch.SearchStats(), cols)
         next(first.generators(), None)
         assert (got and got.image) == (want and want.image), trial
         assert walk_splits == len(first.base), trial
         if n:
             assert walk.nodes == ref.nodes - 1, trial
             assert walk.refinements == ref.refinements - ref_split_rounds, trial
+        if edge_kind:
+            sub = subdivision(g, edges)
+            referee = reference_search(
+                sub, len(sub), subdivision_colors(g, labels), n, autosearch.SearchStats())
+            assert (got is None) == (referee is None), trial
+            assert got is None or preserves_edge_labels(g, labels, got), trial
         found[edge_kind][got is not None] += 1
     # both kinds, each with and without a certificate
     assert min(found[0] + found[1]) >= 25

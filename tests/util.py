@@ -210,10 +210,11 @@ def full_replay(adj, n: int, c, ncolors: int, trace):
     return rounds
 
 
-def dense_signatures(adj, n: int, c, fresh) -> list[int]:
-    """(color, neighbour count in each class of ``fresh``) packed base n+1
-    by Horner's rule, one vertex at a time: the fresh-class signatures as
-    the search engine computed them before it accumulated them per class."""
+def dense_signatures(adj, n: int, c, fresh, bands: int = 1) -> list[int]:
+    """(color, neighbour count in each class of ``fresh``, band by band for
+    rows in ``bands`` bands) packed base n+1 by Horner's rule, one vertex at
+    a time: the fresh-class signatures as the search engine computed them
+    before it accumulated them per class."""
     base = n + 1
     slot = {cls: i for i, cls in enumerate(fresh)}
     masks = [0] * len(fresh)
@@ -225,9 +226,60 @@ def dense_signatures(adj, n: int, c, fresh) -> list[int]:
     for v in range(n):
         s = c[v]
         for m in masks:
-            s = s * base + (adj[v] & m).bit_count()
+            for band in range(bands):
+                s = s * base + (adj[v] >> band * n & m).bit_count()
         out.append(s)
     return out
+
+
+# -- edge-labeling search inputs -------------------------------------------
+
+
+def subdivision(g: Graph, edges) -> list[int]:
+    """Bit rows of the subdivision of g: edge k of ``edges`` becomes vertex
+    n + k, adjacent to the two ends of the edge and to nothing else."""
+    n = g.n
+    rows = [0] * (n + len(edges))
+    for k, (u, v) in enumerate(edges):
+        rows[u] |= 1 << (n + k)
+        rows[v] |= 1 << (n + k)
+        rows[n + k] = (1 << u) | (1 << v)
+    return rows
+
+
+def subdivision_colors(g: Graph, labels) -> list[int]:
+    """Colors of the subdivision: each edge vertex its edge's label, every
+    original vertex one marker below every label."""
+    values = [labels[e] for e in g.edge_list()]
+    return [min(values, default=0) - 1] * g.n + values
+
+
+def banded_input(g: Graph, labels):
+    """(rows, colors, cols) of the search of g for an automorphism that
+    preserves ``labels`` and moves an edge: the label-l neighbours of v,
+    labels numbered densely in sorted order, in bits l*n .. l*n + n - 1 of
+    row v; each isolated vertex its own color, and the lower end of each
+    K2 component a marker color; cols[p] the vertices whose row has bit p."""
+    n = g.n
+    order = sorted(set(labels.values()))
+    rows = [0] * n
+    for (u, v), val in labels.items():
+        band = order.index(val) * n
+        rows[u] |= 1 << (band + v)
+        rows[v] |= 1 << (band + u)
+    cols = [0] * (len(order) * n)
+    for p in range(len(cols)):
+        cols[p] = sum(1 << v for v in range(n) if rows[v] >> p & 1)
+    colors = [0] * n
+    for v in range(n):
+        nbrs = g.neighbors(v)
+        if not nbrs:
+            colors[v] = v + 2
+        elif len(nbrs) == 1:
+            (u,) = nbrs
+            if u > v and len(g.neighbors(u)) == 1:
+                colors[v] = 1
+    return rows, colors, cols
 
 
 # -- reference search ------------------------------------------------------
@@ -236,16 +288,19 @@ def dense_signatures(adj, n: int, c, fresh) -> list[int]:
 # identity, whose refinement trace it replays and whose leaf it rejects.
 
 
-def reference_search(adj, n: int, colors, offset: int, stats):
+def reference_search(adj, n: int, colors, offset: int, stats, cols=None):
     """First color-preserving automorphism, in search order, that moves a
-    position at or after ``offset``, or None."""
+    position at or after ``offset``, or None.  On the subdivision of a graph
+    of n0 vertices at offset n0, an automorphism moves an edge exactly when
+    it moves a position at or after n0."""
     if n == 0:
         return None
+    cols = adj if cols is None else cols
     order = sorted(set(colors))
     dense = {val: i for i, val in enumerate(order)}
     k = len(order)
     rc, rk, _ = autosearch._refine_trace(adj, n, [dense[val] for val in colors], k,
-                                         list(range(k)), stats)
+                                         list(range(k)), stats, cols)
     tail = tuple(range(offset, n))
 
     def node(c1, c2, ncolors):
@@ -255,16 +310,16 @@ def reference_search(adj, n: int, colors, offset: int, stats):
             for v in range(n):
                 pos2[c2[v]] = v
             st = tuple(pos2[c1[v]] for v in range(n))
-            if st[offset:] == tail or not autosearch._verify(adj, n, colors, st):
+            if st[offset:] == tail or not autosearch._verify(adj, n, colors, st, cols):
                 return None
             return Perm(st)
-        cell, rc1, rk1, trace = autosearch._split(adj, n, c1, ncolors, stats)
+        cell, rc1, rk1, trace = autosearch._split(adj, n, c1, ncolors, stats, cols)
         for w in range(n):
             if c2[w] != c1[cell[0]]:
                 continue
             nc2 = list(c2)
             nc2[w] = ncolors
-            rc2 = autosearch._replay_trace(adj, n, nc2, trace, stats)
+            rc2 = autosearch._replay_trace(adj, n, nc2, trace, stats, cols)
             if rc2 is not None:
                 got = node(rc1, rc2, rk1)
                 if got is not None:
@@ -274,19 +329,20 @@ def reference_search(adj, n: int, colors, offset: int, stats):
     return node(rc, list(rc), rk)
 
 
-def base_path_rounds(adj, n: int, colors) -> int:
+def base_path_rounds(adj, n: int, colors, cols=None) -> int:
     """Refinement rounds of the individualizations down the first search
     path: the rounds that the identity branch of ``reference_search``
     replays."""
     stats = autosearch.SearchStats()
+    cols = adj if cols is None else cols
     order = sorted(set(colors))
     dense = {val: i for i, val in enumerate(order)}
     k = len(order)
     c, k, _ = autosearch._refine_trace(adj, n, [dense[val] for val in colors], k,
-                                       list(range(k)), stats)
+                                       list(range(k)), stats, cols)
     rounds = 0
     while k < n:
-        _cell, c, k, trace = autosearch._split(adj, n, c, k, stats)
+        _cell, c, k, trace = autosearch._split(adj, n, c, k, stats, cols)
         rounds += len(trace)
     return rounds
 
@@ -324,35 +380,35 @@ def reference_write_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def reference_read_graph6(line: str) -> Graph:
+def reference_read_graph6(line: str, lineno: int = 1) -> Graph:
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
-        raise FormatError("line 1: empty graph6 record")
+        raise FormatError(f"line {lineno}: empty graph6 record")
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
-            raise FormatError("line 1: graph6 records beyond 258047 vertices unsupported")
+            raise FormatError(f"line {lineno}: graph6 records beyond 258047 vertices unsupported")
         if len(s) < 4:
-            raise FormatError("line 1: truncated graph6 size field")
+            raise FormatError(f"line {lineno}: truncated graph6 size field")
         vals = [ord(c) - 63 for c in s[1:4]]
         if any(not 0 <= v <= 63 for v in vals):
-            raise FormatError("line 1: invalid graph6 size byte")
+            raise FormatError(f"line {lineno}: invalid graph6 size byte")
         n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
         body = s[4:]
     else:
         n = ord(s[0]) - 63
         if not 0 <= n <= 62:
-            raise FormatError("line 1: invalid graph6 size byte")
+            raise FormatError(f"line {lineno}: invalid graph6 size byte")
         body = s[1:]
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
-        raise FormatError(f"line 1: graph6 body length {len(body)} wrong for n={n}")
+        raise FormatError(f"line {lineno}: graph6 body length {len(body)} wrong for n={n}")
     if body and (min(body) < "?" or max(body) > "~"):
-        raise FormatError("line 1: invalid graph6 data byte")
+        raise FormatError(f"line {lineno}: invalid graph6 data byte")
     bits = "".join([format(ord(c) - 63, "06b") for c in body])
     if "1" in bits[need:]:
-        raise FormatError("line 1: nonzero graph6 padding bits")
+        raise FormatError(f"line {lineno}: nonzero graph6 padding bits")
     # bit k is the pair (i, j) of the upper triangle in column order, with
     # column j starting at bit j(j-1)/2
     edges = []
