@@ -24,7 +24,9 @@ smallest non-singleton cell, until the coloring is discrete: those
 vertices b1, ..., bk form a base.  Deepest level first, each w of b_i's
 cell outside the orbit of b_i under the automorphisms found so far starts,
 in ascending order, one subtree search with b_i mapped to w, which yields
-an automorphism or proves that none maps b_i to w.  The source side of
+an automorphism or proves that none maps b_i to w.  A subtree search is a
+depth-first loop over an explicit stack, not a recursion, so no base is
+too long for the interpreter's stack.  The source side of
 every subtree is the stored first path: individualizing and refining is a
 deterministic function of the coloring, so the source coloring at depth j
 is always the first path's, and only the target side is refined, by
@@ -372,31 +374,44 @@ class _Search:
         ``depth`` onto the target c2, or None.  The source side below is the
         first path itself, so only the target is refined: by replaying the
         stored trace per choice.
+
+        A loop, not a recursion, so the base length is not bounded by the
+        interpreter's stack: each node entered below pushes its parent's
+        (depth, target coloring, candidate), and a dead end pops the parent,
+        which goes on with its next candidate.
         """
-        adj, n, cols, stats = self.adj, self.n, self.cols, self.stats
+        adj, n, cols, stats, levels = self.adj, self.n, self.cols, self.stats, self.levels
         stats.nodes += 1
-        if depth == len(self.levels):
-            pos2 = [0] * n
-            for v in range(n):
-                pos2[c2[v]] = v
-            st = tuple(pos2[x] for x in self.leaf)
-            if not _verify(adj, n, self.colors, st, cols):
+        stack: list[tuple[int, list[int], int]] = []
+        w = -1
+        while True:
+            if depth == len(levels):
+                pos2 = [0] * n
+                for v in range(n):
+                    pos2[c2[v]] = v
+                st = tuple(pos2[x] for x in self.leaf)
+                if _verify(adj, n, self.colors, st, cols):
+                    return Perm(st)
+            else:
+                c, k, cell, trace = levels[depth]
+                color = c[cell[0]]
+                rc2 = None
+                for w in range(w + 1, n):
+                    if c2[w] != color:
+                        continue
+                    nc2 = list(c2)
+                    nc2[w] = k
+                    rc2 = _replay_trace(adj, n, nc2, trace, stats, cols)
+                    if rc2 is not None:
+                        break
+                if rc2 is not None:
+                    stats.nodes += 1
+                    stack.append((depth, c2, w))
+                    depth, c2, w = depth + 1, rc2, -1
+                    continue
+            if not stack:
                 return None
-            return Perm(st)
-        c, k, cell, trace = self.levels[depth]
-        color = c[cell[0]]
-        for w in range(n):
-            if c2[w] != color:
-                continue
-            nc2 = list(c2)
-            nc2[w] = k
-            rc2 = _replay_trace(adj, n, nc2, trace, stats, cols)
-            if rc2 is None:
-                continue
-            got = self.node(depth + 1, rc2)
-            if got is not None:
-                return got
-        return None
+            depth, c2, w = stack.pop()
 
 
 def _search(g: Graph, colors: Sequence[int], stats: SearchStats) -> Optional[Perm]:

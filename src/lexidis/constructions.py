@@ -276,17 +276,19 @@ def k2_product_edge_labeling(h: Graph) -> EdgeLabeling:
 
 
 def _p2_cross_columns(n: int, d: int) -> list[tuple[int, int, int, int]] | None:
-    """n cross-label columns over 1..d for pendant copies of a single edge.
+    """n cross-label columns over 1..d for pendant copies of a single edge,
+    or None when 1..d has too few.
 
     Column entries label the four edges from the two center vertices to one
     copy's two vertices.  Constraints: no column invariant under the copy's
     internal swap (first two entries equal and last two equal), no two
     columns related by that swap, and the first column's two images under
     the center swap are banned pool-wide so the center cannot flip.
+
+    Needs n >= 2 and d >= 2, which its only caller guarantees: the star has
+    n >= 2 pendants, and d starts at the least d with d**4 >= n > 1**4.
     """
     first = (1, 1, 1, 2)
-    if d < 2:
-        return None
 
     def copy_swap(s):
         return (s[1], s[0], s[3], s[2])
@@ -297,8 +299,6 @@ def _p2_cross_columns(n: int, d: int) -> list[tuple[int, int, int, int]] | None:
     banned = {center_swap(first), center_swap(copy_swap(first))}
     cols = [first]
     used = {first, copy_swap(first)}
-    if n == 1:
-        return cols
     for s in itertools.product(range(1, d + 1), repeat=4):
         if s in used or s in banned:
             continue
@@ -323,6 +323,10 @@ def star_product_edge_labeling(
     columns must additionally break the in-copy and center swaps, which can
     force one extra label (always when n = d^(m^2), where plain sequences
     run out).
+
+    The product's group is always the wreath action here, so there is no
+    check for it: with n >= 2 leaves the star has no closed twins, and its
+    open twins, the leaves, ask only that H be connected.
     """
     if n < 2:
         raise ValueError("star needs at least two pendant vertices")
@@ -331,8 +335,6 @@ def star_product_edge_labeling(
         raise ValueError("second factor needs at least two vertices")
     if not is_connected(h):
         raise ValueError("second factor must be connected")
-    if not sabidussi_equal(star(n), h):
-        raise ValueError("product automorphisms exceed the wreath action")
     if not is_distinguishing_edges(h, lh):
         raise ValueError("lh is not a distinguishing edge labeling of h")
     m2 = m * m

@@ -21,6 +21,10 @@ d (it comes from an automorphism of the bare graph and moves a position,
 so it is nontrivial).  It fixes every position after its last moved one,
 so it preserves every labeling that agrees with the leaf up to there, and
 the walk backjumps to that position.
+The levels run in order, each to exhaustion, so a level starts with every
+labeling of a smaller maximum preserved by a kept permutation, and the
+walk at level d bans each prefix that cannot reach d without a test of its
+own (``_Walk.walk`` gives the argument).
 Everything skipped is preserved by a nontrivial automorphism and the walk
 is lexicographic, so the first accepted leaf is the lexicographically
 least distinguishing labeling with the least d.
@@ -127,6 +131,18 @@ class _Walk:
         the top before it, the permutations that value killed and the labels
         banned there; a refuted leaf pops back to its certificate's last
         moved position, which tries its next value.
+
+        Level invariant: ``_least_labeling`` runs d = 1, 2, ... in order,
+        each to exhaustion, so when level d starts every labeling with
+        maximum < d is preserved by a kept permutation (it was banned,
+        skipped by a backjump or refuted at its own level).  So no prefix
+        that cannot reach d survives, and no test for it is needed.  Take a
+        prefix through position k with top t and t + (m - k - 1) < d, and
+        extend it by the fresh labels t + 1, t + 2, ...: the result has
+        maximum < d, so a kept p preserves it.  Each position after k holds
+        a label used nowhere else, so p fixes it; p's last moved position is
+        at most k, p preserves the prefix, and the walk bans the prefix at
+        p's last moved position.
         """
         m, buf, alive = self.m, self.buf, self.alive
         checks, dies = self.checks, self.dies
@@ -157,11 +173,7 @@ class _Walk:
             for s in killed[k]:
                 alive[s] = False
             top[k + 1] = max(top[k], val)
-            # the labeling must reach d: strings with a smaller maximum were
-            # already covered (and refuted) at their own level
-            if d - top[k + 1] > m - k - 1:
-                fresh = False
-            elif k + 1 < m:
+            if k + 1 < m:
                 k, fresh = k + 1, True
             else:
                 got = self.refute(buf)

@@ -119,12 +119,15 @@ def _g6_encode_n(n: int) -> str:
 
 
 def write_graph6(g: Graph) -> str:
+    # the size field first, so an oversized graph is refused before its
+    # n(n-1)/2 bits are built
+    head = _g6_encode_n(g.n)
     # column j is bits 0..j-1 of row j, least vertex first: the low j bits
     # in binary, reversed; the zero-padded string goes out six bits a byte
     rows = g.adjacency_bits
     bits = "".join([format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)])
     bits += "0" * (-len(bits) % 6)
-    return _g6_encode_n(g.n) + "".join([_G6_CHARS[bits[k:k + 6]] for k in range(0, len(bits), 6)])
+    return head + "".join([_G6_CHARS[bits[k:k + 6]] for k in range(0, len(bits), 6)])
 
 
 def read_graph6(line: str, lineno: int = 1) -> Graph:

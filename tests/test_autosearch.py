@@ -346,3 +346,89 @@ def test_edge_certificates_ignore_label_offset(name):
         for shift in (0, -min(lab), -max(lab) - 2):
             got = find_preserving_edges(g, {e: v + shift for e, v in zip(edges, lab)})
             assert (None if got is None else got.image) == cert, (digits, shift)
+
+
+def _cayley_z4z4(connection, offset):
+    """Edges of the Cayley graph on Z4 x Z4, (a, b) numbered 4a + b + offset."""
+    return {tuple(sorted((4 * a + b + offset, 4 * ((a + x) % 4) + (b + y) % 4 + offset)))
+            for a in range(4) for b in range(4) for x, y in connection}
+
+
+# two srg(16, 6, 2, 2): the 4 x 4 rook's graph and the Shrikhande graph
+ROOK = [(1, 0), (3, 0), (2, 0), (0, 1), (0, 3), (0, 2)]
+SHRIKHANDE = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+
+
+def test_subtree_searches_back_out_of_dead_ends(monkeypatch):
+    # individualizing one vertex leaves either graph equitable with the same
+    # trace, so a subtree search mapping a base point into the other graph
+    # is entered and fails one level down
+    g = Graph(32, _cayley_z4z4(ROOK, 0) | _cayley_z4z4(SHRIKHANDE, 16))
+    flipped = Graph(32, _cayley_z4z4(SHRIKHANDE, 0) | _cayley_z4z4(ROOK, 16))
+    failed = []
+    node = autosearch._Search.node
+
+    def counted(self, depth, c2):
+        got = node(self, depth, c2)
+        failed.append(got is None)
+        return got
+
+    monkeypatch.setattr(autosearch._Search, "node", counted)
+    stats = SearchStats()
+    base, gens, order = automorphism_group(g, stats)
+    assert order == 221_184 == 1152 * 192
+    assert (len(base), len(gens), stats.nodes, stats.refinements) == (8, 10, 69, 359)
+    assert sum(failed) == 16
+    cert, stats = find_preserving(g, [0] * 32)
+    assert cert.cycle_string() == "(20 31)(21 28)(22 29)(23 30)(24 26)(25 27)"
+    assert (stats.nodes, stats.refinements) == (9, 21)
+    cert, stats = find_preserving(flipped, [0] * 32)
+    assert cert.cycle_string() == "(24 28)(25 29)(26 30)(27 31)"
+    assert (stats.nodes, stats.refinements) == (9, 20)
+
+
+def test_subtree_searches_back_out_below_their_root():
+    # two halves, each a hub joined to a Shrikhande and a rook's graph,
+    # numbered Shrikhande first in one half and rook first in the other:
+    # below the swap of the hubs a search tries the wrong component first,
+    # matches one level and fails the next, so it returns to the level
+    # above and goes on with its next candidate
+    edges = (_cayley_z4z4(SHRIKHANDE, 1) | _cayley_z4z4(ROOK, 17)
+             | _cayley_z4z4(ROOK, 34) | _cayley_z4z4(SHRIKHANDE, 50))
+    edges |= {(0, v) for v in range(1, 33)} | {(33, v) for v in range(34, 66)}
+    g = Graph(66, edges)
+    stats = SearchStats()
+    base, gens, order = automorphism_group(g, stats)
+    assert order == 2 * (1152 * 192) ** 2
+    assert (len(base), len(gens), stats.nodes, stats.refinements) == (17, 21, 270, 1422)
+    cert, stats = find_preserving(g, [0] * 66)
+    assert cert.cycle_string() == "(54 65)(55 62)(56 63)(57 64)(58 60)(59 61)"
+    assert (stats.nodes, stats.refinements) == (18, 43)
+
+
+def test_subtree_search_is_not_bounded_by_the_recursion_limit():
+    # the base of Aut(150 K1) has 149 points; every subtree search walks it
+    import inspect
+    import sys
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        order = automorphism_group(Graph(150))[2]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert order == math.factorial(150)
+
+
+def test_enumerate_refuses_a_nonpositive_cap():
+    with pytest.raises(ValueError) as exc:
+        enumerate_automorphisms(path(3), cap=0)
+    assert str(exc.value) == "cap must be positive"
+
+
+def test_edge_certificates_are_rechecked(monkeypatch):
+    # a search that returned a non-preserving map would be caught, not trusted
+    monkeypatch.setattr(autosearch, "_edge_search", lambda *_args: Perm((1, 0, 2)))
+    with pytest.raises(AssertionError) as exc:
+        find_preserving_edges(path(3), {(0, 1): 1, (1, 2): 2})
+    assert str(exc.value) == "internal error: certificate failed re-verification"

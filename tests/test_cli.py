@@ -683,3 +683,63 @@ def test_verb_output_is_pinned(tmp_path, capsys, verb):
             body = (tmp_path / written).read_text() if written else ""
             digest.update(f"{code}\n{out}\n{err}\n{body}\n".encode())
     assert digest.hexdigest() == VERB_PINS[verb]
+
+
+def test_env_cap_must_be_positive(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "k3.el"
+    p.write_text(write_edge_list(complete(3)))
+    monkeypatch.setenv("LEXIDIS_CAP", "0")
+    assert run(capsys, "aut", str(p)) == (2, "", "error: LEXIDIS_CAP='0' must be positive\n")
+
+
+@pytest.mark.parametrize("records, message", [
+    ("v 0\n", "line 1: expected 'v <i> <label>' or 'e <u> <v> <label>'"),
+    ("v 0 1\ne 0 1 1\n", "mixed vertex and edge records"),
+    ("v 0 1\nv 2 1\n", "vertex labels must cover 0..2"),
+    ("# nothing here\n\n", "no labeling records found"),
+])
+def test_labeling_file_errors_give_exact_messages(tmp_path, capsys, records, message):
+    g = tmp_path / "p3.el"
+    g.write_text(write_edge_list(path(3)))
+    lab = tmp_path / "lab.txt"
+    lab.write_text(records)
+    assert run(capsys, "verify", str(g), str(lab)) == (2, "", f"error: {lab}: {message}\n")
+
+
+@pytest.mark.parametrize("verb, count, message", [
+    ("product", 2, "--power takes exactly one input graph"),
+    ("product", 1, "product takes two input graphs (or one with --power)"),
+    ("bounds", 1, "bounds needs a second graph and/or --power k"),
+])
+def test_graph_count_errors_give_exact_messages(tmp_path, capsys, verb, count, message):
+    g = tmp_path / "p3.el"
+    g.write_text(write_edge_list(path(3)))
+    power = ["--power", "2"] if count == 2 else []
+    assert run(capsys, verb, *[str(g)] * count, *power) == (2, "", f"error: {message}\n")
+
+
+def test_gen_refuses_an_oversized_graph6_before_encoding(capsys, monkeypatch):
+    # star(258047) has one vertex too many for graph6; the writer refuses it
+    # before building the 3.3e10-bit body (a stub format() fails fast if not)
+    import lexidis.formats as fmt
+
+    def no_format(*_args):
+        raise AssertionError("encoded the body of an oversized graph")
+
+    monkeypatch.setattr(fmt, "format", no_format, raising=False)
+    assert run(capsys, "gen", "--family", "star", "--n", "258047", "--format", "graph6") == (
+        2, "", "error: graph6 writer supports up to 258047 vertices, got 258048\n")
+
+
+def test_label_certify_exits_1_on_a_wrong_builder(tmp_path, capsys, monkeypatch):
+    # --certify checks what a builder returns instead of trusting it
+    from lexidis import cli
+
+    monkeypatch.setitem(cli.LABEL_METHODS, "thm21", (
+        2, None, lambda g, h: ([1] * (g.n * h.n), lex_product(g, h))))
+    g = tmp_path / "p3.el"
+    g.write_text(write_edge_list(path(3)))
+    code, out, err = run(capsys, "--json", "label", "--method", "thm21", str(g), str(g), "--certify")
+    assert (code, err) == (1, "")
+    assert out.endswith('{"certified": false, "command": "label", "labels_used": 1, '
+                        '"method": "thm21"}\n')

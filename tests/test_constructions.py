@@ -343,3 +343,30 @@ def test_power_edge_labeling():
     # every power of K1 is edgeless, and its labeling is empty
     for k in (2, 3, 4):
         assert power_edge_labeling(complete(1), k) == {}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tier_pattern_count(-1, 2), "tier must be non-negative"),
+    (lambda: min_extra_labels(0, 2), "label counts must be positive"),
+    (lambda: spider_distinguishing_labeling(2), "spider needs n >= 3"),
+    (lambda: spider_k2_distinguishing_number(2), "defined for n >= 3"),
+    (lambda: bundle_label_budget(0), "class count must be positive"),
+])
+def test_counting_argument_errors_give_exact_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_star_products_with_connected_factors_are_wreath_actions():
+    # why star_product_edge_labeling checks no wreath condition: a star with
+    # n >= 2 leaves has no closed twins, and its open twins, the leaves,
+    # need only a connected H
+    from networkx.generators.atlas import graph_atlas_g
+
+    from lexidis import is_connected, sabidussi_equal
+
+    hs = [Graph(x.number_of_nodes(), x.edges()) for x in graph_atlas_g()[1:]]
+    hs = [h for h in hs if h.n >= 2 and is_connected(h)]
+    assert len(hs) == 995
+    assert all(sabidussi_equal(star(n), h) for n in range(2, 9) for h in hs)

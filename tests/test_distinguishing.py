@@ -294,3 +294,57 @@ def test_distinguishing_index_stars():
     for n in (2, 3, 4):
         d, _ = distinguishing_index(star(n))
         assert d == n
+
+
+@pytest.mark.parametrize("oracle", [distinguishing_number, distinguishing_index])
+def test_oracles_refuse_a_nonpositive_label_cap(oracle):
+    with pytest.raises(ValueError) as exc:
+        oracle(path(3), d_max=0)
+    assert str(exc.value) == "d_max must be positive"
+
+
+def _rgs_below(m: int, d: int):
+    """Restricted-growth strings of length m with maximum below d."""
+    out = [[]]
+    for _ in range(m):
+        out = [s + [v] for s in out for v in range(1, min(d - 1, max(s, default=0) + 1) + 1)]
+    return out
+
+
+def test_walk_levels_start_with_every_lower_labeling_preserved(monkeypatch):
+    """The walker has no test that a prefix can still reach the level's
+    maximum d; ``_Walk.walk`` argues that none is needed because, when level
+    d starts, every labeling with a smaller maximum is preserved by a
+    permutation the walk keeps.  Check that premise by brute force over
+    every atlas graph for D and every atlas graph with at most 8 edges for
+    D'."""
+    from networkx.generators.atlas import graph_atlas_g
+
+    import lexidis.distinguishing as dist
+
+    kept: list[tuple[int, ...]] = []
+    add, walk = dist._Walk.add, dist._Walk.walk
+    levels = []
+
+    def recording_add(self, p):
+        kept.append(tuple(p))
+        return add(self, p)
+
+    def checked_walk(self, d):
+        levels.append(d)
+        for s in _rgs_below(self.m, d):
+            assert any(all(s[p[i]] == s[i] for i in range(self.m)) for p in kept), (d, s)
+        return walk(self, d)
+
+    monkeypatch.setattr(dist._Walk, "add", recording_add)
+    monkeypatch.setattr(dist._Walk, "walk", checked_walk)
+    graphs = [Graph(x.number_of_nodes(), x.edges()) for x in graph_atlas_g()]
+    for g in graphs:
+        kept.clear()
+        distinguishing_number(g)
+    for g in graphs:
+        if 0 < g.m <= 8:
+            kept.clear()
+            distinguishing_index(g)
+    # levels past the first were reached, the check is not vacuous
+    assert max(levels) == 7 and levels.count(3) > 100

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lexidis import complete, cycle, path, spider
+from lexidis import Graph, complete, cycle, path, spider
 from lexidis.formats import (
     FormatError,
     dumps,
@@ -53,6 +53,9 @@ def test_edge_list_comments_and_blanks():
         ("p 3 1\ne 0 \u0662\n", "line 2: non-integer endpoints"),
         ("p 3 1\ne 0 1_0\n", "line 2: non-integer endpoints"),
         ("p 3 1\ne -1 2\n", "line 2: need 0 <= u < v < 3"),
+        ("p 3\n", "line 1: expected 'p <n> <m>'"),
+        ("p 3 1\ne 0 1 2\n", "line 2: expected 'e <u> <v>'"),
+        ("# only a comment\n", "line 1: missing 'p <n> <m>' header"),
     ],
 )
 def test_edge_list_errors_name_lines(text, fragment):
@@ -181,3 +184,26 @@ def test_graph6_errors_name_the_records_line():
         loads("\n\nB~\n")
     with pytest.raises(FormatError, match="^line 2: invalid graph6 size byte$"):
         loads("\n" + chr(127) + "\n\n")
+
+
+def test_empty_input_and_unknown_format_give_exact_messages():
+    with pytest.raises(FormatError) as exc:
+        loads("\n  \n")
+    assert str(exc.value) == "line 1: empty input"
+    with pytest.raises(ValueError) as exc:
+        dumps(path(2), "dot")
+    assert str(exc.value) == "unknown format 'dot'"
+
+
+def test_graph6_writer_checks_the_size_first(monkeypatch):
+    # the n(n-1)/2 bits of 258 048 vertices would be about 3.3e10
+    # characters; the size field is refused before any bit is built
+    import lexidis.formats as fmt
+
+    def no_format(*_args):
+        raise AssertionError("encoded the body of an oversized graph")
+
+    monkeypatch.setattr(fmt, "format", no_format, raising=False)
+    with pytest.raises(FormatError) as exc:
+        write_graph6(Graph(258048))
+    assert str(exc.value) == "graph6 writer supports up to 258047 vertices, got 258048"

@@ -24,7 +24,7 @@ from lexidis import (
     wreath_generators,
     wreath_perm,
 )
-from lexidis.autosearch import automorphism_group
+from lexidis.autosearch import SearchStats, automorphism_group
 
 from .util import atlas4, brute_automorphisms, is_automorphism
 
@@ -206,3 +206,36 @@ def test_sabidussi_matches_group_orders_spot():
     prod = lex_product(g, h)
     w = closure(wreath_generators(_aut_gens(g), _aut_gens(h)))
     assert sabidussi_equal(g, h) == (len(w) == len(brute_automorphisms(prod)))
+
+
+def test_reprs_and_perm_dunders():
+    p = Perm((1, 0, 2))
+    assert repr(p) == "Perm(0 1)"
+    assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
+    stats = SearchStats()
+    stats.nodes, stats.refinements = 2, 5
+    assert repr(stats) == "SearchStats(nodes=2, refinements=5)"
+    assert p.__eq__((1, 0, 2)) is NotImplemented
+    assert p != (1, 0, 2)
+    assert Perm.identity(3) < p and not p < Perm.identity(3)
+    assert hash(p) == hash(Perm([1, 0, 2])) and len({p, Perm([1, 0, 2])}) == 1
+    with pytest.raises(AttributeError) as exc:
+        p.image = (0, 1, 2)
+    assert str(exc.value) == "Perm is immutable"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GeneratorSet(3, (Perm((1, 0)),)), "generator degree 2 != 3"),
+    (lambda: closure(GeneratorSet(2, ()), cap=0), "cap must be positive"),
+    (lambda: wreath_perm(Perm((1, 0)), [Perm((0, 1))]), "need 2 copy maps, got 1"),
+    (lambda: wreath_perm(Perm((0, 1)), [Perm((0, 1)), Perm((0, 1, 2))]),
+     "copy maps must share one degree"),
+])
+def test_group_argument_errors_give_exact_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_generating_subset_of_nothing():
+    assert generating_subset([]) == []
