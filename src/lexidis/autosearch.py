@@ -35,10 +35,24 @@ the first path's discrete coloring and re-verified by a naive check.  A
 certificate is the first yield: until then every orbit is its base point
 alone, so the leaves come in the order of a depth-first search that tries
 the identity branch first; a leaf below a branch b_i -> w, w != b_i, is
-never the identity.  Aut(G) drains the walk; a finished level's orbit is
-that of the stabilizer of b1..b(i-1), so the generators are strong and
-|Aut(G)| is the product of the orbit lengths, with no element list or
-Schreier-Sims step (McKay & Piperno 2014; Seress 2003).
+never the identity.  A group search drains the walk; a finished level's
+orbit is that of the stabilizer of b1..b(i-1), so the generators are
+strong and the order is the product of the orbit lengths, with no element
+list or Schreier-Sims step (McKay & Piperno 2014; Seress 2003).  The naive
+check reads the rows of the moved vertices only: an edge with a fixed end
+and a moved one is checked from the moved end, and an edge with two fixed
+ends maps to itself.
+
+``automorphism_group`` walks only the twin-free quotient of G.  Every
+class of twins is a module, so it merges each class of open twins, or
+when there are none of closed twins, into one node typed by its kind and
+its children's types, round by round until no twins are left; a cograph
+merges down to one node (Habib & Paul, Computer Science Review 4, 2010).
+The walk runs on the quotient colored by type, and its generators are
+lifted to G through each node's canonical member order, next to the swaps
+of equal-type siblings; |Aut(G)| is the quotient's order times a factorial
+per group of equal siblings.  On a twin-free graph that is the walk over
+all of G, unchanged.
 
 Each refinement round counts a vertex's neighbours only in the round's
 fresh classes: every class in the first round of a search, the rest of the
@@ -71,31 +85,34 @@ keys of the recorded kind, so the colorings, traces and certificates do not
 depend on the choice.
 
 ``enumerate_automorphisms`` lists a group under its cap as the closure of
-the strong generators, sorted by the images of the base.  That is the order
-in which a search visiting every leaf reaches them, since candidates are
-tried in ascending order at every depth; and each generator is the first
-such leaf that the earlier generators do not already produce.
+the strong generators, sorted by the images of the base of the walk over
+all of G, whose first path alone it walks.  That is the order in which a
+search of G visiting every leaf reaches them, since candidates are tried
+in ascending order at every depth.
 """
 from __future__ import annotations
 
 from math import prod
 from typing import Iterator, Optional, Sequence
 
-from .graph import Graph
+from .graph import Graph, _members
 from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, GeneratorSet, Perm, closure
 
 
 class SearchStats:
-    """Counters for one search; ``nodes`` is base-path levels plus subtree node calls."""
+    """Counters for one search; ``nodes`` is base-path levels plus subtree
+    node calls, ``merges`` the twin classes ``automorphism_group`` merged."""
 
-    __slots__ = ("nodes", "refinements")
+    __slots__ = ("nodes", "refinements", "merges")
 
     def __init__(self) -> None:
         self.nodes = 0
         self.refinements = 0
+        self.merges = 0
 
     def __repr__(self) -> str:
-        return f"SearchStats(nodes={self.nodes}, refinements={self.refinements})"
+        return (f"SearchStats(nodes={self.nodes}, refinements={self.refinements},"
+                f" merges={self.merges})")
 
 
 # A vertex's refinement key: one integer in rounds with few fresh classes,
@@ -266,18 +283,39 @@ def _replay_trace(
 def _verify(
     adj: Sequence[int], n: int, colors: Sequence[int], sigma: Sequence[int], cols: Sequence[int]
 ) -> bool:
-    """Naive check: sigma preserves the colors and, band by band, adjacency."""
-    for v in range(n):
+    """Naive check: sigma preserves the colors and, band by band, adjacency.
+
+    Only the moved vertices are checked, which is enough:
+
+    - an edge with a moved end is checked from that end's row, band by
+      band: the row's image must be the row of the end's image;
+    - an edge with both ends fixed maps to itself;
+    - so sigma maps the labeled edge set into itself, and a bijection of
+      the vertices is one-to-one on that finite set, so onto it as well.
+
+    A row's fixed bits map to themselves, so only its moved bits are
+    mapped one by one.
+    """
+    moved = [v for v in range(n) if sigma[v] != v]
+    for v in moved:
         if colors[sigma[v]] != colors[v]:
             return False
+    bands = range(0, len(cols), n) if n else ()
     if len(cols) > n:
-        sigma = [s + x for s in range(0, len(cols), n) for x in sigma]
-    for v in range(n):
+        sigma = [s + x for s in bands for x in sigma]
+    low = 0
+    for v in moved:
+        low |= 1 << v
+    mask = 0
+    for s in bands:
+        mask |= low << s
+    for v in moved:
         row = adj[v]
-        mapped = 0
-        while row:
-            lsb = row & -row
-            row ^= lsb
+        hit = row & mask
+        mapped = row ^ hit
+        while hit:
+            lsb = hit & -hit
+            hit ^= lsb
             mapped |= 1 << sigma[lsb.bit_length() - 1]
         if mapped != adj[sigma[v]]:
             return False
@@ -332,11 +370,13 @@ class _Search:
         self.levels: list[tuple[list[int], int, list[int], _Trace]] = []
         self.leaf: list[int] = []
 
-    def generators(self) -> Iterator[Perm]:
-        """Yield each automorphism the walk finds, in search order."""
+    def first_path(self) -> list[int]:
+        """Refine the starting colors and individualize down the first path
+        until the coloring is discrete; fill ``levels`` and ``leaf`` and
+        return the base."""
         adj, n, cols, stats, levels = self.adj, self.n, self.cols, self.stats, self.levels
         if n == 0:
-            return
+            return self.base
         # normalize the starting colors to dense values 0..k-1
         dense = {val: i for i, val in enumerate(sorted(set(self.colors)))}
         k = len(dense)
@@ -349,6 +389,12 @@ class _Search:
             self.base.append(cell[0])
             c, k = rc, rk
         self.leaf = c
+        return self.base
+
+    def generators(self) -> Iterator[Perm]:
+        """Yield each automorphism the walk finds, in search order."""
+        adj, n, cols, stats, levels = self.adj, self.n, self.cols, self.stats, self.levels
+        self.first_path()
         gens: list[Perm] = []
         for depth in range(len(levels) - 1, -1, -1):
             c, k, cell, trace = levels[depth]
@@ -447,24 +493,148 @@ def _orbit(v: int, gens: Sequence[Perm]) -> set[int]:
     return orbit
 
 
+def _group(
+    adj: Sequence[int], n: int, colors: Sequence[int], stats: SearchStats
+) -> tuple[list[int], list[Perm], int]:
+    """Base, strong generators and order of the color-preserving
+    automorphisms, by one walk of ``_Search`` that drains it."""
+    search = _Search(adj, n, colors, stats)
+    gens = list(search.generators())
+    return search.base, gens, prod(search.orbits)
+
+
+def _merge_twins(
+    adj: Sequence[int], n: int, stats: SearchStats
+) -> tuple[list[int], list[list[int]], list[int], list[list[int]], int]:
+    """Merge twin classes round by round until none is left; see
+    ``automorphism_group``.
+
+    Each merged node is named by its least vertex.  Returns the nodes of
+    the twin-free quotient, ascending; ``members`` and ``types``, read at
+    those nodes; the images of the swaps of adjacent equal-type siblings, in
+    merge order; and the product of r! over the merges and the children's
+    types, r children of each type.
+    """
+    nodes = list(range(n))
+    alive = (1 << n) - 1
+    members = [[v] for v in nodes]
+    types = [0] * n
+    numbered: dict[tuple[bool, tuple[int, ...]], int] = {}
+    swaps: list[list[int]] = []
+    order = 1
+    while True:
+        for closed in (False, True):
+            classes: dict[int, list[int]] = {}
+            for v in nodes:
+                classes.setdefault((adj[v] & alive) | (closed << v), []).append(v)
+            twins = [cls for cls in classes.values() if len(cls) > 1]
+            if twins:
+                break
+        else:
+            return nodes, members, types, swaps, order
+        for cls in twins:
+            stats.merges += 1
+            rep = cls[0]
+            # a stable sort: ties stay in ascending order of the least vertex
+            cls.sort(key=types.__getitem__)
+            run = 1
+            for a, b in zip(cls, cls[1:]):
+                if types[a] != types[b]:
+                    run = 1
+                    continue
+                run += 1
+                order *= run
+                image = list(range(n))
+                for x, y in zip(members[a], members[b]):
+                    image[x], image[y] = y, x
+                swaps.append(image)
+            kind = (closed, tuple(types[c] for c in cls))
+            types[rep] = numbered.setdefault(kind, len(numbered) + 1)
+            members[rep] = [x for c in cls for x in members[c]]
+            for c in cls:
+                if c != rep:
+                    alive ^= 1 << c
+        nodes = [v for v in nodes if alive >> v & 1]
+
+
 def automorphism_group(
     g: Graph, stats: Optional[SearchStats] = None
 ) -> tuple[list[int], list[Perm], int]:
     """Base, strong generators and order of Aut(g).
 
-    The generators come deepest base level first, each level in ascending
-    order of the image of its base point.  ``stats`` collects the work.
+    Twin classes are merged first, round by round: each round merges every
+    class of two or more open twins of the current quotient into one node,
+    or, when there is none, every such class of closed twins.  A merged
+    node's children are sorted by type, ties by least vertex; its type is
+    (kind, the children's types in that order), numbered as met, with 0 for
+    a single vertex, and its members in canonical order are its children's
+    in turn.  Each class is a module of g, siblings are twins, and equal
+    types have the same shape all the way down, so mapping one equal-type
+    module onto another in canonical order, and back, is an automorphism.
+    Each round's classes are read off the quotient alone, so every
+    automorphism of g permutes the nodes of every round and keeps types.
+
+    ``_Search`` then runs only on the twin-free quotient Q, colored by
+    type.  Its generators are lifted to g by mapping each node's members
+    onto its image's, position by position.  Lifting is a homomorphism, and
+    it splits the map from Aut(g) onto Aut(Q, types); the kernel, the
+    automorphisms fixing every node of Q setwise, is, node by node, the
+    type-preserving permutations of each merged node's children together
+    with the children's own groups, which the swaps of adjacent equal-type
+    siblings generate.  So |Aut(g)| = |Aut(Q, types)| times, over the
+    merges, the product of r! over the children's types, r of each type.
+
+    The base is Q's base, each point replaced by its node's first member,
+    then each merged node's members in canonical order but its last.  The
+    swaps, in merge order, then the lifted generators, deepest level of Q's
+    base first, are strong for it: fixing a first member fixes its node, a
+    lifted generator that fixes a node fixes its members, and fixing a
+    prefix of a node's canonical order leaves the type-preserving
+    permutations of the children after it, and their own groups, which the
+    swaps fixing the prefix generate.  On a twin-free graph nothing merges,
+    and the base, generators, order and ``stats`` are the whole-graph
+    search's.  Every lifted generator is re-checked by the naive check;
+    ``stats`` collects the work, ``stats.merges`` the merged classes.
     """
-    search = _Search(g.adjacency_bits, g.n, [0] * g.n, SearchStats() if stats is None else stats)
-    gens = list(search.generators())
-    return search.base, gens, prod(search.orbits)
+    stats = SearchStats() if stats is None else stats
+    n, adj = g.n, g.adjacency_bits
+    nodes, members, types, moves, order = _merge_twins(adj, n, stats)
+    if len(nodes) == n:
+        return _group(adj, n, types, stats)
+    index = {v: i for i, v in enumerate(nodes)}
+    alive = sum(1 << v for v in nodes)
+    rows = []
+    for v in nodes:
+        row = 0
+        for u in _members(adj[v] & alive):
+            row |= 1 << index[u]
+        rows.append(row)
+    qbase, qgens, qorder = _group(rows, len(nodes), [types[v] for v in nodes], stats)
+    for p in qgens:
+        image = list(range(n))
+        for v, w in zip(nodes, p.image):
+            for x, y in zip(members[v], members[nodes[w]]):
+                image[x] = y
+        moves.append(image)
+    colors = [0] * n
+    for image in moves:
+        if not _verify(adj, n, colors, image, adj):
+            raise AssertionError("internal error: a lifted generator failed re-verification")
+    base = [members[nodes[i]][0] for i in qbase]
+    fixed = set(base)
+    for v in nodes:
+        base += [x for x in members[v][:-1] if x not in fixed]
+    return base, [Perm(image) for image in moves], order * qorder
 
 
-def _elements(n: int, base: list[int], gens: list[Perm], order: int, cap: int) -> list[Perm]:
-    """``enumerate_automorphisms`` for a group already in hand."""
+def _elements(g: Graph, gens: list[Perm], order: int, cap: int) -> list[Perm]:
+    """``enumerate_automorphisms`` for a group already in hand: the closure
+    of gens, sorted by the images of the whole-graph search's first path,
+    which is a base; the path is walked only for a listing under the cap."""
     if order > cap:
         raise CapExceededError(cap + 1)
-    elems = closure(GeneratorSet(n, tuple(gens)), cap=order)
+    elems = closure(GeneratorSet(g.n, tuple(gens)), cap=order)
+    base = _Search(g.adjacency_bits, g.n, [0] * g.n, SearchStats()).first_path()
     elems.sort(key=lambda p: [p.image[b] for b in base])
     return elems
 
@@ -477,7 +647,8 @@ def enumerate_automorphisms(g: Graph, cap: int = DEFAULT_LISTING_CAP) -> list[Pe
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    return _elements(g.n, *automorphism_group(g), cap)
+    _, gens, order = automorphism_group(g)
+    return _elements(g, gens, order, cap)
 
 
 def is_color_preserving_automorphism(g: Graph, colors: Sequence[int], p: Perm) -> bool:

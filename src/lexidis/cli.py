@@ -200,8 +200,8 @@ def _cmd_aut(args) -> int:
     if cap < 1:
         raise CliError("cap must be positive")
     t0 = time.perf_counter()
-    base, gens, order = automorphism_group(g)
-    elems = _elements(g.n, base, gens, order, cap) if args.elements else None
+    _, gens, order = automorphism_group(g)
+    elems = _elements(g, gens, order, cap) if args.elements else None
     ms = (time.perf_counter() - t0) * 1000
     payload = {
         "command": "aut", "n": g.n, "m": g.m, "order": order,

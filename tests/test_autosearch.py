@@ -29,13 +29,16 @@ from lexidis.autosearch import SearchStats, _verify, automorphism_group
 
 from .util import (
     atlas4,
+    banded_input,
     brute_automorphisms,
     catalog,
     edge_action_is_trivial,
+    is_automorphism,
     naive_color_preserver_exists,
     naive_edge_preserver_exists,
     random_graph,
     sweep_pairs,
+    whole_graph_group,
 )
 
 
@@ -184,6 +187,45 @@ def test_naive_rechecks_reject_non_preservers():
     assert preserves_edge_labels(p3, {(0, 1): 1, (1, 2): 1}, flip)
 
 
+def _referee_preserves(labels, colors, sigma):
+    """Every vertex keeps its color, and every labeled edge maps onto an edge
+    with its label; sigma is a bijection, so that is preservation."""
+    return all(colors[sigma[v]] == colors[v] for v in range(len(sigma))) and all(
+        labels.get((min(sigma[u], sigma[v]), max(sigma[u], sigma[v]))) == val
+        for (u, v), val in labels.items())
+
+
+def test_naive_check_over_moved_vertices_matches_a_referee():
+    # _verify reads the rows of moved vertices only; the referee reads every
+    # edge.  Besides random permutations and automorphisms, each graph gets
+    # a transposition (u w) that breaks the edge from a fixed end f to u: w
+    # is no neighbour of f, or (with several bands) one by another label
+    rng = random.Random(7)
+    broken = {False: 0, True: 0}
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(2, 9), rng.choice([0.3, 0.5, 0.8]))
+        nlabels = rng.choice([1, 2, 3])
+        labels = {e: rng.randrange(nlabels) for e in g.edge_list()}
+        rows, _, cols = banded_input(g, labels)
+        cols = cols or rows
+        colors = [rng.randrange(2) for _ in range(g.n)]
+        perms = [rng.sample(range(g.n), g.n) for _ in range(3)]
+        perms += [rng.choice(enumerate_automorphisms(g)).image]
+        for (f, u), val in labels.items():
+            f, u = rng.sample((f, u), 2)
+            for w in range(g.n):
+                if w not in (f, u) and labels.get((min(f, w), max(f, w))) != val:
+                    sigma = list(range(g.n))
+                    sigma[u], sigma[w] = w, u
+                    perms.append(sigma)
+                    broken[len(cols) > g.n] += 1
+                    break
+        for sigma in perms:
+            want = _referee_preserves(labels, colors, sigma)
+            assert _verify(rows, g.n, colors, sigma, cols) == want, (g, labels, sigma)
+    assert min(broken.values()) > 100, broken
+
+
 # a cubic graph whose group search meets a subtree replay that diverges
 # below the base level, where the node tries the next target vertex
 CUBIC12 = Graph(12, [(0, 3), (0, 6), (0, 10), (1, 2), (1, 4), (1, 10), (2, 4), (2, 10),
@@ -198,11 +240,17 @@ def test_group_order_past_a_subtree_replay_divergence():
     nx_graph = NxGraph(CUBIC12.edge_list())
     referee = sum(1 for _ in GraphMatcher(nx_graph, nx_graph).isomorphisms_iter())
     stats = SearchStats()
-    base, gens, order = automorphism_group(CUBIC12, stats)
+    base, gens, order = whole_graph_group(CUBIC12, stats)
     assert order == referee == 4
     assert base == [0, 4, 1]
     assert [p.cycle_string() for p in gens] == ["(1 2)", "(0 9)(3 11)(4 10)(5 8)"]
     assert (stats.nodes, stats.refinements) == (7, 45)
+    # 1 and 2 are closed twins: the search runs on the 11-node quotient,
+    # and the swap and the lifted generator are the whole-graph ones
+    stats = SearchStats()
+    base, twin_gens, order = automorphism_group(CUBIC12, stats)
+    assert (order, base, twin_gens) == (4, [4, 1], gens)
+    assert (stats.merges, stats.nodes, stats.refinements) == (1, 2, 11)
 
 
 def test_group_order_matches_sympy_on_sweep_products():
@@ -219,20 +267,85 @@ def test_group_order_matches_sympy_on_sweep_products():
 
 
 def test_group_search_work_is_pinned():
-    # exact node counts: a pruning regression fails here, not only in timing
+    # exact node counts of the whole-graph search: a pruning regression
+    # fails here, not only in timing
     stats = SearchStats()
-    base, gens, order = automorphism_group(lex_product(complete(4), complete(4)), stats)
+    base, gens, order = whole_graph_group(lex_product(complete(4), complete(4)), stats)
     assert order == math.factorial(16)
     assert (len(base), len(gens), stats.nodes, stats.refinements) == (15, 15, 135, 136)
     stats = SearchStats()
-    base, gens, order = automorphism_group(lex_product(cycle(5), path(4)), stats)
+    base, gens, order = whole_graph_group(lex_product(cycle(5), path(4)), stats)
     assert order == 10 * 2**5
     assert (base, len(gens), stats.nodes, stats.refinements) == ([0, 4, 16, 8, 12], 7, 29, 60)
     # summed over the sweep: one stats object across all 102 searches
     stats = SearchStats()
     for _gn, g, _hn, h in sweep_pairs():
-        automorphism_group(lex_product(g, h), stats)
+        whole_graph_group(lex_product(g, h), stats)
     assert (stats.nodes, stats.refinements) == (3670, 4787)
+
+
+def _basic_orbit_lengths(base, gens):
+    """Orbit of each base point under the generators that fix every point
+    before it: their product is the order iff the generators are strong."""
+    lengths = []
+    for i, b in enumerate(base):
+        level = [p for p in gens if all(p.image[x] == x for x in base[:i])]
+        lengths.append(len(autosearch._orbit(b, level)))
+    return lengths
+
+
+def test_twin_path_matches_the_whole_graph_search():
+    # every atlas graph on at most 7 vertices, the sweep products and
+    # relabeled random products: the order is the whole-graph search's, every
+    # generator is an automorphism, the generators are strong for the base,
+    # and on at most 6 vertices only the identity fixes the base
+    from networkx import graph_atlas_g
+
+    graphs = [Graph(a.number_of_nodes(), a.edges()) for a in graph_atlas_g()]
+    graphs += [lex_product(g, h) for _gn, g, _hn, h in sweep_pairs()]
+    rng = random.Random(21)
+    for _ in range(200):
+        g = lex_product(random_graph(rng, rng.randrange(1, 6), rng.choice([0.3, 0.7])),
+                        random_graph(rng, rng.randrange(1, 6), rng.choice([0.3, 0.7])))
+        perm = rng.sample(range(g.n), g.n)
+        graphs.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()]))
+    merged = 0
+    for g in graphs:
+        stats = SearchStats()
+        base, gens, order = automorphism_group(g, stats)
+        merged += stats.merges > 0
+        assert order == whole_graph_group(g, SearchStats())[2], g
+        assert all(is_automorphism(g, p.image) for p in gens), g
+        assert math.prod(_basic_orbit_lengths(base, gens)) == order, g
+        if g.n <= 6:
+            fixing = [p for p in brute_automorphisms(g) if all(p[b] == b for b in base)]
+            assert fixing == [tuple(range(g.n))], g
+    assert (len(graphs), merged) == (1555, 1145)
+
+
+def test_twin_merges_are_pinned():
+    # (merges, nodes, refinements) of automorphism_group: a cograph merges
+    # down to one node, whose search is one refinement round
+    cases = [
+        (Graph(1000), math.factorial(1000), 999, (1, 0, 1)),
+        (lex_power(path(3), 6), 2**364, 364, (728, 0, 1)),
+        (complete(300), math.factorial(300), 299, (1, 0, 1)),
+        (lex_product(complete(4), complete(4)), math.factorial(16), 15, (1, 0, 1)),
+    ]
+    for g, want, ngens, work in cases:
+        stats = SearchStats()
+        base, gens, order = automorphism_group(g, stats)
+        assert (order, len(gens), len(base)) == (want, ngens, g.n - 1)
+        assert (stats.merges, stats.nodes, stats.refinements) == work
+    # a twin-free product merges nothing: the whole-graph search, unchanged
+    stats = SearchStats()
+    base, gens, order = automorphism_group(lex_product(cycle(5), path(4)), stats)
+    assert (base, len(gens), order) == ([0, 4, 16, 8, 12], 7, 320)
+    assert (stats.merges, stats.nodes, stats.refinements) == (0, 29, 60)
+    stats = SearchStats()
+    for _gn, g, _hn, h in sweep_pairs():
+        automorphism_group(lex_product(g, h), stats)
+    assert (stats.merges, stats.nodes, stats.refinements) == (548, 197, 532)
 
 
 def test_group_search_splits_only_down_the_base_path(monkeypatch):
@@ -247,7 +360,7 @@ def test_group_search_splits_only_down_the_base_path(monkeypatch):
     monkeypatch.setattr(autosearch, "_split", counted)
     for gn, g, hn, h in sweep_pairs():
         calls.clear()
-        base, _, _ = automorphism_group(lex_product(g, h))
+        base, _, _ = whole_graph_group(lex_product(g, h), SearchStats())
         assert len(calls) == len(base), (gn, hn)
 
 
@@ -407,14 +520,15 @@ def test_subtree_searches_back_out_below_their_root():
 
 
 def test_subtree_search_is_not_bounded_by_the_recursion_limit():
-    # the base of Aut(150 K1) has 149 points; every subtree search walks it
+    # the base of the whole-graph search of Aut(150 K1) has 149 points;
+    # every subtree search walks it
     import inspect
     import sys
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
     try:
-        order = automorphism_group(Graph(150))[2]
+        order = whole_graph_group(Graph(150), SearchStats())[2]
     finally:
         sys.setrecursionlimit(limit)
     assert order == math.factorial(150)

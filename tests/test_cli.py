@@ -457,26 +457,53 @@ def test_aut_elements_listing_is_pinned(tmp_path, capsys):
 
 
 def test_aut_elements_runs_one_group_search(tmp_path, capsys, monkeypatch):
-    # the listing closes the generators the one search found, and a refused
-    # listing costs no second search either
-    from lexidis import autosearch
+    # the listing closes the generators of the one group computation and
+    # sorts them by one walk down the whole graph's first path; a refused
+    # listing costs no second computation and no walk.  K2[C4] is a cograph,
+    # so the group computation searches a one-node quotient
+    from lexidis import autosearch, cli
 
     p = tmp_path / "k2c4.el"
     p.write_text(write_edge_list(lex_product(complete(2), cycle(4))))
-    walks = []
+    calls = []
+    group = cli.automorphism_group
     generators = autosearch._Search.generators
+    first_path = autosearch._Search.first_path
 
-    def counted(self):
-        walks.append(self.n)
+    def counted_group(g, stats=None):
+        calls.append(("group", g.n))
+        return group(g, stats)
+
+    def counted_generators(self):
+        calls.append(("search", self.n))
         return generators(self)
 
-    monkeypatch.setattr(autosearch._Search, "generators", counted)
+    def counted_first_path(self):
+        calls.append(("first path", self.n))
+        return first_path(self)
+
+    monkeypatch.setattr(cli, "automorphism_group", counted_group)
+    monkeypatch.setattr(autosearch._Search, "generators", counted_generators)
+    monkeypatch.setattr(autosearch._Search, "first_path", counted_first_path)
     code, out, _ = run(capsys, "aut", "--elements", str(p))
     assert code == 0 and out.startswith("order 384, ") and len(out.splitlines()) == 385
-    assert walks == [8]
+    assert calls == [("group", 8), ("search", 1), ("first path", 1), ("first path", 8)]
+    calls.clear()
     code, out, err = run(capsys, "aut", "--elements", "--cap", "1", str(p))
     assert (code, out, err) == (3, "", "error: cap exceeded: at least 2 elements\n")
-    assert walks == [8, 8]
+    assert calls == [("group", 8), ("search", 1), ("first path", 1)]
+
+
+def test_aut_of_a_thousand_isolated_vertices(tmp_path, capsys):
+    # all 1 000 vertices are open twins: one merge, no search below it
+    p = tmp_path / "k1000.el"
+    p.write_text("p 1000 0\n")
+    code, out, _ = run(capsys, "aut", str(p))
+    assert (code, out) == (0, f"order {math.factorial(1000)}, 999 generators\n")
+    code, out, _ = run(capsys, "--json", "aut", str(p))
+    got = json.loads(out)
+    assert code == 0 and got["order"] == math.factorial(1000)
+    assert got["generators"] == [f"({v} {v + 1})" for v in range(999)]
 
 
 # One small input per label method, pinned before the method table replaced

@@ -213,8 +213,8 @@ def test_reprs_and_perm_dunders():
     assert repr(p) == "Perm(0 1)"
     assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
     stats = SearchStats()
-    stats.nodes, stats.refinements = 2, 5
-    assert repr(stats) == "SearchStats(nodes=2, refinements=5)"
+    stats.nodes, stats.refinements, stats.merges = 2, 5, 1
+    assert repr(stats) == "SearchStats(nodes=2, refinements=5, merges=1)"
     assert p.__eq__((1, 0, 2)) is NotImplemented
     assert p != (1, 0, 2)
     assert Perm.identity(3) < p and not p < Perm.identity(3)

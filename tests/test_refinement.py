@@ -36,6 +36,7 @@ from .util import (
     subdivision,
     subdivision_colors,
     sweep_pairs,
+    whole_graph_group,
 )
 
 
@@ -337,7 +338,7 @@ def test_rounds_count_no_split_class_last_child(monkeypatch):
 
     monkeypatch.setattr(autosearch, "_signatures", counting)
     for _gn, g, _hn, h in sweep_pairs():
-        autosearch.automorphism_group(lex_product(g, h))
+        whole_graph_group(lex_product(g, h), autosearch.SearchStats())
     assert (len(counted), sum(counted)) == (4787, 5000)
     counted.clear()
     for kind, _name, g, labels in LARGE_CASES:

@@ -329,6 +329,13 @@ def reference_search(adj, n: int, colors, offset: int, stats, cols=None):
     return node(rc, list(rc), rk)
 
 
+def whole_graph_group(g: Graph, stats):
+    """Base, strong generators and order of Aut(g) from one ``_Search`` walk
+    over all of g, without the twin merging of ``automorphism_group``: the
+    engine's own referee, whose work the search pins count."""
+    return autosearch._group(g.adjacency_bits, g.n, [0] * g.n, stats)
+
+
 def base_path_rounds(adj, n: int, colors, cols=None) -> int:
     """Refinement rounds of the individualizations down the first search
     path: the rounds that the identity branch of ``reference_search``
