@@ -21,13 +21,16 @@ from lexidis import (
 )
 
 # Exact values at desk scale, straight from the search oracle.
-for n in (3, 4, 5, 6):
+for n in range(3, 11):
     d, _ = distinguishing_number(spider(n))
     print(f"D(spider({n})) = {d} = ceil(sqrt({n}))")
 
-for n in (3, 4):
+# The closed form stays at 3 up to n = 9 and jumps to 4 at n = 10, where
+# C(3, 2)^2 = 9 < 10; the oracle meets it on the 42-vertex product.
+for n in range(3, 11):
     prod = lex_product(spider(n), complete(2))
     d, _ = distinguishing_number(prod)
+    assert d == spider_k2_distinguishing_number(n)
     print(f"D(spider({n})[K2]) = {d}, closed form {spider_k2_distinguishing_number(n)}")
 
 # The closed form scales far beyond the oracle.

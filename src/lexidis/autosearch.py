@@ -92,6 +92,7 @@ in ascending order at every depth.
 """
 from __future__ import annotations
 
+from bisect import insort
 from math import prod
 from typing import Iterator, Optional, Sequence
 
@@ -505,35 +506,58 @@ def _group(
 
 def _merge_twins(
     adj: Sequence[int], n: int, stats: SearchStats
-) -> tuple[list[int], list[list[int]], list[int], list[list[int]], int]:
+) -> tuple[int, list[list[int]], list[int], list[list[int]], int]:
     """Merge twin classes round by round until none is left; see
     ``automorphism_group``.
 
     Each merged node is named by its least vertex.  Returns the nodes of
-    the twin-free quotient, ascending; ``members`` and ``types``, read at
-    those nodes; the images of the swaps of adjacent equal-type siblings, in
-    merge order; and the product of r! over the merges and the children's
-    types, r children of each type.
+    the twin-free quotient as the set bits of an int; ``members`` and
+    ``types``, read at those nodes; the images of the swaps of adjacent
+    equal-type siblings, in merge order; and the product of r! over the
+    merges and the children's types, r children of each type.
+
+    A node's open key is its row outside its members, and its closed key
+    its row with them.  Members form a module, so a key is the union of the
+    members of the node's neighbors in the quotient (and its own): two
+    nodes have equal keys iff they are twins of that kind, and only a
+    merged node's keys change, so the classes are kept from round to round
+    instead of keyed again.  A merged node keeps its key of the merge's
+    kind (its siblings were all or none of its neighbors).  A node with
+    twins of one kind has none of the other (an open twin u and a closed
+    twin w of v would make u a neighbor of w, so of v), and the keys of the
+    other kind that the merge leaves behind, its siblings' and its own old
+    one, each hold part of the merged module but not all of it, which no
+    later key can; so those classes stay as they are, never met again.
     """
-    nodes = list(range(n))
     alive = (1 << n) - 1
-    members = [[v] for v in nodes]
+    members = [[v] for v in range(n)]
+    masks = [1 << v for v in range(n)]  # the bits of members[v]
     types = [0] * n
     numbered: dict[tuple[bool, tuple[int, ...]], int] = {}
     swaps: list[list[int]] = []
     order = 1
+    # by kind (open, closed): key -> nodes, and the keys of two nodes or
+    # more; the closed classes are built the first time a round needs them
+    found: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        found.setdefault(row, []).append(v)
+    buckets: list[Optional[dict[int, list[int]]]] = [found, None]
+    multi = [{key for key, cls in found.items() if len(cls) > 1}, set()]
     while True:
-        for closed in (False, True):
-            classes: dict[int, list[int]] = {}
-            for v in nodes:
-                classes.setdefault((adj[v] & alive) | (closed << v), []).append(v)
-            twins = [cls for cls in classes.values() if len(cls) > 1]
-            if twins:
-                break
-        else:
-            return nodes, members, types, swaps, order
+        if not multi[0] and buckets[1] is None:
+            buckets[1] = found = {}
+            for v in _members(alive):
+                found.setdefault(adj[v] | masks[v], []).append(v)
+            multi[1] = {key for key, cls in found.items() if len(cls) > 1}
+        closed = not multi[0]
+        if not multi[closed]:
+            return alive, members, types, swaps, order
+        found, others = buckets[closed], buckets[not closed]
+        # each class is kept ascending, so they sort by least node
+        twins = sorted(map(found.__getitem__, multi[closed]))
+        multi[closed].clear()
+        stats.merges += len(twins)
         for cls in twins:
-            stats.merges += 1
             rep = cls[0]
             # a stable sort: ties stay in ascending order of the least vertex
             cls.sort(key=types.__getitem__)
@@ -548,13 +572,23 @@ def _merge_twins(
                 for x, y in zip(members[a], members[b]):
                     image[x], image[y] = y, x
                 swaps.append(image)
-            kind = (closed, tuple(types[c] for c in cls))
+            kind = (closed, tuple([types[c] for c in cls]))
             types[rep] = numbered.setdefault(kind, len(numbered) + 1)
             members[rep] = [x for c in cls for x in members[c]]
+            mask = 0
             for c in cls:
-                if c != rep:
-                    alive ^= 1 << c
-        nodes = [v for v in nodes if alive >> v & 1]
+                mask |= masks[c]
+            # of the siblings' members only the siblings are still alive
+            alive &= ~mask | masks[rep]
+            masks[rep] = mask
+            if others is not None:
+                key = adj[rep] & ~masks[rep] if closed else adj[rep] | masks[rep]
+                if key in others:
+                    insort(others[key], rep)
+                    multi[not closed].add(key)
+                else:
+                    others[key] = [rep]
+            cls[:] = [rep]
 
 
 def automorphism_group(
@@ -598,11 +632,11 @@ def automorphism_group(
     """
     stats = SearchStats() if stats is None else stats
     n, adj = g.n, g.adjacency_bits
-    nodes, members, types, moves, order = _merge_twins(adj, n, stats)
-    if len(nodes) == n:
+    alive, members, types, moves, order = _merge_twins(adj, n, stats)
+    if alive == (1 << n) - 1:
         return _group(adj, n, types, stats)
+    nodes = _members(alive)
     index = {v: i for i, v in enumerate(nodes)}
-    alive = sum(1 << v for v in nodes)
     rows = []
     for v in nodes:
         row = 0

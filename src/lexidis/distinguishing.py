@@ -1,37 +1,66 @@
 """Exact distinguishing number and distinguishing index by minimal-d search.
 
 One walker, ``_least_labeling``, answers both.  For d = 1, 2, ... it visits
-the restricted-growth labelings (each new label first appears in position
-order, which kills the relabeling symmetry) in lexicographic order and
-returns the first that no known permutation preserves.  A permutation's
-alive flag clears while the prefix breaks one of its cycles; a prefix that
-reaches its last moved position with the flag set dies, since the
-permutation then preserves every extension.
+the restricted-growth labelings with maximum d (each new label first
+appears in position order, which kills the relabeling symmetry) in
+lexicographic order and returns the first that no automorphism preserves.
 
 The positions are the vertices of G for D(G) and its edges, in
 ``edge_list()`` order, for D'(G); neither oracle lists Aut(G).  The walk
-starts from the twin transpositions: as vertex permutations for D(G)
-(Albertson & Collins 1996), as edge permutations for D'(G) (Kalinowski &
-Pilsniak 2015), leaving out any swap that fixes every edge.  Each leaf
-that survives them goes to one automorphism search, the one
-``find_preserving`` runs for D and ``find_preserving_edges`` for D': the
-first automorphism preserving the labels that moves a vertex, or an edge.
-Its action on the positions refutes the leaf and is kept for every later
-d (it comes from an automorphism of the bare graph and moves a position,
-so it is nontrivial).  It fixes every position after its last moved one,
-so it preserves every labeling that agrees with the leaf up to there, and
-the walk backjumps to that position.
-The levels run in order, each to exhaustion, so a level starts with every
-labeling of a smaller maximum preserved by a kept permutation, and the
-walk at level d bans each prefix that cannot reach d without a test of its
-own (``_Walk.walk`` gives the argument).
-Everything skipped is preserved by a nontrivial automorphism and the walk
-is lexicographic, so the first accepted leaf is the lexicographically
-least distinguishing labeling with the least d.
+keeps a list of automorphisms, acting on the positions.  It starts from the
+twin transpositions: as vertex permutations for D(G) (Albertson & Collins
+1996), as edge permutations for D'(G) (Kalinowski & Pilsniak 2015), leaving
+out any swap that fixes every edge.  Each leaf that survives the prunes
+below goes to one automorphism search, the one ``find_preserving`` runs for
+D and ``find_preserving_edges`` for D': the first automorphism preserving
+the labels that moves a vertex, or an edge.  Its action on the positions
+refutes the leaf and is kept for every later d (it comes from an
+automorphism of the bare graph and moves a position, so it is nontrivial).
+It fixes every position after its last moved one, so it preserves every
+labeling that agrees with the leaf up to there, and the walk backjumps to
+that position.
+
+A kept permutation p with last moved position k maps the positions 0..k
+onto themselves, so a prefix P through k decides two prunes for every
+extension E of P.  Write (E o p)[i] = E[p[i]], and NF for the
+restricted-growth normal form, which renames the labels in the order they
+first appear.
+- Preserved: p preserves P, so p preserves E.
+- Image: NF(P o p) < P.  E o p agrees with E after k, so NF(E o p) < E.
+A third prune needs no permutation.
+- Reach-d: max(top, val) + (m - k - 1) < d, for the value val at k and
+  the largest label top before k; no extension of P reaches maximum d.
+The first two name the permutation they used.
+
+Why the witness is the lexicographically least distinguishing labeling
+with the least d.  p is an automorphism, so E o p is distinguishing iff E
+is, and so is its renaming E' = NF(E o p), which has the same maximum as E.
+So every labeling the image prune drops has a smaller distinguishing E' of
+the same maximum, or is not distinguishing itself; the preserved prune and
+the backjump drop only labelings that a nontrivial automorphism preserves;
+and the reach-d prune drops only labelings of a smaller maximum, which
+their own levels have ruled out (the levels run in order, each to
+exhaustion).  So the least distinguishing labeling with maximum d is never
+dropped, every leaf before it is refuted, and it is the first accepted
+leaf.
+
+Two forms make the image prune cheap.
+- A transposition (v w), v < w, needs no normal form.  P o p agrees with P
+  but at v and w; p preserves P if P[w] = P[v], and a label P[w] < P[v]
+  appears before v and keeps its name, so then NF(P o p) < P.  At w the
+  walk requires a value above buf[v], the twin floor, in O(1) per value.
+  For D the seeds are then only each twin class's consecutive pairs: their
+  floors order the class strictly, which is every prune of all its pairs.
+- Any other permutation is compared once per value tried at k.  P o p
+  and P can first differ only at a position p moves, so the compare scans
+  those for the first i with P[p[i]] != P[i]; before i the normal form is
+  P itself and the labels up to the top before i keep their names, and
+  from i on it renames the others.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress, pairwise
+from operator import ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .autosearch import (
@@ -41,7 +70,7 @@ from .autosearch import (
     find_preserving,
     find_preserving_edges,
 )
-from .graph import Graph, closed_twin_partition, open_twin_partition
+from .graph import Graph, _members, closed_twin_partition, open_twin_partition
 
 VertexLabeling = list[int]
 EdgeLabeling = dict[tuple[int, int], int]
@@ -79,79 +108,114 @@ def is_distinguishing_edges(g: Graph, labels: EdgeLabeling) -> bool:
     return find_preserving_edges(g, labels) is None
 
 
-def _twin_pairs(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Transpositions of open or closed twins, each an automorphism."""
+def _twin_pairs(
+    g: Graph, pairs: Callable[[tuple[int, ...]], Iterable[tuple[int, int]]]
+) -> Iterator[tuple[int, int]]:
+    """The ``pairs`` v < w of each class of open or closed twins; each
+    transposition (v w) is an automorphism."""
     for cls in (*open_twin_partition(g), *closed_twin_partition(g)):
-        for v, w in combinations(cls, 2):
-            swap = list(range(g.n))
-            swap[v], swap[w] = w, v
-            yield tuple(swap)
+        yield from pairs(cls)
+
+
+def _image_is_smaller(
+    p: Sequence[int], moved: list[int], k: int, buf: list[int], top: list[int]
+) -> bool:
+    """Whether NF(buf o p) < buf on the positions up to k, where ``moved``
+    lists the positions p moves, ascending, and top[i] is the largest label
+    before i."""
+    for i in moved:
+        if buf[p[i]] != buf[i]:
+            break
+    else:
+        return False
+    # NF(buf o p) is buf before i, and there the labels up to top[i] keep
+    # their names; a fixed position after i can still differ by a renaming
+    t = top[i]
+    names: dict[int, int] = {}
+    for i in range(i, k + 1):
+        x = buf[p[i]]
+        if x > t:
+            x = names.setdefault(x, t + len(names) + 1)
+        if x != buf[i]:
+            return x < buf[i]
+    return False
+
+
+# the names of ``_Walk.counts``, in order
+COUNTERS = ("steps", "leaves", "preserved", "twin_floor", "image", "reach_d", "backjump")
 
 
 class _Walk:
     """State of one restricted-growth walk; see ``_least_labeling``.
 
-    A permutation preserves a labeling when every moved position j has the
-    label of low(j), the least position of its cycle.  The pair at the last
-    moved position decides the prune; earlier pairs clear the alive flag.
+    A transposition (v w) is kept as the floor v at w.  Any other
+    permutation p preserves a labeling when every moved position j has the
+    label of low(j), the least position of its cycle: the pair at its last
+    moved position decides the preserved prune, earlier pairs clear its
+    alive flag, and its entry at the last position feeds the image prune.
+    ``counts`` holds the work of every level walked so far: values placed
+    (steps), leaves refuted or accepted, values dropped by each prune, and
+    refuted leaves whose certificate backjumped past the last position.
     """
 
-    __slots__ = ("refute", "m", "checks", "dies", "alive", "buf")
+    __slots__ = ("refute", "m", "checks", "dies", "floors", "images", "alive", "buf", "counts")
 
     def __init__(self, m: int, refute: Refuter) -> None:
         self.refute = refute
         self.m = m
         self.checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         self.dies: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        self.floors: list[list[int]] = [[] for _ in range(m)]
+        # (p, its moved positions) at p's last moved position
+        self.images: list[list[tuple[Sequence[int], list[int]]]] = [[] for _ in range(m)]
         self.alive: list[bool] = []
         self.buf = [0] * m
+        self.counts = [0] * len(COUNTERS)
 
-    def add(self, p: tuple[int, ...]) -> int:
-        """Track permutation p; returns its last moved position."""
+    def add(self, p: Sequence[int]) -> int:
+        """Track the nontrivial permutation p; returns its last moved position."""
+        moved = list(compress(range(self.m), map(ne, p, range(self.m))))
+        last = moved[-1]
+        if len(moved) == 2:
+            self.floors[last].append(moved[0])
+            return last
         s = len(self.alive)
         self.alive.append(True)
         low = list(range(self.m))
-        last = 0
-        for i, j in enumerate(p):
-            if j > i and low[i] == i:
+        for i in moved:
+            if low[i] == i:
+                j = p[i]
                 while j != i:
                     low[j] = i
-                    if j > last:
-                        last = j
                     j = p[j]
-        for j in range(last):
+        for j in moved[:-1]:
             if low[j] != j:
                 self.checks[j].append((s, low[j]))
         self.dies[last].append((s, low[last]))
+        self.images[last].append((p, moved))
         return last
 
     def walk(self, d: int) -> bool:
         """Whether some labeling with maximum d survives, the first left in
         ``buf``.  A loop, not a recursion: position k keeps its value buf[k],
         the top before it, the permutations that value killed and the labels
-        banned there; a refuted leaf pops back to its certificate's last
-        moved position, which tries its next value.
-
-        Level invariant: ``_least_labeling`` runs d = 1, 2, ... in order,
-        each to exhaustion, so when level d starts every labeling with
-        maximum < d is preserved by a kept permutation (it was banned,
-        skipped by a backjump or refuted at its own level).  So no prefix
-        that cannot reach d survives, and no test for it is needed.  Take a
-        prefix through position k with top t and t + (m - k - 1) < d, and
-        extend it by the fresh labels t + 1, t + 2, ...: the result has
-        maximum < d, so a kept p preserves it.  Each position after k holds
-        a label used nowhere else, so p fixes it; p's last moved position is
-        at most k, p preserves the prefix, and the walk bans the prefix at
-        p's last moved position.
+        that live permutations ban there; a refuted leaf pops back to its
+        certificate's last moved position, which tries its next value.  A
+        value is dropped by the first prune that applies, in the order
+        reach-d, twin floor, preserved, image; the module docstring argues
+        that none drops the witness.
         """
         m, buf, alive = self.m, self.buf, self.alive
-        checks, dies = self.checks, self.dies
+        checks, dies, floors, images = self.checks, self.dies, self.floors, self.images
         top = [0] * (m + 1)  # top[k]: the largest label at positions < k
         # position k's entries are set each time the walk enters k
         killed: list[list[int]] = [[]] * m
         banned: list[set[int]] = [set()] * m
+        steps = leaves = preserved = floored = imaged = reached = jumps = 0
         k, fresh = 0, True
         while k >= 0:
+            t = top[k]
+            hi = t + 1 if t < d else d
             if fresh:
                 # a live permutation whose last pair lands here bans its low
                 # label; the set holds while k advances, as those flags
@@ -159,32 +223,65 @@ class _Walk:
                 # its last pair here bans just the value it refuted
                 banned[k] = {buf[i] for s, i in dies[k] if alive[s]}
                 killed[k] = []
-                buf[k] = 0
-            for s in killed[k]:
-                alive[s] = True
-            val = buf[k] + 1
-            while val in banned[k]:
+                # the reach-d and floor bounds hold for the whole visit, so
+                # only its first value needs them
+                val = d - m + k + 1  # the least value that can still reach d
+                if val > t:
+                    reached += min(val, hi + 1) - 1
+                else:
+                    val = 1
+                if floors[k]:
+                    lo = max([buf[v] for v in floors[k]]) + 1
+                    if lo > val:
+                        floored += min(lo, hi + 1) - val
+                        val = lo
+            else:
+                for s in killed[k]:
+                    alive[s] = True
+                val = buf[k] + 1
+            while val <= hi:
+                if val in banned[k]:
+                    preserved += 1
+                else:
+                    buf[k] = val
+                    for p, moved in images[k]:
+                        if _image_is_smaller(p, moved, k, buf, top):
+                            imaged += 1
+                            break
+                    else:
+                        break
                 val += 1
-            if val > min(d, top[k] + 1):
+            if val > hi:
                 k, fresh = k - 1, False
                 continue
-            buf[k] = val
+            steps += 1
             killed[k] = [s for s, i in checks[k] if alive[s] and buf[i] != val]
             for s in killed[k]:
                 alive[s] = False
-            top[k + 1] = max(top[k], val)
+            top[k + 1] = val if val > t else t
             if k + 1 < m:
                 k, fresh = k + 1, True
-            else:
-                got = self.refute(buf)
-                if got is None:
-                    return True
-                last = self.add(got)
-                for j in range(last + 1, m):
-                    for s in killed[j]:
-                        alive[s] = True
-                k, fresh = last, False
-        return False
+                continue
+            leaves += 1
+            got = self.refute(buf)
+            if got is None:
+                break
+            last = self.add(got)
+            if last < k:
+                jumps += 1
+            for j in range(last + 1, m):
+                for s in killed[j]:
+                    alive[s] = True
+            k, fresh = last, False
+        counts = self.counts
+        counts[0] += steps
+        counts[1] += leaves
+        counts[2] += preserved
+        counts[3] += floored
+        counts[4] += imaged
+        counts[5] += reached
+        counts[6] += jumps
+        return k >= 0
 
 
 def _least_labeling(
@@ -194,10 +291,10 @@ def _least_labeling(
     maximum d of m positions that is preserved by no permutation of
     ``perms`` and that ``refute`` leaves, or None.
 
-    ``refute`` takes each leaf that ``perms`` leaves and returns a
-    nontrivial permutation of the positions preserving it, or None.  The
-    permutation is kept for every later d, and the walk resumes at its last
-    moved position.
+    ``perms`` are automorphisms acting on the positions.  ``refute`` takes
+    each leaf that survives the walk's prunes and returns a nontrivial such
+    automorphism preserving it, or None.  The permutation is kept for every
+    later d, and the walk resumes at its last moved position.
     """
     walk = _Walk(m, refute)
     for p in perms:
@@ -230,7 +327,12 @@ def distinguishing_number(
         got = _search(g, labels, SearchStats())
         return None if got is None else got.image
 
-    return _least_labeling(n, refute, d_max, _twin_pairs(g))
+    def swap(v: int, w: int) -> tuple[int, ...]:
+        p = list(range(n))
+        p[v], p[w] = w, v
+        return tuple(p)
+
+    return _least_labeling(n, refute, d_max, (swap(v, w) for v, w in _twin_pairs(g, pairwise)))
 
 
 # -- edge index -------------------------------------------------------------
@@ -258,7 +360,6 @@ def distinguishing_index(
     if d_max < 1:
         raise ValueError("d_max must be positive")
     index = {e: i for i, e in enumerate(edges)}
-    ident = tuple(range(m))
 
     def action(img: Sequence[int]) -> tuple[int, ...]:
         return tuple(
@@ -266,8 +367,20 @@ def distinguishing_index(
             for u, v in edges
         )
 
+    rows = g.adjacency_bits
+
+    def twin_action(v: int, w: int) -> tuple[int, ...]:
+        # twins v, w share every neighbor x but each other, and the swap
+        # exchanges the edges vx and wx; an edge vw stays
+        p = list(range(m))
+        for x in _members(rows[v] & ~(1 << w)):
+            i, j = index[(v, x) if v < x else (x, v)], index[(w, x) if w < x else (x, w)]
+            p[i], p[j] = j, i
+        return tuple(p)
+
     # a twin swap fixes every edge only on a K2 component or two isolated vertices
-    seeds = (ep for ep in map(action, _twin_pairs(g)) if ep != ident)
+    pairs = _twin_pairs(g, lambda cls: combinations(cls, 2))
+    seeds = (twin_action(v, w) for v, w in pairs if rows[v] & ~(1 << w))
 
     def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
         got = _edge_search(g, edges, labels, SearchStats())

@@ -16,6 +16,7 @@ from lexidis import (
     lex_product,
     path,
     spider,
+    spider_k2_distinguishing_number,
     star,
 )
 from lexidis.autosearch import automorphism_group
@@ -175,10 +176,13 @@ def test_walker_runs_past_the_recursion_limit():
     assert d == 2 and is_distinguishing_edges(g, w)
 
 
-@pytest.mark.parametrize("name, leaves", [("K3[C4]", 27), ("spider6", 16)])
-def test_leaf_certificates_prune(monkeypatch, name, leaves):
-    # every leaf runs one automorphism search; without the certificate
-    # pruning these take 18 935 and 8 736 leaf searches
+# leaf searches for D, each one automorphism search; without the certificate
+# pruning these take 18 935 and 8 736, and before the image prune 27 and 16
+D_LEAVES = {"K3[C4]": 6, "spider6": 6}
+
+
+@pytest.mark.parametrize("name", sorted(D_LEAVES))
+def test_leaf_certificates_prune(monkeypatch, name):
     import lexidis.distinguishing as dist
 
     g = SLOW_TAIL[name][0]
@@ -192,12 +196,13 @@ def test_leaf_certificates_prune(monkeypatch, name, leaves):
 
     monkeypatch.setattr(dist, "_search", counting)
     distinguishing_number(g)
-    assert len(calls) == leaves
+    assert len(calls) == D_LEAVES[name]
 
 
+# before the image prune, K3[C4] took 8 and spider6 16
 D_PRIME_LEAVES = {
-    "K3[C4]": (lex_product(complete(3), cycle(4)), 8),
-    "spider6": (spider(6), 16),
+    "K3[C4]": (lex_product(complete(3), cycle(4)), 5),
+    "spider6": (spider(6), 6),
     "K10": (complete(10), 4),
     "C4[C4]": (lex_product(cycle(4), cycle(4)), 5),
     "K4[K4]": (lex_product(complete(4), complete(4)), 2),
@@ -303,48 +308,155 @@ def test_oracles_refuse_a_nonpositive_label_cap(oracle):
     assert str(exc.value) == "d_max must be positive"
 
 
-def _rgs_below(m: int, d: int):
-    """Restricted-growth strings of length m with maximum below d."""
+def _rgs_up_to(m: int, d: int):
+    """Restricted-growth strings of length m with maximum at most d, in
+    lexicographic order."""
     out = [[]]
     for _ in range(m):
-        out = [s + [v] for s in out for v in range(1, min(d - 1, max(s, default=0) + 1) + 1)]
+        out = [s + [v] for s in out for v in range(1, min(d, max(s, default=0) + 1) + 1)]
     return out
 
 
-def test_walk_levels_start_with_every_lower_labeling_preserved(monkeypatch):
-    """The walker has no test that a prefix can still reach the level's
-    maximum d; ``_Walk.walk`` argues that none is needed because, when level
-    d starts, every labeling with a smaller maximum is preserved by a
-    permutation the walk keeps.  Check that premise by brute force over
-    every atlas graph for D and every atlas graph with at most 8 edges for
-    D'."""
+def _normal_form(labels) -> list[int]:
+    names: dict[int, int] = {}
+    return [names.setdefault(x, len(names) + 1) for x in labels]
+
+
+def _skip_reason(labels, d, kept):
+    """Why a walk at level d may drop this labeling: its maximum is below d,
+    a kept permutation preserves it, or one maps it to a labeling whose
+    normal form is smaller; None if nothing justifies the drop."""
+    if max(labels) < d:
+        return "reach_d"
+    for p in kept:
+        image = [labels[j] for j in p]
+        if image == labels:
+            return "preserved"
+        if _normal_form(image) < labels:
+            return "image"
+    return None
+
+
+def test_walk_skips_only_labelings_a_kept_permutation_or_the_level_rules_out(monkeypatch):
+    """The witness argument of ``lexidis.distinguishing``: each labeling the
+    walk at level d drops without a leaf search has maximum below d, is
+    preserved by a permutation kept at that moment, or is mapped by one to
+    a labeling of smaller normal form.  Replay every walk over every atlas
+    graph for D and every atlas graph with at most 8 edges for D', and check
+    each dropped restricted-growth labeling by brute force against the
+    permutations kept when the walk passed it."""
     from networkx.generators.atlas import graph_atlas_g
 
     import lexidis.distinguishing as dist
 
-    kept: list[tuple[int, ...]] = []
+    events: list[tuple] = []
     add, walk = dist._Walk.add, dist._Walk.walk
-    levels = []
 
     def recording_add(self, p):
-        kept.append(tuple(p))
+        events.append(("kept", tuple(p)))
         return add(self, p)
 
-    def checked_walk(self, d):
-        levels.append(d)
-        for s in _rgs_below(self.m, d):
-            assert any(all(s[p[i]] == s[i] for i in range(self.m)) for p in kept), (d, s)
-        return walk(self, d)
+    def recording_walk(self, d):
+        refute = self.refute
+
+        def recording_refute(labels):
+            events.append(("leaf", list(labels)))
+            return refute(labels)
+
+        self.refute = recording_refute
+        found = walk(self, d)
+        self.refute = refute
+        events.append(("level", d, self.m, found))
+        return found
 
     monkeypatch.setattr(dist._Walk, "add", recording_add)
-    monkeypatch.setattr(dist._Walk, "walk", checked_walk)
+    monkeypatch.setattr(dist._Walk, "walk", recording_walk)
+    reasons = {"reach_d": 0, "preserved": 0, "image": 0}
+
+    def replay():
+        kept: list[tuple[int, ...]] = []
+        leaves: list[list[int]] = []
+        fresh: list[list[tuple[int, ...]]] = []  # the permutations each leaf added
+        for event in events:
+            if event[0] == "kept":
+                (fresh[-1] if fresh else kept).append(event[1])
+            elif event[0] == "leaf":
+                leaves.append(event[1])
+                fresh.append([])
+            else:
+                _, d, m, found = event
+                for labels in _rgs_up_to(m, d):
+                    if leaves and labels == leaves[0]:
+                        leaves.pop(0)
+                        kept += fresh.pop(0)
+                        if found and not leaves:
+                            break
+                        continue
+                    reason = _skip_reason(labels, d, kept)
+                    assert reason is not None, (d, labels, kept)
+                    reasons[reason] += 1
+                assert not leaves and not fresh
+        events.clear()
+
     graphs = [Graph(x.number_of_nodes(), x.edges()) for x in graph_atlas_g()]
     for g in graphs:
-        kept.clear()
         distinguishing_number(g)
+        replay()
     for g in graphs:
         if 0 < g.m <= 8:
-            kept.clear()
             distinguishing_index(g)
-    # levels past the first were reached, the check is not vacuous
-    assert max(levels) == 7 and levels.count(3) > 100
+            replay()
+    # every rule dropped labelings, so the check is not vacuous
+    assert min(reasons.values()) > 1000, reasons
+
+
+def _walk_counts(monkeypatch, oracle, g) -> dict[str, int]:
+    import lexidis.distinguishing as dist
+
+    walks = []
+
+    class Recording(dist._Walk):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            walks.append(self)
+
+    monkeypatch.setattr(dist, "_Walk", Recording)
+    oracle(g)
+    monkeypatch.undo()
+    (walk,) = walks
+    return dict(zip(dist.COUNTERS, walk.counts))
+
+
+# steps, leaves, then values dropped by each prune, then backjumps
+WALK_COUNTS = {
+    ("D", "K3[C4]"): (345, 6, 70, 463, 120, 2, 4),
+    ("D", "spider6"): (253, 6, 70, 0, 156, 1, 4),
+    ("D'", "K3[C4]"): (136, 5, 13, 0, 4, 0, 3),
+    ("D'", "spider6"): (624, 6, 254, 0, 481, 1, 4),
+}
+
+
+@pytest.mark.parametrize("oracle, name", sorted(WALK_COUNTS))
+def test_walk_counters_are_pinned(monkeypatch, oracle, name):
+    from lexidis.distinguishing import COUNTERS
+
+    assert COUNTERS == (
+        "steps", "leaves", "preserved", "twin_floor", "image", "reach_d", "backjump"
+    )
+    g = SLOW_TAIL[name][0]
+    fn = distinguishing_number if oracle == "D" else distinguishing_index
+    counts = _walk_counts(monkeypatch, fn, g)
+    assert tuple(counts.values()) == WALK_COUNTS[oracle, name]
+    leaves = D_LEAVES[name] if oracle == "D" else D_PRIME_LEAVES[name][1]
+    assert counts["leaves"] == leaves
+
+
+def test_spider_k2_oracle_meets_the_closed_form():
+    # D(spider(n)[K2]) is the least r with C(r, 2)^2 >= n: 3 up to n = 9,
+    # and 4 from n = 10 on
+    for n in range(3, 11):
+        d, w = distinguishing_number(lex_product(spider(n), complete(2)))
+        assert d == spider_k2_distinguishing_number(n) == (3 if n < 10 else 4)
+        assert is_distinguishing(lex_product(spider(n), complete(2)), w)
