@@ -21,41 +21,43 @@ labeling that agrees with the leaf up to there, and the walk backjumps to
 that position.
 
 A kept permutation p with last moved position k maps the positions 0..k
-onto themselves, so a prefix P through k decides two prunes for every
+onto themselves, so a prefix P through k decides one rule for every
 extension E of P.  Write (E o p)[i] = E[p[i]], and NF for the
 restricted-growth normal form, which renames the labels in the order they
-first appear.
-- Preserved: p preserves P, so p preserves E.
-- Image: NF(P o p) < P.  E o p agrees with E after k, so NF(E o p) < E.
-A third prune needs no permutation.
+first appear.  The walk drops P when NF(P o p) <= P on the positions up
+to k, where equality means P o p = P:
+- equal: p preserves P, so p preserves E (counted as preserved);
+- smaller: E o p agrees with E after k, so NF(E o p) < E (image).
+NF(P o p) = P by a renaming alone keeps P, as the renaming need not hold
+past k.  A second prune needs no permutation.
 - Reach-d: max(top, val) + (m - k - 1) < d, for the value val at k and
   the largest label top before k; no extension of P reaches maximum d.
-The first two name the permutation they used.
+The first names the permutation it used.
 
 Why the witness is the lexicographically least distinguishing labeling
 with the least d.  p is an automorphism, so E o p is distinguishing iff E
 is, and so is its renaming E' = NF(E o p), which has the same maximum as E.
-So every labeling the image prune drops has a smaller distinguishing E' of
-the same maximum, or is not distinguishing itself; the preserved prune and
-the backjump drop only labelings that a nontrivial automorphism preserves;
-and the reach-d prune drops only labelings of a smaller maximum, which
-their own levels have ruled out (the levels run in order, each to
-exhaustion).  So the least distinguishing labeling with maximum d is never
-dropped, every leaf before it is refuted, and it is the first accepted
-leaf.
+So every labeling the rule drops is preserved by the nontrivial
+automorphism p, or has a smaller distinguishing E' of the same maximum, or
+is not distinguishing itself; the backjump drops only labelings that a
+nontrivial automorphism preserves; and the reach-d prune drops only
+labelings of a smaller maximum, which their own levels have ruled out (the
+levels run in order, each to exhaustion).  So the least distinguishing
+labeling with maximum d is never dropped, every leaf before it is
+refuted, and it is the first accepted leaf.
 
-Two forms make the image prune cheap.
+Two forms make the rule cheap.
 - A transposition (v w), v < w, needs no normal form.  P o p agrees with P
   but at v and w; p preserves P if P[w] = P[v], and a label P[w] < P[v]
   appears before v and keeps its name, so then NF(P o p) < P.  At w the
   walk requires a value above buf[v], the twin floor, in O(1) per value.
   For D the seeds are then only each twin class's consecutive pairs: their
-  floors order the class strictly, which is every prune of all its pairs.
+  floors order the class strictly, which is every drop of all its pairs.
 - Any other permutation is compared once per value tried at k.  P o p
   and P can first differ only at a position p moves, so the compare scans
-  those for the first i with P[p[i]] != P[i]; before i the normal form is
-  P itself and the labels up to the top before i keep their names, and
-  from i on it renames the others.
+  those for the first i with P[p[i]] != P[i], and finds none when p
+  preserves P; before i the normal form is P itself and the labels up to
+  the top before i keep their names, and from i on it renames the others.
 """
 from __future__ import annotations
 
@@ -117,17 +119,18 @@ def _twin_pairs(
         yield from pairs(cls)
 
 
-def _image_is_smaller(
+def _image_rank(
     p: Sequence[int], moved: list[int], k: int, buf: list[int], top: list[int]
-) -> bool:
-    """Whether NF(buf o p) < buf on the positions up to k, where ``moved``
-    lists the positions p moves, ascending, and top[i] is the largest label
-    before i."""
+) -> int:
+    """Compare NF(buf o p) with buf on the positions up to k, where
+    ``moved`` lists the positions p moves, ascending, and top[i] is the
+    largest label before i: 0 when buf o p = buf there, -1 when NF(buf o p)
+    is smaller, else 1, also when the two are equal only by a renaming."""
     for i in moved:
         if buf[p[i]] != buf[i]:
             break
     else:
-        return False
+        return 0
     # NF(buf o p) is buf before i, and there the labels up to top[i] keep
     # their names; a fixed position after i can still differ by a renaming
     t = top[i]
@@ -137,8 +140,8 @@ def _image_is_smaller(
         if x > t:
             x = names.setdefault(x, t + len(names) + 1)
         if x != buf[i]:
-            return x < buf[i]
-    return False
+            return -1 if x < buf[i] else 1
+    return 1
 
 
 # the names of ``_Walk.counts``, in order
@@ -148,27 +151,22 @@ COUNTERS = ("steps", "leaves", "preserved", "twin_floor", "image", "reach_d", "b
 class _Walk:
     """State of one restricted-growth walk; see ``_least_labeling``.
 
-    A transposition (v w) is kept as the floor v at w.  Any other
-    permutation p preserves a labeling when every moved position j has the
-    label of low(j), the least position of its cycle: the pair at its last
-    moved position decides the preserved prune, earlier pairs clear its
-    alive flag, and its entry at the last position feeds the image prune.
-    ``counts`` holds the work of every level walked so far: values placed
-    (steps), leaves refuted or accepted, values dropped by each prune, and
-    refuted leaves whose certificate backjumped past the last position.
+    A transposition (v w) is kept as the floor v at w, any other
+    permutation with its moved positions at its last moved position, where
+    ``_image_rank`` decides its rule.  ``counts`` holds the work of every
+    level walked so far: values placed (steps), leaves refuted or accepted,
+    values dropped by each prune, and refuted leaves whose certificate
+    backjumped past the last position.
     """
 
-    __slots__ = ("refute", "m", "checks", "dies", "floors", "images", "alive", "buf", "counts")
+    __slots__ = ("refute", "m", "floors", "images", "buf", "counts")
 
     def __init__(self, m: int, refute: Refuter) -> None:
         self.refute = refute
         self.m = m
-        self.checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        self.dies: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         self.floors: list[list[int]] = [[] for _ in range(m)]
         # (p, its moved positions) at p's last moved position
         self.images: list[list[tuple[Sequence[int], list[int]]]] = [[] for _ in range(m)]
-        self.alive: list[bool] = []
         self.buf = [0] * m
         self.counts = [0] * len(COUNTERS)
 
@@ -178,51 +176,27 @@ class _Walk:
         last = moved[-1]
         if len(moved) == 2:
             self.floors[last].append(moved[0])
-            return last
-        s = len(self.alive)
-        self.alive.append(True)
-        low = list(range(self.m))
-        for i in moved:
-            if low[i] == i:
-                j = p[i]
-                while j != i:
-                    low[j] = i
-                    j = p[j]
-        for j in moved[:-1]:
-            if low[j] != j:
-                self.checks[j].append((s, low[j]))
-        self.dies[last].append((s, low[last]))
-        self.images[last].append((p, moved))
+        else:
+            self.images[last].append((p, moved))
         return last
 
     def walk(self, d: int) -> bool:
         """Whether some labeling with maximum d survives, the first left in
-        ``buf``.  A loop, not a recursion: position k keeps its value buf[k],
-        the top before it, the permutations that value killed and the labels
-        that live permutations ban there; a refuted leaf pops back to its
-        certificate's last moved position, which tries its next value.  A
-        value is dropped by the first prune that applies, in the order
-        reach-d, twin floor, preserved, image; the module docstring argues
-        that none drops the witness.
+        ``buf``.  A loop, not a recursion: position k keeps its value buf[k]
+        and the top before it; a refuted leaf pops back to its certificate's
+        last moved position, which tries its next value.  A value is dropped
+        by reach-d, then by the twin floor, then by the first permutation
+        kept at k, in the order kept, whose image ranks it <= 0; the module
+        docstring argues that none drops the witness.
         """
-        m, buf, alive = self.m, self.buf, self.alive
-        checks, dies, floors, images = self.checks, self.dies, self.floors, self.images
+        m, buf, floors, images = self.m, self.buf, self.floors, self.images
         top = [0] * (m + 1)  # top[k]: the largest label at positions < k
-        # position k's entries are set each time the walk enters k
-        killed: list[list[int]] = [[]] * m
-        banned: list[set[int]] = [set()] * m
         steps = leaves = preserved = floored = imaged = reached = jumps = 0
         k, fresh = 0, True
         while k >= 0:
             t = top[k]
             hi = t + 1 if t < d else d
             if fresh:
-                # a live permutation whose last pair lands here bans its low
-                # label; the set holds while k advances, as those flags
-                # depend only on positions < k, and a certificate added with
-                # its last pair here bans just the value it refuted
-                banned[k] = {buf[i] for s, i in dies[k] if alive[s]}
-                killed[k] = []
                 # the reach-d and floor bounds hold for the whole visit, so
                 # only its first value needs them
                 val = d - m + k + 1  # the least value that can still reach d
@@ -236,28 +210,24 @@ class _Walk:
                         floored += min(lo, hi + 1) - val
                         val = lo
             else:
-                for s in killed[k]:
-                    alive[s] = True
                 val = buf[k] + 1
             while val <= hi:
-                if val in banned[k]:
-                    preserved += 1
-                else:
-                    buf[k] = val
-                    for p, moved in images[k]:
-                        if _image_is_smaller(p, moved, k, buf, top):
-                            imaged += 1
-                            break
-                    else:
+                buf[k] = val
+                for p, moved in images[k]:
+                    rank = _image_rank(p, moved, k, buf, top)
+                    if rank <= 0:
                         break
+                else:
+                    break
+                if rank:
+                    imaged += 1
+                else:
+                    preserved += 1
                 val += 1
             if val > hi:
                 k, fresh = k - 1, False
                 continue
             steps += 1
-            killed[k] = [s for s, i in checks[k] if alive[s] and buf[i] != val]
-            for s in killed[k]:
-                alive[s] = False
             top[k + 1] = val if val > t else t
             if k + 1 < m:
                 k, fresh = k + 1, True
@@ -269,9 +239,6 @@ class _Walk:
             last = self.add(got)
             if last < k:
                 jumps += 1
-            for j in range(last + 1, m):
-                for s in killed[j]:
-                    alive[s] = True
             k, fresh = last, False
         counts = self.counts
         counts[0] += steps

@@ -322,6 +322,50 @@ def _normal_form(labels) -> list[int]:
     return [names.setdefault(x, len(names) + 1) for x in labels]
 
 
+def _naive_rank(p, k, labels) -> int:
+    prefix = labels[: k + 1]
+    image = [labels[j] for j in p[: k + 1]]
+    if image == prefix:
+        return 0
+    return -1 if _normal_form(image) < prefix else 1
+
+
+def test_image_rank_matches_a_naive_normal_form():
+    """``_image_rank`` is the three-way compare of NF(P o p) with P up to
+    p's last moved position k: 0 only when p preserves P, so an image equal
+    to P only after a renaming ranks 1 and keeps P."""
+    from lexidis.distinguishing import _image_rank
+
+    def rank(p, labels):
+        moved = [i for i, j in enumerate(p) if i != j]
+        top = [max(labels[:i], default=0) for i in range(len(labels) + 1)]
+        return _image_rank(p, moved, moved[-1], labels, top)
+
+    # (0 1)(2 3) maps 1212 to 2121, whose normal form is 1212 again
+    assert rank((1, 0, 3, 2), [1, 2, 1, 2]) == _naive_rank((1, 0, 3, 2), 3, [1, 2, 1, 2]) == 1
+    assert rank((1, 0, 3, 2), [1, 1, 2, 2]) == 0
+    assert rank((1, 2, 0), [1, 2, 2]) == -1
+    rng = random.Random(24)
+    seen = {-1: 0, 0: 0, 1: 0}
+    renamed = 0
+    for _ in range(3000):
+        m = rng.randrange(3, 9)
+        k = rng.randrange(2, m)
+        p = list(range(k + 1))
+        while p[k] == k:
+            rng.shuffle(p)
+        p += range(k + 1, m)
+        labels = []
+        for _ in range(m):
+            labels.append(rng.randint(1, min(max(labels, default=0) + 1, rng.randint(1, 4))))
+        want = _naive_rank(p, k, labels)
+        assert rank(p, labels) == want, (p, labels)
+        seen[want] += 1
+        image = [labels[j] for j in p[: k + 1]]
+        renamed += image != labels[: k + 1] and _normal_form(image) == labels[: k + 1]
+    assert min(seen.values()) > 100 and renamed > 10, (seen, renamed)
+
+
 def _skip_reason(labels, d, kept):
     """Why a walk at level d may drop this labeling: its maximum is below d,
     a kept permutation preserves it, or one maps it to a labeling whose
@@ -410,7 +454,8 @@ def test_walk_skips_only_labelings_a_kept_permutation_or_the_level_rules_out(mon
     assert min(reasons.values()) > 1000, reasons
 
 
-def _walk_counts(monkeypatch, oracle, g) -> dict[str, int]:
+def _walk_totals(monkeypatch, oracle, graphs) -> dict[str, int]:
+    """The walk counters summed over ``oracle`` on each of ``graphs``."""
     import lexidis.distinguishing as dist
 
     walks = []
@@ -423,10 +468,10 @@ def _walk_counts(monkeypatch, oracle, g) -> dict[str, int]:
             walks.append(self)
 
     monkeypatch.setattr(dist, "_Walk", Recording)
-    oracle(g)
+    for g in graphs:
+        oracle(g)
     monkeypatch.undo()
-    (walk,) = walks
-    return dict(zip(dist.COUNTERS, walk.counts))
+    return dict(zip(dist.COUNTERS, map(sum, zip(*(w.counts for w in walks)))))
 
 
 # steps, leaves, then values dropped by each prune, then backjumps
@@ -447,10 +492,37 @@ def test_walk_counters_are_pinned(monkeypatch, oracle, name):
     )
     g = SLOW_TAIL[name][0]
     fn = distinguishing_number if oracle == "D" else distinguishing_index
-    counts = _walk_counts(monkeypatch, fn, g)
+    counts = _walk_totals(monkeypatch, fn, [g])
     assert tuple(counts.values()) == WALK_COUNTS[oracle, name]
     leaves = D_LEAVES[name] if oracle == "D" else D_PRIME_LEAVES[name][1]
     assert counts["leaves"] == leaves
+
+
+# the counters summed over every atlas graph for D and every atlas graph with
+# 0 < m <= 8 for D', the graphs of the witness-argument replay
+ATLAS_WALK_TOTALS = {
+    "D": (16418, 1761, 298, 6855, 91, 518, 280),
+    "D'": (4848, 561, 524, 882, 195, 286, 68),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(ATLAS_WALK_TOTALS))
+def test_atlas_walk_totals_are_pinned(monkeypatch, oracle):
+    """Every counter is pinned but the split of the kept permutations'
+    drops between preserved and image, which follows the order the walk
+    tries them in; the sum of the two is pinned."""
+    from networkx.generators.atlas import graph_atlas_g
+
+    graphs = [Graph(x.number_of_nodes(), x.edges()) for x in graph_atlas_g()]
+    if oracle == "D":
+        fn = distinguishing_number
+    else:
+        fn, graphs = distinguishing_index, [g for g in graphs if 0 < g.m <= 8]
+    got = _walk_totals(monkeypatch, fn, graphs)
+    want = dict(zip(got, ATLAS_WALK_TOTALS[oracle]))
+    for name in ("steps", "leaves", "twin_floor", "reach_d", "backjump"):
+        assert got[name] == want[name], name
+    assert got["preserved"] + got["image"] == want["preserved"] + want["image"]
 
 
 def test_spider_k2_oracle_meets_the_closed_form():
