@@ -6,8 +6,9 @@ byte); '-' means stdin/stdout.  A vertex labeling is a list and an edge
 labeling a dict, as the library returns them; the type alone picks the
 records written (``v`` or ``e``), the certifier and the kind ``verify``
 reports.  ``dnum`` and ``dindex`` are one handler over the ``ORACLES``
-table, and ``bounds`` prints the rows of one table of the paper's bounds,
-each with its hypotheses and skip reasons (``_bounds_rows``).  Exit codes:
+table, and ``bounds`` prints the rows of one table of the paper's bounds
+(``_bounds_rows``), each checked against the hypotheses its construction
+checks (``constructions.HYPOTHESES``).  Exit codes:
 0 success, 1 negative verification, 2 usage or parse error, 3 cap exceeded.
 ``aut`` always prints the exact order and strong generators; its ``--cap``,
 or the LEXIDIS_CAP environment variable, bounds only the ``--elements``
@@ -35,9 +36,9 @@ from .distinguishing import (
     validate_vertex_labeling,
 )
 from .formats import FormatError, _plain_integers, dumps, loads
-from .graph import Graph, complete, cycle, is_connected, path, spider, star
+from .graph import Graph, complete, cycle, path, spider, star
 from .lexprod import lex_power, lex_product
-from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, sabidussi_equal
+from .permgroup import DEFAULT_LISTING_CAP, CapExceededError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -330,64 +331,49 @@ def _cmd_verify(args) -> int:
 def _bounds_rows(g: Graph, h: Optional[Graph], k: Optional[int]) -> list[dict]:
     """The rows ``bounds`` prints for G, H and k, from one table of the paper's bounds.
 
-    A row is (when it is printed, [(hypothesis, reason printed when it fails)],
-    value), each called only when needed; caches that live for this call alone
-    compute each fact and oracle value at most once.
+    A row is (when it is printed, value), each called only when needed; its
+    hypotheses are ``constructions.HYPOTHESES[name]``, which its construction
+    checks.  Facts are computed afresh, and each oracle value once per factor.
     """
     D = functools.cache(lambda x: _exact("dnum", x)[0])
     Dp = functools.cache(lambda x: _exact("dindex", x)[0])
-    connected, wreath = functools.cache(is_connected), functools.cache(sabidussi_equal)
     M = functools.cache(lambda: cons.min_extra_labels(D(g), D(h)))
     k2 = complete(2)
     held = set()
-    edgeless = "edgeless factor has no edge index"
-    product_wreath = (lambda: wreath(g, h), "needs the wreath action")
     table = {
         "product-vertex-range": (
             lambda: h is not None,
-            [(lambda: connected(g) and connected(h), "factors must be connected")],
             lambda: {"lower": D(h), "upper": D(g) * D(h), "note": "D(H) <= D(G[H]) <= D(G)*D(H)"}),
         "product-vertex-stepwise": (
-            lambda: "product-vertex-range" in held, [product_wreath],
-            lambda: {"upper": D(h) + M(), "extra_tiers": M(),
-                     "note": "D(G[H]) <= D(H) + M"}),
+            lambda: "product-vertex-range" in held,
+            lambda: {"upper": D(h) + M(), "extra_tiers": M(), "note": "D(G[H]) <= D(H) + M"}),
         "product-edge-max": (
             lambda: "product-vertex-range" in held,
-            [(lambda: h != k2, "second factor is a single edge"),
-             (lambda: g.m and h.m, edgeless),
-             # D'(K2) = 1 cannot pin the copy swap, so K2[H] may need a label more
-             (lambda: g != k2, "first factor is a single edge"),
-             product_wreath],
             lambda: {"upper": max(Dp(g), Dp(h)), "note": "D'(G[H]) <= max{D'(G), D'(H)}"}),
         "product-edge-two-labels": (
             lambda: "product-vertex-range" in held,
-            [(lambda: 2 <= g.n <= h.m + 1 and wreath(g, h),
-              "needs 2 <= |V(G)| <= |E(H)|+1 and the wreath action")],
             lambda: {"upper": 2, "note": "2 <= |V(G)| <= |E(H)|+1"}),
         "single-edge-bundles": (
             lambda: h == k2,
-            [(lambda: g.m, edgeless), (lambda: wreath(g, h), "needs no closed twins in G")],
             lambda: {"upper": cons.bundle_label_budget(Dp(g)),
                      "note": "bundle-pattern budget for G with a single-edge factor"}),
         "spider-single-edge-exact": (
-            lambda: h == k2 and g.n >= 7 and g.n % 2 == 1 and g == spider(g.n // 2), [],
+            lambda: h == k2 and g.n >= 7 and g.n % 2 == 1 and g == spider(g.n // 2),
             lambda: {"value": cons.spider_k2_distinguishing_number(g.n // 2),
                      "note": f"exact for the subdivided star with {g.n // 2} branches"}),
         "power-vertex-range": (
             lambda: k is not None,
-            [(lambda: connected(g), "G must be connected"),
-             (lambda: wreath(g, g), "needs the wreath action on the square")],
             lambda: dict(zip(("lower", "upper"), cons.power_distinguishing_bounds(D(g), k)),
                          note="powers of G")),
         "power-edge-two-labels": (
             lambda: "power-vertex-range" in held and k >= 2,
-            [(lambda: g.m, edgeless)],
             lambda: {"upper": 2, "note": "all powers take two edge labels"}),
     }
     rows = []
-    for name, (when, hypotheses, value) in table.items():
+    for name, (when, value) in table.items():
         if when():
-            failed = next((reason for test, reason in hypotheses if not test()), None)
+            hypotheses = cons.HYPOTHESES[name]
+            failed = next((reason for test, reason in hypotheses if not test(g, h)), None)
             if failed is None:
                 held.add(name)
                 rows.append({"bound": name, **value()})
@@ -482,7 +468,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: send what is still buffered, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return EXIT_USAGE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

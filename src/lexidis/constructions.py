@@ -10,6 +10,10 @@ in each copy H_a, and a labeling of the complete join between H_a and H_b
 for each edge ab of G.  `_product_edge_labeling` walks that shape once, and
 each scheme supplies only its two label rules.  Its keys need no sorting:
 a < b on every edge of G's edge list, so (a, x) always precedes (b, y).
+
+``HYPOTHESES`` holds each ``lexidis bounds`` row's hypotheses, once: a
+construction that witnesses a row refuses with the reason of the first
+hypothesis that fails, which is the reason ``bounds`` prints for that row.
 """
 from __future__ import annotations
 
@@ -31,21 +35,60 @@ from .permgroup import sabidussi_equal
 Pattern = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+# -- the hypotheses of the bounds rows ---------------------------------------
+
+_K2 = path(2)
+_EDGELESS = "edgeless factor has no edge index"
+_CONNECTED = (lambda g, h: is_connected(g) and is_connected(h), "factors must be connected")
+_EDGES = (lambda g, h: g.m and h.m, _EDGELESS)
+_WREATH = (lambda g, h: sabidussi_equal(g, h), "needs the wreath action")
+
+# bounds row -> [(test on the factors G and H, reason when it fails)], in
+# order.  H is K2 for single-edge-bundles; the power rows test G alone.  Each
+# test calls through the module globals, where perfbench/tracing.py wraps them.
+HYPOTHESES: dict[str, list[tuple[Callable[[Graph, Graph], object], str]]] = {
+    "product-vertex-range": [_CONNECTED],
+    "product-vertex-stepwise": [_WREATH],
+    # a lone edge cannot pin its copy, D'(K2) = 1 cannot pin the copy swap of
+    # K2[H], and a factor's swap that moves no edge, such as that of a K2
+    # component's ends, survives into the product
+    "product-edge-max": [_CONNECTED, (lambda g, h: h != _K2, "second factor is a single edge"),
+                         _EDGES, (lambda g, h: g != _K2, "first factor is a single edge"), _WREATH],
+    "product-edge-two-labels": [_CONNECTED, (
+        lambda g, h: 2 <= g.n <= h.m + 1 and sabidussi_equal(g, h),
+        "needs 2 <= |V(G)| <= |E(H)|+1 and the wreath action")],
+    # each isolated vertex of G is a K2 component of G[K2] with its one edge
+    # labeled 1, so two of them trade places
+    "single-edge-bundles": [_EDGES, (_WREATH[0], "needs no closed twins in G"), (
+        lambda g, h: sum(not row for row in g.adjacency_bits) <= 1,
+        "needs at most one isolated vertex in G")],
+    "spider-single-edge-exact": [],
+    "power-vertex-range": [(lambda g, h: is_connected(g), "G must be connected"), (
+        lambda g, h: sabidussi_equal(g, g), "needs the wreath action on the square")],
+    "power-edge-two-labels": [(lambda g, h: g.m, _EDGELESS)],
+}
+
+
+def _require(row: str, g: Graph, h: Graph | None = None) -> None:
+    """Refuse G and H with the reason of the first hypothesis of the row they fail."""
+    for test, reason in HYPOTHESES[row]:
+        if not test(g, h):
+            raise ValueError(reason)
+
+
 # -- replacement patterns and their counting --------------------------------
 
 
 def tier_pattern_count(m: int, d_h: int) -> int:
     """Number of label-replacement patterns whose top new label is the m-th.
 
-    Piecewise: 1 for m = 0, d_h for m = 1, and
-    d_h + sum_{i=1}^{m-1} C(m-1, i) * C(d_h, i+1) for m >= 2.
+    Piecewise: 1 for m = 0, and d_h + sum_{i=1}^{m-1} C(m-1, i) * C(d_h, i+1)
+    for m >= 1 (d_h for m = 1).
     """
     if m < 0:
         raise ValueError("tier must be non-negative")
     if m == 0:
         return 1
-    if m == 1:
-        return d_h
     return d_h + sum(comb(m - 1, i) * comb(d_h, i + 1) for i in range(1, m))
 
 
@@ -53,13 +96,11 @@ def min_extra_labels(d_g: int, d_h: int) -> int:
     """Least k such that tiers 0..k supply at least d_g patterns."""
     if d_g < 1 or d_h < 1:
         raise ValueError("label counts must be positive")
-    total = 0
-    k = 0
-    while True:
-        total += tier_pattern_count(k, d_h)
-        if total >= d_g:
-            return k
+    k, total = 0, 1
+    while total < d_g:
         k += 1
+        total += tier_pattern_count(k, d_h)
+    return k
 
 
 def tier_patterns(d_h: int, m: int) -> list[Pattern]:
@@ -86,12 +127,8 @@ def tier_patterns(d_h: int, m: int) -> list[Pattern]:
 
 def pattern_sequence(d_h: int, count: int) -> list[Pattern]:
     """First ``count`` patterns in global tier order (tier 0, tier 1, ...)."""
-    out: list[Pattern] = []
-    m = 0
-    while len(out) < count:
-        out.extend(tier_patterns(d_h, m))
-        m += 1
-    return out[:count]
+    tiers = (tier_patterns(d_h, m) for m in itertools.count())
+    return list(itertools.islice(itertools.chain.from_iterable(tiers), count))
 
 
 def _apply_pattern(label: int, pattern: Pattern) -> int:
@@ -132,8 +169,7 @@ def pattern_product_labeling(
     assigned in canonical tier order.  Requires the product's automorphism
     group to be the wreath action (no copy-mixing automorphisms).
     """
-    if not sabidussi_equal(g, h):
-        raise ValueError("product automorphisms exceed the wreath action")
+    _require("product-vertex-stepwise", g, h)
     if not is_distinguishing(g, lg):
         raise ValueError("lg is not a distinguishing labeling of g")
     if not is_distinguishing(h, lh):
@@ -156,12 +192,7 @@ def spider_distinguishing_labeling(n: int) -> VertexLabeling:
     if n < 3:
         raise ValueError("spider needs n >= 3")
     r = isqrt(n - 1) + 1
-    out = [0] * (2 * n + 1)
-    out[0] = 1
-    for j in range(n):
-        out[2 * j + 1] = j // r + 1
-        out[2 * j + 2] = j % r + 1
-    return out
+    return [1] + [label for j in range(n) for label in (j // r + 1, j % r + 1)]
 
 
 def spider_k2_distinguishing_number(n: int) -> int:
@@ -226,21 +257,9 @@ def inherited_edge_labeling(
 ) -> EdgeLabeling:
     """Every copy of H carries lh; every cross edge inherits its G-edge label.
 
-    Uses max(d_g, d_h) labels.  Requires connected factors, the wreath action
-    and that neither factor is a single edge: a lone edge cannot pin its copy
-    internally, and a single-edge base is only pinned by vertex-asymmetric
-    labels, which a one-edge labeling can never supply (its swap survives
-    into the product).  So does a swap of a disconnected factor that moves
-    no edge, such as that of a K2 component's ends: K3[K1 + K2] keeps it.
+    Uses max(d_g, d_h) labels, under the product-edge-max hypotheses.
     """
-    if not is_connected(g) or not is_connected(h):
-        raise ValueError("both factors must be connected")
-    if h.n == 2 and h.m == 1:
-        raise ValueError("second factor must not be a single edge")
-    if g.n == 2 and g.m == 1:
-        raise ValueError("single-edge base needs the dedicated doubled-factor labeling")
-    if not sabidussi_equal(g, h):
-        raise ValueError("product automorphisms exceed the wreath action")
+    _require("product-edge-max", g, h)
     if not is_distinguishing_edges(g, lg):
         raise ValueError("lg is not a distinguishing edge labeling of g")
     if not is_distinguishing_edges(h, lh):
@@ -404,12 +423,8 @@ def bundle_tier_tuples(m: int) -> list[tuple[int, int, int, int]]:
 
 def bundle_sequence(count: int) -> list[tuple[int, int, int, int]]:
     """First ``count`` bundle patterns in global tier order (tier 2, 3, ...)."""
-    out: list[tuple[int, int, int, int]] = []
-    m = 2
-    while len(out) < count:
-        out.extend(bundle_tier_tuples(m))
-        m += 1
-    return out[:count]
+    tiers = (bundle_tier_tuples(m) for m in itertools.count(2))
+    return list(itertools.islice(itertools.chain.from_iterable(tiers), count))
 
 
 def bundle_label_budget(d_g: int) -> int:
@@ -429,19 +444,16 @@ def p2_product_edge_labeling(g: Graph, lg: EdgeLabeling) -> EdgeLabeling:
 
     Each G-edge is replaced by a four-edge bundle; all bundles of one lg
     class share one pattern, classes take patterns in canonical tier order,
-    and the two vertices of every copy are joined by a label-1 edge.
-    Requires G to have no closed twins (otherwise copy-mixing automorphisms
-    appear) and uses bundle_label_budget(max label of lg) labels.
+    and the two vertices of every copy are joined by a label-1 edge.  Uses
+    bundle_label_budget(max label of lg) labels, under the single-edge-bundles
+    hypotheses.
     """
-    p2 = path(2)
-    if not sabidussi_equal(g, p2):
-        raise ValueError("product automorphisms exceed the wreath action")
+    _require("single-edge-bundles", g, _K2)
     if not is_distinguishing_edges(g, lg):
         raise ValueError("lg is not a distinguishing edge labeling of g")
-    d_g = max(lg.values(), default=0)
-    patterns = bundle_sequence(d_g) if d_g else []
+    patterns = bundle_sequence(max(lg.values()))
     return _product_edge_labeling(
-        g, p2, lambda a, k, e: 1, lambda a, b, x, y: patterns[lg[(a, b)] - 1][2 * x + y])
+        g, _K2, lambda a, k, e: 1, lambda a, b, x, y: patterns[lg[(a, b)] - 1][2 * x + y])
 
 
 def two_label_edge_labeling(g: Graph, h: Graph) -> EdgeLabeling:
@@ -450,17 +462,10 @@ def two_label_edge_labeling(g: Graph, h: Graph) -> EdgeLabeling:
     Copy i carries i label-1 edges (a prefix of H's canonical edge order),
     so copies cannot be interchanged; within each G-edge's block, the p-th
     vertex of the lower copy sends p label-2 edges into the higher copy,
-    pinning every copy internally.  A one-vertex G is refused when H has an
-    edge: then G[H] is H, and copy 0 would carry label 2 alone.
+    pinning every copy internally.  A one-vertex G is refused: then G[H] is
+    H, and copy 0 would carry label 2 alone.
     """
-    if not is_connected(g) or not is_connected(h):
-        raise ValueError("both factors must be connected")
-    if g.n > h.m + 1:
-        raise ValueError("first factor too large: needs |V(G)| <= |E(H)| + 1")
-    if g.n == 1 and h.m > 0:
-        raise ValueError("first factor too small: needs 2 <= |V(G)| when H has an edge")
-    if not sabidussi_equal(g, h):
-        raise ValueError("product automorphisms exceed the wreath action")
+    _require("product-edge-two-labels", g, h)
     return _product_edge_labeling(
         g, h, lambda a, k, e: 1 if k < a else 2, lambda a, b, x, y: 2 if y < x else 1)
 
@@ -469,12 +474,13 @@ def power_edge_labeling(g: Graph, k: int) -> EdgeLabeling:
     """Two-label edge labeling of the k-th lexicographic power, k >= 2.
 
     Applies the two-label product scheme with the (k-1)-th power as the
-    second factor, which checks its size condition and connectivity.  The
-    wreath action on the square, checked first, is the scheme's own wreath
-    condition: G^(k-1) and its complement are connected iff G's are.
+    second factor.  The power rows' hypotheses imply the scheme's: a
+    connected G with an edge has 2 <= |V(G)| <= |E(G^(k-1))| + 1, and the
+    wreath action on the square is the scheme's own wreath condition, as
+    G^(k-1) and its complement are connected iff G's are.
     """
     if k < 2:
         raise ValueError("powers start at k = 2")
-    if not sabidussi_equal(g, g):
-        raise ValueError("square automorphisms exceed the wreath action")
+    _require("power-vertex-range", g)
+    _require("power-edge-two-labels", g)
     return two_label_edge_labeling(g, lex_power(g, k - 1))

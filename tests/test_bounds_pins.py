@@ -14,7 +14,7 @@ import hashlib
 from lexidis import Graph, complete, spider
 from lexidis.cli import _bounds_rows
 
-DIGEST = "713fb7615d8cff269ea33635636f0676dfcbe14e666dfa28939957c0e2c7ef91"
+DIGEST = "134c2fdc53bfc533431fea7d6430825566f4f1aff2cb743c63fcccb98c2cde07"
 
 
 def _atlas() -> list[Graph]:
@@ -58,6 +58,7 @@ def test_bounds_rows_are_pinned():
         ("single-edge-bundles", None),
         ("single-edge-bundles", "edgeless factor has no edge index"),
         ("single-edge-bundles", "needs no closed twins in G"),
+        ("single-edge-bundles", "needs at most one isolated vertex in G"),
         ("spider-single-edge-exact", None),
         ("power-vertex-range", None),
         ("power-vertex-range", "G must be connected"),

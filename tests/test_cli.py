@@ -224,11 +224,19 @@ def test_bounds_two_label_row_needs_two_base_vertices(tmp_path, capsys):
     code, out, _ = run(capsys, "bounds", str(files["P3"]), str(files["P3"]))
     assert code == 0
     assert "product-edge-two-labels: upper=2  [2 <= |V(G)| <= |E(H)|+1]" in out.splitlines()
-    # the construction refuses a one-vertex base rather than emit one label
-    code, out, err = run(capsys, "label", "--method", "thm36", str(files["K1"]),
-                         str(files["K3"]), "--certify")
-    assert (code, out) == (2, "")
-    assert err == "error: first factor too small: needs 2 <= |V(G)| when H has an edge\n"
+    # the construction refuses a one-vertex base with the row's reason
+    for h in ("K3", "K1"):
+        code, out, err = run(capsys, "label", "--method", "thm36", str(files["K1"]),
+                             str(files[h]), "--certify")
+        assert (code, out, err) == (2, "", f"error: {skipped}\n")
+
+
+def test_label_thm35_refuses_two_isolated_vertices(tmp_path, capsys):
+    # P3 + 2K1: the bundle labeling of G[K2] would leave its two K2 components swappable
+    g = tmp_path / "g.el"
+    g.write_text("p 5 2\ne 0 1\ne 1 2\n")
+    code, out, err = run(capsys, "label", "--method", "thm35", str(g), "--certify")
+    assert (code, out, err) == (2, "", "error: needs at most one isolated vertex in G\n")
 
 
 # asymmetric, with H and its complement connected, so K2[H] has the wreath action
@@ -254,7 +262,11 @@ def test_single_edge_base_breaks_the_edge_max_bound():
     # K1^k = K1 has no edge to label
     (("p 1 0\n",), ("--power", "2"),
      "power-edge-two-labels: n/a (edgeless factor has no edge index)"),
-], ids=["edgeless-G", "closed-twins", "disconnected-power", "single-edge-G", "edgeless-power"])
+    # K1,2 + 3K1: D'(G[K2]) = 3, one above the bundle budget, as its K2 components can swap
+    (("p 6 2\ne 0 1\ne 0 2\n", "p 2 1\ne 0 1\n"), (),
+     "single-edge-bundles: n/a (needs at most one isolated vertex in G)"),
+], ids=["edgeless-G", "closed-twins", "disconnected-power", "single-edge-G", "edgeless-power",
+        "isolated-vertices"])
 def test_bounds_skip_reason_names_the_failed_condition(tmp_path, capsys, graphs, power, line):
     files = []
     for i, text in enumerate(graphs):
@@ -318,6 +330,24 @@ def test_python_m_entry_point(tmp_path):
     done = subprocess.run([*run_m, "dnum", str(tmp_path / "missing.el")], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2 and "no such file" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["gen", "--family", "path", "--n", "5000"], ["dnum", "@"]],
+                         ids=["gen", "dnum"])
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, argv):
+    # the reader has left before the first write; exit 1 would claim a negative verification
+    g = tmp_path / "k4.el"
+    g.write_text(write_edge_list(complete(4)))
+    src = Path(lexidis.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "lexidis", *[str(g) if a == "@" else a for a in argv]],
+                              env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, "error: standard output was closed\n")
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -167,14 +167,14 @@ def digest(lines: list[str]) -> str:
 # construction -> (number of cases, sha256 of their lines)
 PINS = {
     "block_product_labeling": (593, "226da2466e899bfeaf9b2aa4718fde2b2d68c2f06e8664bb9b9b952fb35e4f2a"),
-    "inherited_edge_labeling": (401, "23ba112210bb03e94cace112d8c15a0b185a9af749301f6d82c9a5ef8c4a2d40"),
+    "inherited_edge_labeling": (343, "01901ae4d34e495401302a59458d11745d7ebd54457113d145f7c76dd80aef6a"),
     "k2_product_edge_labeling": (13, "8a217afd2dd1d4ac56e23db4ed64a7dcf6a972a0a8a5a99aff41a4aceaae23c9"),
-    "p2_product_edge_labeling": (41, "3da73215e046bcbad3431b95212dc3eb9a58b4c5bbd369d83252ea12ba5b7528"),
+    "p2_product_edge_labeling": (40, "2648c73f072cf00a37d3bc8e522bf25d7f56ebba639ffdc6087c7756128eb82e"),
     "path_product_edge_labeling": (84, "f0b2c60b28060284956da0f73fab40f1de490a985b0a898c18bf8a77adf364be"),
-    "pattern_product_labeling": (487, "daa2d48fa65c1b74b35d41f7389e76225cba200378b6652f8efc646bce88c729"),
-    "power_edge_labeling": (39, "f7cab6d412f45fed1a54d6d570eeafbb83b814a19e0e8cfcb3e1009189325817"),
+    "pattern_product_labeling": (487, "2b21a15d3b0a0b7718b3d0d31761f5593760881fc1ca8c75b5cd8ca533317978"),
+    "power_edge_labeling": (39, "efc82c978c83734cd6ddf4120865bc085e51229f867b8c4f1de00f3ab4214384"),
     "star_product_edge_labeling": (157, "b67269727963acd8d3f042881e04b6a92b8a5be39a9b49cef78cea3863cdcc8f"),
-    "two_label_edge_labeling": (86, "9d097b7deab5fd22002185ce3fd827847c6ee0bae32343593b17be8dddd1bd09"),
+    "two_label_edge_labeling": (86, "8ff74f5f4ba4adbc83c30d436b7a90bcafad51d388c02c220f2bccf496a453d8"),
 }
 
 

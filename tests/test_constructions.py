@@ -239,7 +239,7 @@ K1_K2 = Graph(3, [(1, 2)])
                          ids=["K1+K2[K1+K2]", "K3[K1+K2]", "K1+K2[P4]"])
 def test_inherited_edge_labeling_needs_connected_factors(g, h):
     lg, lh = distinguishing_index(g)[1], distinguishing_index(h)[1]
-    with pytest.raises(ValueError, match="^both factors must be connected$"):
+    with pytest.raises(ValueError, match="^factors must be connected$"):
         inherited_edge_labeling(g, h, lg, lh)
 
 
@@ -305,6 +305,21 @@ def test_p2_product_edge_labeling():
         p2_product_edge_labeling(complete(3), {(0, 1): 1, (0, 2): 2, (1, 2): 3})
 
 
+def test_p2_product_needs_at_most_one_isolated_vertex():
+    # each isolated vertex of G is a K2 component of G[K2] with its edge
+    # labeled 1, so two of them trade places: K1,2 + 3K1 and P3 + 4K1
+    for g, index in ((Graph(6, [(0, 1), (0, 2)]), 3), (Graph(7, [(0, 1), (1, 2)]), 4)):
+        d, lg = distinguishing_index(g)
+        assert bundle_label_budget(d) == 2
+        assert distinguishing_index(lex_product(g, path(2)))[0] == index
+        with pytest.raises(ValueError, match="^needs at most one isolated vertex in G$"):
+            p2_product_edge_labeling(g, lg)
+    # a single K2 component has nothing to trade places with: P4 + K1
+    g = Graph(5, [(0, 1), (1, 2), (2, 3)])
+    lab = p2_product_edge_labeling(g, distinguishing_index(g)[1])
+    assert is_distinguishing_edges(lex_product(g, path(2)), lab)
+
+
 def test_p2_product_budget():
     g = star(5)
     d, lg = distinguishing_index(g)
@@ -323,13 +338,12 @@ def test_two_label_edge_labeling():
         two_label_edge_labeling(complete(4), path(3))  # too many vertices
     with pytest.raises(ValueError):
         two_label_edge_labeling(complete(2), complete(2))
-    # K1[H] = H, and D'(K3) = 3: a one-vertex base is refused once H has an edge
+    # K1[H] = H, and D'(K3) = 3: a one-vertex base is refused, as the bounds row is
     assert distinguishing_index(complete(3))[0] == 3
-    for h in (complete(2), path(3), complete(3), cycle(5)):
-        with pytest.raises(ValueError, match=r"^first factor too small: needs 2 <= \|V\(G\)\| "
-                                             r"when H has an edge$"):
+    for h in (complete(1), complete(2), path(3), complete(3), cycle(5)):
+        with pytest.raises(ValueError, match=r"^needs 2 <= \|V\(G\)\| <= \|E\(H\)\|\+1 "
+                                             r"and the wreath action$"):
             two_label_edge_labeling(complete(1), h)
-    assert two_label_edge_labeling(complete(1), complete(1)) == {}
 
 
 def test_power_edge_labeling():
@@ -340,9 +354,10 @@ def test_power_edge_labeling():
         power_edge_labeling(path(3), 1)
     with pytest.raises(ValueError):
         power_edge_labeling(complete(2), 2)
-    # every power of K1 is edgeless, and its labeling is empty
+    # every power of K1 is edgeless, and the bounds row skips it
     for k in (2, 3, 4):
-        assert power_edge_labeling(complete(1), k) == {}
+        with pytest.raises(ValueError, match="^edgeless factor has no edge index$"):
+            power_edge_labeling(complete(1), k)
 
 
 @pytest.mark.parametrize("call, message", [
