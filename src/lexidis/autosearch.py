@@ -4,7 +4,8 @@ The engine answers two questions: does a colored graph admit a nontrivial
 color-preserving automorphism (find one as a certificate), and what is the
 automorphism group of a graph (a base, strong generators and the order).
 
-Every certificate search asks one question: the first color-preserving
+The whole-graph searches ``_search`` and ``_edge_search``, which refute the
+oracles' leaves, ask one question: the first color-preserving
 automorphism, in search order, that moves a vertex.  Edge labels are
 searched on the graph itself: with the labels numbered densely in sorted
 order, bit l*n + u of row v is set when uv is an edge labeled l, so a
@@ -54,6 +55,16 @@ of equal-type siblings; |Aut(G)| is the quotient's order times a factorial
 per group of equal siblings.  On a twin-free graph that is the walk over
 all of G, unchanged.
 
+``find_preserving`` certifies a vertex coloring on the same quotient, with
+the colors as the leaf types.  Its certificate is the first swap of two
+equal-type siblings, where merging stops; with none, the kernel of the
+lift is trivial, so it is the first generator of the quotient's walk,
+colored by type, lifted.  ``find_preserving_edges`` first looks for two
+label twins, open ones with equal banded rows or closed ones on one label,
+whose swap moves an edge: any such pair is a certificate, so there is
+nothing to merge, and without one it runs ``_edge_search``.  Every
+certificate of either is re-checked by the naive check.
+
 Each refinement round counts a vertex's neighbours only in the round's
 fresh classes: every class in the first round of a search, the rest of the
 split cell after an individualization, and otherwise the new classes whose
@@ -102,7 +113,9 @@ from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, GeneratorSet, Perm
 
 class SearchStats:
     """Counters for one search; ``nodes`` is base-path levels plus subtree
-    node calls, ``merges`` the twin classes ``automorphism_group`` merged."""
+    node calls, ``merges`` the twin classes ``automorphism_group`` or
+    ``find_preserving`` merged, or the label-twin pair whose swap
+    ``find_preserving_edges`` returned."""
 
     __slots__ = ("nodes", "refinements", "merges")
 
@@ -473,11 +486,37 @@ def find_preserving(g: Graph, colors: Sequence[int]) -> tuple[Optional[Perm], Se
     The returned permutation, if any, is a certificate that the coloring is
     not distinguishing; absence means the coloring is distinguishing.
     Raises ValueError unless there is one color per vertex.
+
+    The search runs on the colored twin-free quotient: twin classes are
+    merged as in ``automorphism_group``, with the colors as the leaf types.
+    The certificate is the first swap of two equal-type siblings, met in
+    merge order, where merging stops; with no such swap every
+    color-preserving automorphism is the lift of one of the quotient's,
+    so it is the quotient's first generator, lifted.  On a twin-free graph
+    that is the walk over all of g.  ``stats.merges`` counts the merged
+    classes.  Every certificate passes the naive check.
     """
     if len(colors) != g.n:
         raise ValueError(f"{len(colors)} colors for {g.n} vertices")
     stats = SearchStats()
-    return _search(g, colors, stats), stats
+    n, adj = g.n, g.adjacency_bits
+    dense = {val: i for i, val in enumerate(sorted(set(colors)))}
+    types = [dense[x] for x in colors]
+    alive, members, types, swaps, _ = _merge_twins(adj, n, types, stats, stop=True)
+    if swaps:
+        got = Perm(swaps[0])
+    elif alive == (1 << n) - 1:
+        # nothing merged: the walk over all of g, which checks its leaves
+        return next(_Search(adj, n, types, stats).generators(), None), stats
+    else:
+        nodes, rows, qtypes = _quotient(adj, alive, types)
+        p = next(_Search(rows, len(nodes), qtypes, stats).generators(), None)
+        if p is None:
+            return None, stats
+        got = Perm(_lift(n, nodes, members, p))
+    if not _verify(adj, n, colors, got.image, adj):
+        raise AssertionError("internal error: certificate failed re-verification")
+    return got, stats
 
 
 def _orbit(v: int, gens: Sequence[Perm]) -> set[int]:
@@ -505,16 +544,19 @@ def _group(
 
 
 def _merge_twins(
-    adj: Sequence[int], n: int, stats: SearchStats
+    adj: Sequence[int], n: int, types: Sequence[int], stats: SearchStats, stop: bool = False
 ) -> tuple[int, list[list[int]], list[int], list[list[int]], int]:
     """Merge twin classes round by round until none is left; see
     ``automorphism_group``.
 
-    Each merged node is named by its least vertex.  Returns the nodes of
-    the twin-free quotient as the set bits of an int; ``members`` and
-    ``types``, read at those nodes; the images of the swaps of adjacent
-    equal-type siblings, in merge order; and the product of r! over the
-    merges and the children's types, r children of each type.
+    ``types`` are the leaf types, dense values 0..k-1 (all 0 for the bare
+    graph); merged types are numbered from k on.  Each merged node is named
+    by its least vertex.  Returns the nodes of the twin-free quotient as
+    the set bits of an int; ``members`` and ``types``, read at those nodes;
+    the images of the swaps of adjacent equal-type siblings, in merge
+    order; and the product of r! over the merges and the children's types,
+    r children of each type.  With ``stop`` it returns at the first swap,
+    the rest left unmerged.
 
     A node's open key is its row outside its members, and its closed key
     its row with them.  Members form a module, so a key is the union of the
@@ -532,7 +574,8 @@ def _merge_twins(
     alive = (1 << n) - 1
     members = [[v] for v in range(n)]
     masks = [1 << v for v in range(n)]  # the bits of members[v]
-    types = [0] * n
+    types = list(types)
+    leaf_types = max(types, default=0) + 1
     numbered: dict[tuple[bool, tuple[int, ...]], int] = {}
     swaps: list[list[int]] = []
     order = 1
@@ -556,8 +599,8 @@ def _merge_twins(
         # each class is kept ascending, so they sort by least node
         twins = sorted(map(found.__getitem__, multi[closed]))
         multi[closed].clear()
-        stats.merges += len(twins)
         for cls in twins:
+            stats.merges += 1
             rep = cls[0]
             # a stable sort: ties stay in ascending order of the least vertex
             cls.sort(key=types.__getitem__)
@@ -572,8 +615,10 @@ def _merge_twins(
                 for x, y in zip(members[a], members[b]):
                     image[x], image[y] = y, x
                 swaps.append(image)
+                if stop:
+                    return alive, members, types, swaps, order
             kind = (closed, tuple([types[c] for c in cls]))
-            types[rep] = numbered.setdefault(kind, len(numbered) + 1)
+            types[rep] = numbered.setdefault(kind, len(numbered) + leaf_types)
             members[rep] = [x for c in cls for x in members[c]]
             mask = 0
             for c in cls:
@@ -589,6 +634,32 @@ def _merge_twins(
                 else:
                     others[key] = [rep]
             cls[:] = [rep]
+
+
+def _quotient(
+    adj: Sequence[int], alive: int, types: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """The twin-free quotient that ``_merge_twins`` left: its nodes in
+    ascending order, its rows over their indices and the nodes' types."""
+    nodes = _members(alive)
+    index = {v: i for i, v in enumerate(nodes)}
+    rows = []
+    for v in nodes:
+        row = 0
+        for u in _members(adj[v] & alive):
+            row |= 1 << index[u]
+        rows.append(row)
+    return nodes, rows, [types[v] for v in nodes]
+
+
+def _lift(n: int, nodes: Sequence[int], members: Sequence[list[int]], p: Perm) -> list[int]:
+    """The image of a quotient automorphism p on the n vertices: each node's
+    members onto its image's, position by position in canonical order."""
+    image = list(range(n))
+    for v, w in zip(nodes, p.image):
+        for x, y in zip(members[v], members[nodes[w]]):
+            image[x] = y
+    return image
 
 
 def automorphism_group(
@@ -632,24 +703,12 @@ def automorphism_group(
     """
     stats = SearchStats() if stats is None else stats
     n, adj = g.n, g.adjacency_bits
-    alive, members, types, moves, order = _merge_twins(adj, n, stats)
+    alive, members, types, moves, order = _merge_twins(adj, n, [0] * n, stats)
     if alive == (1 << n) - 1:
         return _group(adj, n, types, stats)
-    nodes = _members(alive)
-    index = {v: i for i, v in enumerate(nodes)}
-    rows = []
-    for v in nodes:
-        row = 0
-        for u in _members(adj[v] & alive):
-            row |= 1 << index[u]
-        rows.append(row)
-    qbase, qgens, qorder = _group(rows, len(nodes), [types[v] for v in nodes], stats)
-    for p in qgens:
-        image = list(range(n))
-        for v, w in zip(nodes, p.image):
-            for x, y in zip(members[v], members[nodes[w]]):
-                image[x] = y
-        moves.append(image)
+    nodes, rows, qtypes = _quotient(adj, alive, types)
+    qbase, qgens, qorder = _group(rows, len(nodes), qtypes, stats)
+    moves += [_lift(n, nodes, members, p) for p in qgens]
     colors = [0] * n
     for image in moves:
         if not _verify(adj, n, colors, image, adj):
@@ -695,21 +754,57 @@ def is_color_preserving_automorphism(g: Graph, colors: Sequence[int], p: Perm) -
 # -- edge labelings, one row band per label --------------------------------
 
 
+def _banded_rows(
+    n: int, edges: Sequence[tuple[int, int]], values: Sequence[int]
+) -> tuple[list[int], int]:
+    """The rows of label values[k] on edge k of ``edges``, labels numbered
+    densely in sorted order: bit l*n + u of row v is set when uv is an edge
+    labeled l; and the number of bands."""
+    shift = {val: i * n for i, val in enumerate(sorted(set(values)))}
+    rows = [0] * n
+    for (u, v), val in zip(edges, values):
+        rows[u] |= 1 << (shift[val] + v)
+        rows[v] |= 1 << (shift[val] + u)
+    return rows, len(shift)
+
+
+def _label_twin_swap(rows: Sequence[int], n: int, bands: int) -> Optional[list[int]]:
+    """The swap of the first two label twins whose swap moves an edge, or
+    None: open twins, equal rows that are not empty, in vertex order; then,
+    band by band, closed twins on label l, equal keys ``row | 1 << (l*n + v)``
+    of vertices with a neighbour besides each other.  Twins have the same
+    labeled neighbours but each other, so the swap keeps every label, and
+    it maps an edge to another at each such neighbour."""
+    rich = [v for v, row in enumerate(rows) if row & (row - 1)]
+    passes = [(None, [v for v, row in enumerate(rows) if row])]
+    passes += [(i * n, rich) for i in range(bands)]
+    for shift, live in passes:
+        seen: dict[int, int] = {}
+        for v in live:
+            key = rows[v] if shift is None else rows[v] | 1 << (shift + v)
+            u = seen.setdefault(key, v)
+            if u != v:
+                image = list(range(n))
+                image[u], image[v] = v, u
+                return image
+    return None
+
+
 def _edge_search(
     g: Graph, edges: Sequence[tuple[int, int]], values: Sequence[int], stats: SearchStats
 ) -> Optional[Perm]:
     """First automorphism of g, in search order, that preserves label
     values[k] of edge k of ``edges`` (``g.edge_list()``) and moves an edge,
     or None; the module docstring gives the bands and the colors."""
+    return _band_search(g, *_banded_rows(g.n, edges, values), stats)
+
+
+def _band_search(g: Graph, rows: list[int], bands: int, stats: SearchStats) -> Optional[Perm]:
+    """``_edge_search`` on the rows ``_banded_rows`` built."""
     n = g.n
-    shift = {val: i * n for i, val in enumerate(sorted(set(values)))}
-    rows = [0] * n
-    for (u, v), val in zip(edges, values):
-        rows[u] |= 1 << (shift[val] + v)
-        rows[v] |= 1 << (shift[val] + u)
     # bit l*n + u of row v is bit l*n + v of row u: the columns are the rows' bands
     full = (1 << n) - 1
-    cols = [row >> s & full for s in shift.values() for row in rows] or rows
+    cols = [row >> (i * n) & full for i in range(bands) for row in rows] or rows
     adj = g.adjacency_bits
     colors = [0] * n
     for v, row in enumerate(adj):
@@ -738,11 +833,23 @@ def find_preserving_edges(g: Graph, labels: dict[tuple[int, int], int]) -> Optio
     An automorphism whose action on the edge set is the identity counts as
     trivial here: such maps only swap the ends of single-edge components or
     permute isolated vertices, and can never be broken by edge labels.
+
+    The certificate is the swap of the first two label twins that moves an
+    edge (``_label_twin_swap``), counted in ``merges``: any such pair is
+    one, so there is nothing to merge.  With none, it is ``_edge_search``'s
+    first automorphism.  Every certificate passes the naive check.
     """
     edges = g.edge_list()
     if set(labels) != set(edges):
         raise ValueError("labeling domain must equal the edge set exactly")
-    got = _edge_search(g, edges, [labels[e] for e in edges], SearchStats())
+    stats = SearchStats()
+    rows, bands = _banded_rows(g.n, edges, [labels[e] for e in edges])
+    swap = _label_twin_swap(rows, g.n, bands)
+    if swap is not None:
+        stats.merges += 1
+        got: Optional[Perm] = Perm(swap)
+    else:
+        got = _band_search(g, rows, bands, stats)
     if got is not None and not preserves_edge_labels(g, labels, got):
         raise AssertionError("internal error: certificate failed re-verification")
     return got

@@ -11,9 +11,9 @@ keeps a list of automorphisms, acting on the positions.  It starts from the
 twin transpositions: as vertex permutations for D(G) (Albertson & Collins
 1996), as edge permutations for D'(G) (Kalinowski & Pilsniak 2015), leaving
 out any swap that fixes every edge.  Each leaf that survives the prunes
-below goes to one automorphism search, the one ``find_preserving`` runs for
-D and ``find_preserving_edges`` for D': the first automorphism preserving
-the labels that moves a vertex, or an edge.  Its action on the positions
+below goes to one whole-graph automorphism search, ``_search`` for D and
+``_edge_search`` for D': the first automorphism preserving the labels that
+moves a vertex, or an edge, in search order.  Its action on the positions
 refutes the leaf and is kept for every later d (it comes from an
 automorphism of the bare graph and moves a position, so it is nontrivial).
 It fixes every position after its last moved one, so it preserves every
@@ -314,7 +314,7 @@ def distinguishing_index(
     labels exists; the default cap, the edge count, always suffices.
     Requires at least one edge.  The walk starts from the edge actions of
     the twin transpositions and refutes each surviving leaf with the edge
-    action of the search ``find_preserving_edges`` runs, so Aut(g) is never
+    action of the whole-graph search ``_edge_search``, so Aut(g) is never
     listed.  ``aut_cap`` is accepted for old callers and ignored, as there
     is no group listing left to cap.
     """

@@ -33,20 +33,37 @@ from .util import (
     brute_automorphisms,
     catalog,
     edge_action_is_trivial,
+    flatten_copy,
     is_automorphism,
     naive_color_preserver_exists,
     naive_edge_preserver_exists,
     random_graph,
+    recorded_stats,
     sweep_pairs,
+    whole_graph_certificate,
     whole_graph_group,
 )
 
 
 def test_find_preserving_examples():
+    # 0 and 2 are open twins of one color: their swap, before any search
     got, stats = find_preserving(cycle(4), (1, 1, 1, 1))
-    assert got is not None and not got.is_identity()
+    assert got == Perm((2, 1, 0, 3))
     assert is_color_preserving_automorphism(cycle(4), [1, 1, 1, 1], got)
-    assert stats.nodes >= 1
+    assert (stats.merges, stats.nodes, stats.refinements) == (1, 0, 0)
+
+    # no two twins share a color, but the merged nodes {0, 2} and {3, 1}
+    # have one type: they are closed twins, swapped in canonical order
+    got, stats = find_preserving(cycle(4), (1, 2, 2, 1))
+    assert got == Perm((3, 2, 1, 0))
+    assert (stats.merges, stats.nodes, stats.refinements) == (3, 0, 0)
+    assert find_preserving(cycle(4), (1, 2, 3, 1))[0] is None
+
+    # each K2 copy of P4[K2] merges, colored 1 and 2, and the twin-free
+    # quotient P4 is searched: its flip, lifted
+    got, stats = find_preserving(lex_product(path(4), complete(2)), (1, 2) * 4)
+    assert got.cycle_string() == "(0 6)(1 7)(2 4)(3 5)"
+    assert (stats.merges, stats.nodes, stats.refinements) == (4, 2, 4)
 
     # leaves share a color: the leaf transposition is the first certificate
     got, _ = find_preserving(path(3), (1, 2, 1))
@@ -151,6 +168,117 @@ def test_certificates_survive_naive_recheck():
         got, _ = find_preserving(g, colors)
         if got is not None:
             assert is_color_preserving_automorphism(g, colors, got)
+
+
+def _certify_sized_cases():
+    """Labelings the package's constructions build on products of 51 to 402
+    vertices, each with three copies (two of K2) flattened in turn (``flatten_copy``)."""
+    from lexidis import (
+        block_product_labeling,
+        k2_product_edge_labeling,
+        p2_product_edge_labeling,
+        path_product_edge_labeling,
+        pattern_product_labeling,
+        spider_distinguishing_labeling,
+        two_label_edge_labeling,
+    )
+
+    built = [
+        (spider(100), complete(2), pattern_product_labeling(
+            spider(100), complete(2), spider_distinguishing_labeling(100), [1, 2])),
+        # each K2 copy in one color: not distinguishing
+        (spider(30), complete(2), [x for x in spider_distinguishing_labeling(30) for _ in "ab"]),
+        (path(50), cycle(4), pattern_product_labeling(
+            path(50), cycle(4), [1] * 49 + [2], distinguishing_number(cycle(4))[1])),
+        (path(40), cycle(5), block_product_labeling(
+            path(40), cycle(5), [1] * 39 + [2], distinguishing_number(cycle(5))[1])),
+        (path(17), path(3), path_product_edge_labeling(17, path(3))),
+        (path(12), cycle(4), path_product_edge_labeling(12, cycle(4))),
+        (path(2), path(12), k2_product_edge_labeling(path(12))),
+        (path(25), path(2), p2_product_edge_labeling(path(25), distinguishing_index(path(25))[1])),
+        (cycle(5), path(6), two_label_edge_labeling(cycle(5), path(6))),
+    ]
+    rng = random.Random(27)
+    out = []
+    for g, h, labels in built:
+        labels = tuple(labels) if isinstance(labels, list) else labels
+        out.append((lex_product(g, h), labels))
+        for copy in rng.sample(range(g.n), min(3, g.n)):
+            out.append((lex_product(g, h), flatten_copy(labels, h.n, copy)))
+    return out
+
+
+def test_public_searches_match_the_referees(monkeypatch):
+    """find_preserving and find_preserving_edges give the brute-force n!
+    verdict on products of atlas graphs with at most 8 vertices under random
+    colorings and edge labelings, and the whole-graph search's verdict on
+    certify-sized products; every certificate passes the naive check.  Each
+    way to a verdict is taken: an equal-type sibling swap, the quotient's
+    lifted generator and the whole-graph walk for vertices, a label-twin
+    swap and the search for edges."""
+    from networkx import graph_atlas_g
+
+    from lexidis.graph import closed_twin_partition, open_twin_partition
+
+    by_size = {}
+    for a in graph_atlas_g():
+        by_size.setdefault(a.number_of_nodes(), []).append(Graph(a.number_of_nodes(), a.edges()))
+    # graphs on 5 to 7 vertices with twins: colored apart, some have a
+    # twin-free quotient whose symmetry the certificate lifts
+    twinned = [g for size in (5, 6, 7) for g in by_size[size]
+               if len(open_twin_partition(g)) + len(closed_twin_partition(g)) < 2 * size]
+    made = recorded_stats(monkeypatch)
+    rng = random.Random(2016)
+    ways = {}
+    for _ in range(700):
+        ng = rng.randrange(1, 8)
+        nh = rng.randrange(1, min(7, 8 // ng) + 1)
+        g = lex_product(rng.choice(by_size[ng]), rng.choice(by_size[nh]))
+        palette = rng.choice([1, 2, 3])
+        mode = rng.randrange(3)
+        if mode == 0:
+            colors = [rng.randrange(palette) for _ in range(g.n)]
+        elif mode == 1:
+            # every copy of H colored alike
+            pattern = [rng.randrange(palette) for _ in range(nh)]
+            colors = [pattern[v % nh] for v in range(g.n)]
+        else:
+            # twins colored apart, by their place in their class
+            g = rng.choice(twinned)
+            colors = [0] * g.n
+            for cls in rng.choice([open_twin_partition, closed_twin_partition])(g):
+                for i, v in enumerate(cls):
+                    colors[v] = i
+        got, stats = find_preserving(g, colors)
+        assert (got is not None) == naive_color_preserver_exists(g, colors), (g, colors)
+        if got is not None:
+            assert is_color_preserving_automorphism(g, colors, got), (g, colors)
+        way = "whole" if not stats.merges else "swap" if not stats.refinements else "quotient"
+        ways[way, got is not None] = ways.get((way, got is not None), 0) + 1
+        if g.m:
+            labels = {e: rng.randrange(1, palette + 1) for e in g.edge_list()}
+            made.clear()
+            got = find_preserving_edges(g, labels)
+            assert (got is not None) == naive_edge_preserver_exists(g, labels), (g, labels)
+            if got is not None:
+                assert preserves_edge_labels(g, labels, got), (g, labels)
+            way = "label twins" if made[0].merges else "edge search"
+            ways[way, got is not None] = ways.get((way, got is not None), 0) + 1
+    assert len(ways) == 8 and min(ways.values()) >= 15, ways
+    found = 0
+    for g, labels in _certify_sized_cases():
+        if isinstance(labels, tuple):
+            got, _ = find_preserving(g, labels)
+            assert got is None or is_color_preserving_automorphism(g, labels, got)
+        else:
+            got = find_preserving_edges(g, labels)
+            assert got is None or preserves_edge_labels(g, labels, got)
+        want = whole_graph_certificate(g, labels, SearchStats())
+        assert (got is None) == (want is None), g
+        found += got is not None
+    # the 26 flattened copies and the one-color doubling are refuted, every
+    # construction certified
+    assert found == 27
 
 
 def test_group_order_matches_brute_force():
@@ -406,7 +534,7 @@ def test_searches_leave_no_reference_cycles():
 
 
 # edge labels in edge_list() order, one digit each, and the certificate
-# find_preserving_edges returns for them (None when distinguishing)
+# the whole-graph ``_edge_search`` returns for them (None when distinguishing)
 MARKER_PINS = {
     'C4': [
         ('1111', (0, 3, 2, 1)),
@@ -457,8 +585,14 @@ def test_edge_certificates_ignore_label_offset(name):
     for digits, cert in MARKER_PINS[name]:
         lab = [int(x) for x in digits]
         for shift in (0, -min(lab), -max(lab) - 2):
-            got = find_preserving_edges(g, {e: v + shift for e, v in zip(edges, lab)})
+            values = [v + shift for v in lab]
+            got = autosearch._edge_search(g, edges, values, SearchStats())
             assert (None if got is None else got.image) == cert, (digits, shift)
+            # the public search may answer with a label-twin swap instead
+            labels = dict(zip(edges, values))
+            public = find_preserving_edges(g, labels)
+            assert (public is None) == (cert is None), (digits, shift)
+            assert public is None or preserves_edge_labels(g, labels, public)
 
 
 def _cayley_z4z4(connection, offset):
@@ -542,7 +676,16 @@ def test_enumerate_refuses_a_nonpositive_cap():
 
 def test_edge_certificates_are_rechecked(monkeypatch):
     # a search that returned a non-preserving map would be caught, not trusted
-    monkeypatch.setattr(autosearch, "_edge_search", lambda *_args: Perm((1, 0, 2)))
+    monkeypatch.setattr(autosearch, "_band_search", lambda *_args: Perm((1, 0, 2)))
     with pytest.raises(AssertionError) as exc:
         find_preserving_edges(path(3), {(0, 1): 1, (1, 2): 2})
+    assert str(exc.value) == "internal error: certificate failed re-verification"
+
+
+def test_lifted_certificates_are_rechecked(monkeypatch):
+    # the certificate on P4[K2] colored (1, 2) per copy is the quotient P4's
+    # flip, lifted; a wrong lift would be caught
+    monkeypatch.setattr(autosearch, "_lift", lambda n, *_args: [1, 0] + list(range(2, n)))
+    with pytest.raises(AssertionError) as exc:
+        find_preserving(lex_product(path(4), complete(2)), (1, 2) * 4)
     assert str(exc.value) == "internal error: certificate failed re-verification"

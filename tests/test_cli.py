@@ -239,6 +239,37 @@ def test_label_thm35_refuses_two_isolated_vertices(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: needs at most one isolated vertex in G\n")
 
 
+@pytest.mark.parametrize("method, graphs, row", [
+    # K1 has no edge: the row's reason, not the D' oracle's on K1
+    ("thm31", ("p 1 0\n", "p 3 2\ne 0 1\ne 1 2\n"), "product-edge-max"),
+    ("thm35", ("p 1 0\n",), "single-edge-bundles"),
+    # K3[K2] is K6, whose group exceeds the wreath action
+    ("thm22", ("p 3 3\ne 0 1\ne 0 2\ne 1 2\n", "p 2 1\ne 0 1\n"), "product-vertex-stepwise"),
+], ids=["thm31-K1", "thm35-K1", "thm22-K3-K2"])
+def test_label_refuses_with_the_reason_bounds_prints(tmp_path, capsys, monkeypatch, method,
+                                                     graphs, row):
+    # a label method checks its bounds row's hypotheses before any oracle
+    from lexidis import cli
+
+    files = []
+    for i, text in enumerate(graphs):
+        files.append(tmp_path / f"g{i}.el")
+        files[-1].write_text(text)
+    factors = [*map(str, files), *([] if len(files) == 2 else [str(tmp_path / "k2.el")])]
+    (tmp_path / "k2.el").write_text("p 2 1\ne 0 1\n")
+    code, out, err = run(capsys, "bounds", *factors)
+    assert (code, err) == (0, "")
+    (reason,) = [line[len(row) + len(": n/a ("):-1] for line in out.splitlines()
+                 if line.startswith(f"{row}: n/a")]
+
+    def no_oracle(*_args):
+        raise AssertionError("ran an oracle before the row's hypotheses")
+
+    monkeypatch.setattr(cli, "_exact", no_oracle)
+    code, out, err = run(capsys, "label", "--method", method, *map(str, files), "--certify")
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
 # asymmetric, with H and its complement connected, so K2[H] has the wreath action
 ASYM_H = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 5), (3, 4), (4, 5)])
 
@@ -793,7 +824,7 @@ def test_label_certify_exits_1_on_a_wrong_builder(tmp_path, capsys, monkeypatch)
     from lexidis import cli
 
     monkeypatch.setitem(cli.LABEL_METHODS, "thm21", (
-        2, None, lambda g, h: ([1] * (g.n * h.n), lex_product(g, h))))
+        2, None, None, lambda g, h: ([1] * (g.n * h.n), lex_product(g, h))))
     g = tmp_path / "p3.el"
     g.write_text(write_edge_list(path(3)))
     code, out, err = run(capsys, "--json", "label", "--method", "thm21", str(g), str(g), "--certify")

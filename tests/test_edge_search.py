@@ -13,12 +13,12 @@ from lexidis import (
     find_preserving_edges,
     preserves_edge_labels,
 )
-import lexidis.distinguishing as dist
 
 from .util import (
     edge_action_is_trivial,
     naive_edge_preserver_exists,
     random_graph,
+    recorded_stats,
     reference_search,
     subdivision,
     subdivision_colors,
@@ -110,19 +110,6 @@ def test_band_search_agrees_with_the_subdivision_referee():
     assert tried >= 300 and 100 <= found <= tried - 100 and small >= 50
 
 
-def _recorded(monkeypatch):
-    made = []
-
-    class Recording(autosearch.SearchStats):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-
-    monkeypatch.setattr(autosearch, "SearchStats", Recording)
-    monkeypatch.setattr(dist, "SearchStats", Recording)
-    return made
-
-
 def _k3_plus(isolated: int) -> Graph:
     return Graph(3 + isolated, [(0, 1), (0, 2), (1, 2)])
 
@@ -153,7 +140,7 @@ def test_edge_searches_skip_automorphisms_fixing_every_edge(monkeypatch, name):
     # isolated vertices take colors of their own and each K2 component's
     # lower end a marker, so only the identity fixes every edge
     run, answer, searches, nodes, refinements = EDGE_FIXING[name]
-    made = _recorded(monkeypatch)
+    made = recorded_stats(monkeypatch)
     assert run() == answer
     assert (len(made), sum(s.nodes for s in made), sum(s.refinements for s in made)) == (
         searches, nodes, refinements)
@@ -162,7 +149,7 @@ def test_edge_searches_skip_automorphisms_fixing_every_edge(monkeypatch, name):
 def test_matching_with_equal_labels_is_refuted(monkeypatch):
     # equal labels let two K2 components trade places: a certificate that
     # moves an edge, with each lower end mapped onto a lower end
-    made = _recorded(monkeypatch)
+    made = recorded_stats(monkeypatch)
     g = _matching(14)
     labels = {e: 1 for e in g.edge_list()}
     got = find_preserving_edges(g, labels)

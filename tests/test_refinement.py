@@ -29,13 +29,16 @@ from .util import (
     banded_input,
     base_path_rounds,
     dense_signatures,
+    flatten_copy,
     full_refine,
     full_replay,
     random_graph,
+    recorded_stats,
     reference_search,
     subdivision,
     subdivision_colors,
     sweep_pairs,
+    whole_graph_certificate,
     whole_graph_group,
 )
 
@@ -73,26 +76,6 @@ def _pin_cases():
     return out
 
 
-def _flatten_copy(labels, nh: int, copy: int):
-    """The labeling with one H-copy made invariant under Aut(H).  Vertex
-    labels: the copy takes its first vertex's label.  Edge labels: the
-    copy's own edges take one label, and each edge from the copy to a
-    vertex w outside it takes the label of the edge from the copy's first
-    vertex to w."""
-    lo = copy * nh
-    if isinstance(labels, tuple):
-        return labels[:lo] + (labels[lo],) * nh + labels[lo + nh:]
-    inner = [val for (u, v), val in labels.items() if u // nh == v // nh == copy]
-    out = dict(labels)
-    for u, v in labels:
-        if u // nh == v // nh == copy:
-            out[(u, v)] = inner[0]
-        elif copy in (u // nh, v // nh):
-            w = v if u // nh == copy else u
-            out[(u, v)] = labels[(lo, w) if lo < w else (w, lo)]
-    return out
-
-
 def _large_cases():
     """Searches the size of the benchmark's certify questions: labeled
     products of 200 and 402 vertices and an edge-labeled product of 51
@@ -108,11 +91,11 @@ def _large_cases():
     pp_lab = path_product_edge_labeling(17, path(3))
     return [
         ("v", "spider100[K2] pattern", sp, sp_lab),
-        ("v", "spider100[K2] flat 57", sp, _flatten_copy(sp_lab, 2, 57)),
+        ("v", "spider100[K2] flat 57", sp, flatten_copy(sp_lab, 2, 57)),
         ("v", "P40[C5] block", pc, pc_lab),
-        ("v", "P40[C5] block flat 17", pc, _flatten_copy(pc_lab, 5, 17)),
+        ("v", "P40[C5] block flat 17", pc, flatten_copy(pc_lab, 5, 17)),
         ("e", "P17[P3] prop34", pp, pp_lab),
-        ("e", "P17[P3] prop34 flat 5", pp, _flatten_copy(pp_lab, 3, 5)),
+        ("e", "P17[P3] prop34 flat 5", pp, flatten_copy(pp_lab, 3, 5)),
     ]
 
 
@@ -122,7 +105,9 @@ LARGE_CASES = _large_cases()
 # (certificate image or None, nodes, refinements), as the all-classes
 # refinement produced them in the depth-first search that
 # ``reference_search`` keeps; the base-path walk does one node call and the
-# base path's replayed rounds fewer
+# base path's replayed rounds fewer.  These are the whole-graph searches
+# ``_search`` and ``_edge_search``, the oracles' leaf refuters; the public
+# searches run on the twin quotient and are pinned in TWIN_PINS
 PINS = {
     "v C5[P4]": ((0, 1, 2, 3, 7, 6, 5, 4) + tuple(range(8, 20)), 3, 6),
     "v P3[C4]": ((0, 1, 2, 3, 4, 5, 6, 7, 10, 9, 8, 11), 4, 8),
@@ -156,29 +141,65 @@ PIN_CASES = _pin_cases() + [c for c in LARGE_CASES if f"{c[0]} {c[1]}" in PINS]
 @pytest.mark.parametrize(
     "kind, name, g, labels", PIN_CASES, ids=[f"{c[0]} {c[1]}" for c in PIN_CASES]
 )
-def test_certificates_and_work_are_pinned(kind, name, g, labels, monkeypatch):
-    made = []
-
-    class Recording(autosearch.SearchStats):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-
-    monkeypatch.setattr(autosearch, "SearchStats", Recording)
+def test_certificates_and_work_are_pinned(kind, name, g, labels):
+    stats = autosearch.SearchStats()
+    got = whole_graph_certificate(g, labels, stats)
     if kind == "v":
-        got, _ = find_preserving(g, labels)
         adj, colors, cols = g.adjacency_bits, labels, g.adjacency_bits
     else:
-        got = find_preserving_edges(g, labels)
         adj, colors, cols = banded_input(g, labels)
         if got is not None:
             assert preserves_edge_labels(g, labels, got)
-    (stats,) = made
     image = None if got is None else got.image
     pin_image, pin_nodes, pin_refinements = PINS[f"{kind} {name}"]
     replayed = base_path_rounds(adj, g.n, colors, cols)
     assert (image, stats.nodes, stats.refinements) == (
         pin_image, pin_nodes - 1, pin_refinements - replayed)
+
+
+def _p50_c4_cases():
+    g = lex_product(path(50), cycle(4))
+    lab = tuple(pattern_product_labeling(
+        path(50), cycle(4), [1] * 49 + [2], distinguishing_number(cycle(4))[1]))
+    return [("v", "P50[C4] pattern", g, lab),
+            ("v", "P50[C4] pattern flat 23", g, flatten_copy(lab, 4, 23))]
+
+
+TWIN_CASES = LARGE_CASES + _p50_c4_cases()
+
+# (certificate, merges, nodes, refinements) of find_preserving and
+# find_preserving_edges.  A flattened copy with twins is answered by the
+# swap of two equal-type siblings, before any search; P40[C5] is twin-free,
+# so it keeps the whole-graph search's certificate and work; a
+# distinguishing labeling is searched on the colored quotient: spider100
+# and P50, their K2 and C4 copies merged
+TWIN_PINS = {
+    "v spider100[K2] pattern": (None, 201, 0, 1),
+    "v spider100[K2] flat 57": ("(114 115)", 58, 0, 0),
+    "v P40[C5] block": (None, 0, 0, 1),
+    "v P40[C5] block flat 17": ("(86 89)(87 88)", 0, 3, 6),
+    "e P17[P3] prop34": (None, 0, 0, 8),
+    "e P17[P3] prop34 flat 5": ("(15 17)", 1, 0, 0),
+    "v P50[C4] pattern": (None, 150, 0, 24),
+    "v P50[C4] pattern flat 23": ("(92 94)", 47, 0, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, name, g, labels", TWIN_CASES, ids=[f"{c[0]} {c[1]}" for c in TWIN_CASES]
+)
+def test_twin_quotient_certificates_and_work_are_pinned(kind, name, g, labels, monkeypatch):
+    made = recorded_stats(monkeypatch)
+    if kind == "v":
+        got, _ = find_preserving(g, labels)
+    else:
+        got = find_preserving_edges(g, labels)
+    (stats,) = made
+    # the verdict is the whole-graph search's
+    want = whole_graph_certificate(g, labels, autosearch.SearchStats())
+    assert (got is None) == (want is None)
+    assert (got and got.cycle_string(), stats.merges, stats.nodes, stats.refinements) == (
+        TWIN_PINS[f"{kind} {name}"])
 
 
 def _new_rounds(adj, n, c, trace):
@@ -309,10 +330,7 @@ def test_signatures_match_horner_reference_on_large_searches(monkeypatch):
 
     monkeypatch.setattr(autosearch, "_signatures", checked)
     for kind, _name, g, labels in LARGE_CASES:
-        if kind == "v":
-            find_preserving(g, labels)
-        else:
-            find_preserving_edges(g, labels)
+        whole_graph_certificate(g, labels, autosearch.SearchStats())
     # vertex searches of 200 and 402 vertices and edge searches in two bands
     assert {(n, bands) for n, bands, _k in seen} == {(200, 1), (402, 1), (51, 2)}
     digits = [k * bands for _n, bands, k in seen]
@@ -342,10 +360,7 @@ def test_rounds_count_no_split_class_last_child(monkeypatch):
     assert (len(counted), sum(counted)) == (4787, 5000)
     counted.clear()
     for kind, _name, g, labels in LARGE_CASES:
-        if kind == "v":
-            find_preserving(g, labels)
-        else:
-            find_preserving_edges(g, labels)
+        whole_graph_certificate(g, labels, autosearch.SearchStats())
     assert (len(counted), sum(counted)) == (30, 1084)
 
 

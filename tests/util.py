@@ -154,6 +154,26 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph(n, extra)
 
 
+def flatten_copy(labels, nh: int, copy: int):
+    """The labeling with one H-copy made invariant under Aut(H).  Vertex
+    labels: the copy takes its first vertex's label.  Edge labels: the
+    copy's own edges take one label, and each edge from the copy to a
+    vertex w outside it takes the label of the edge from the copy's first
+    vertex to w."""
+    lo = copy * nh
+    if isinstance(labels, tuple):
+        return labels[:lo] + (labels[lo],) * nh + labels[lo + nh:]
+    inner = [val for (u, v), val in labels.items() if u // nh == v // nh == copy]
+    out = dict(labels)
+    for u, v in labels:
+        if u // nh == v // nh == copy:
+            out[(u, v)] = inner[0]
+        elif copy in (u // nh, v // nh):
+            w = v if u // nh == copy else u
+            out[(u, v)] = labels[(lo, w) if lo < w else (w, lo)]
+    return out
+
+
 # -- reference refinement --------------------------------------------------
 # The all-classes refinement the search engine used before it counted only
 # against fresh classes.  Tests compare the engine against it round by round.
@@ -334,6 +354,33 @@ def whole_graph_group(g: Graph, stats):
     over all of g, without the twin merging of ``automorphism_group``: the
     engine's own referee, whose work the search pins count."""
     return autosearch._group(g.adjacency_bits, g.n, [0] * g.n, stats)
+
+
+def whole_graph_certificate(g: Graph, labels, stats):
+    """The whole-graph search's certificate for a vertex labeling (a
+    sequence) or an edge labeling (a dict): ``_search`` or ``_edge_search``,
+    the oracles' leaf refuters."""
+    if not isinstance(labels, dict):
+        return autosearch._search(g, labels, stats)
+    edges = g.edge_list()
+    return autosearch._edge_search(g, edges, [labels[e] for e in edges], stats)
+
+
+def recorded_stats(monkeypatch) -> list:
+    """The SearchStats objects the search and the oracles make from now on,
+    in order."""
+    from lexidis import distinguishing
+
+    made = []
+
+    class Recording(autosearch.SearchStats):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(autosearch, "SearchStats", Recording)
+    monkeypatch.setattr(distinguishing, "SearchStats", Recording)
+    return made
 
 
 def base_path_rounds(adj, n: int, colors, cols=None) -> int:
