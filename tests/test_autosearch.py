@@ -9,6 +9,7 @@ from lexidis import (
     CapExceededError,
     Graph,
     Perm,
+    block_product_labeling,
     complete,
     cycle,
     distinguishing_index,
@@ -17,15 +18,22 @@ from lexidis import (
     find_preserving,
     find_preserving_edges,
     is_color_preserving_automorphism,
+    k2_product_edge_labeling,
     lex_power,
     lex_product,
+    p2_product_edge_labeling,
     path,
+    path_product_edge_labeling,
+    pattern_product_labeling,
     preserves_edge_labels,
     spider,
+    spider_distinguishing_labeling,
     star,
+    two_label_edge_labeling,
 )
 from lexidis import autosearch
 from lexidis.autosearch import SearchStats, _verify, automorphism_group
+from lexidis.graph import closed_twin_partition, open_twin_partition
 
 from .util import (
     atlas4,
@@ -171,18 +179,9 @@ def test_certificates_survive_naive_recheck():
 
 
 def _certify_sized_cases():
-    """Labelings the package's constructions build on products of 51 to 402
-    vertices, each with three copies (two of K2) flattened in turn (``flatten_copy``)."""
-    from lexidis import (
-        block_product_labeling,
-        k2_product_edge_labeling,
-        p2_product_edge_labeling,
-        path_product_edge_labeling,
-        pattern_product_labeling,
-        spider_distinguishing_labeling,
-        two_label_edge_labeling,
-    )
-
+    """Labelings the package's constructions build on products of 24 to 402
+    vertices, then each with one copy flattened (``flatten_copy``): three
+    copies in turn, both for K2[P12]."""
     built = [
         (spider(100), complete(2), pattern_product_labeling(
             spider(100), complete(2), spider_distinguishing_labeling(100), [1, 2])),
@@ -217,8 +216,6 @@ def test_public_searches_match_the_referees(monkeypatch):
     lifted generator and the whole-graph walk for vertices, a label-twin
     swap and the search for edges."""
     from networkx import graph_atlas_g
-
-    from lexidis.graph import closed_twin_partition, open_twin_partition
 
     by_size = {}
     for a in graph_atlas_g():
