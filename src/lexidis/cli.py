@@ -10,10 +10,9 @@ table, and ``bounds`` prints the rows of one table of the paper's bounds
 (``_bounds_rows``), each checked against the hypotheses its construction
 checks (``constructions.HYPOTHESES``).  Exit codes:
 0 success, 1 negative verification, 2 usage or parse error, 3 cap exceeded.
-``aut`` always prints the exact order and strong generators; its ``--cap``,
-or the LEXIDIS_CAP environment variable, bounds only the ``--elements``
-listing.  The oracles list no group, so no cap bounds their work; their
-``--cap`` bounds the labels tried.
+``aut`` always prints the exact order and strong generators; its ``--cap``
+bounds only the ``--elements`` listing.  The oracles list no group, so no
+cap bounds their work; their ``--cap`` bounds the labels tried.
 """
 from __future__ import annotations
 
@@ -61,19 +60,6 @@ def _plain_int(text: str) -> int:
 
 # argparse names the type in its message: "invalid int value: '1_0'"
 _plain_int.__name__ = "int"
-
-
-def _default_cap() -> int:
-    raw = os.environ.get("LEXIDIS_CAP")
-    if raw is None:
-        return DEFAULT_LISTING_CAP
-    try:
-        cap = _plain_int(raw)
-    except ValueError:
-        raise CliError(f"LEXIDIS_CAP={raw!r} is not an integer") from None
-    if cap < 1:
-        raise CliError(f"LEXIDIS_CAP={raw!r} must be positive")
-    return cap
 
 
 def _read_text(spec: str) -> str:
@@ -197,12 +183,11 @@ def _cmd_product(args) -> int:
 
 def _cmd_aut(args) -> int:
     g = _read_graph(args.graph)
-    cap = _default_cap() if args.cap is None else args.cap
-    if cap < 1:
+    if args.cap < 1:
         raise CliError("cap must be positive")
     t0 = time.perf_counter()
     _, gens, order = automorphism_group(g)
-    elems = _elements(g, gens, order, cap) if args.elements else None
+    elems = _elements(g, gens, order, args.cap) if args.elements else None
     ms = (time.perf_counter() - t0) * 1000
     payload = {
         "command": "aut", "n": g.n, "m": g.m, "order": order,
@@ -435,7 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism group order and generators")
     p.add_argument("graph")
-    p.add_argument("--cap", type=_plain_int, default=None, help="bound on the --elements listing")
+    p.add_argument("--cap", type=_plain_int, default=DEFAULT_LISTING_CAP,
+                   help="bound on the --elements listing")
     p.add_argument("--elements", action="store_true")
     p.set_defaults(func=_cmd_aut)
 

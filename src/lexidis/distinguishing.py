@@ -252,7 +252,7 @@ class _Walk:
 
 
 def _least_labeling(
-    m: int, refute: Refuter, d_max: int, perms: Iterable[tuple[int, ...]]
+    m: int, refute: Refuter, perms: Iterable[tuple[int, ...]], d_max: int | None = None
 ) -> Optional[tuple[int, list[int]]]:
     """Least d <= d_max and the lex-least restricted-growth labeling with
     maximum d of m positions that is preserved by no permutation of
@@ -261,8 +261,15 @@ def _least_labeling(
     ``perms`` are automorphisms acting on the positions.  ``refute`` takes
     each leaf that survives the walk's prunes and returns a nontrivial such
     automorphism preserving it, or None.  The permutation is kept for every
-    later d, and the walk resumes at its last moved position.
+    later d, and the walk resumes at its last moved position.  The default
+    cap, max(m, 1), always suffices, and no positions give (1, []).
     """
+    if d_max is None:
+        d_max = max(m, 1)
+    if d_max < 1:
+        raise ValueError("d_max must be positive")
+    if m == 0:
+        return 1, []
     walk = _Walk(m, refute)
     for p in perms:
         walk.add(p)
@@ -283,12 +290,6 @@ def distinguishing_number(
     labeling.
     """
     n = g.n
-    if d_max is None:
-        d_max = max(n, 1)
-    if d_max < 1:
-        raise ValueError("d_max must be positive")
-    if n == 0:
-        return 1, []
 
     def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
         got = _search(g, labels, SearchStats())
@@ -299,7 +300,7 @@ def distinguishing_number(
         p[v], p[w] = w, v
         return tuple(p)
 
-    return _least_labeling(n, refute, d_max, (swap(v, w) for v, w in _twin_pairs(g, pairwise)))
+    return _least_labeling(n, refute, (swap(v, w) for v, w in _twin_pairs(g, pairwise)), d_max)
 
 
 # -- edge index -------------------------------------------------------------
@@ -322,10 +323,6 @@ def distinguishing_index(
     m = len(edges)
     if m == 0:
         raise ValueError("distinguishing index needs at least one edge")
-    if d_max is None:
-        d_max = m
-    if d_max < 1:
-        raise ValueError("d_max must be positive")
     index = {e: i for i, e in enumerate(edges)}
 
     def action(img: Sequence[int]) -> tuple[int, ...]:
@@ -353,7 +350,7 @@ def distinguishing_index(
         got = _edge_search(g, edges, labels, SearchStats())
         return None if got is None else action(got.image)
 
-    got = _least_labeling(m, refute, d_max, seeds)
+    got = _least_labeling(m, refute, seeds, d_max)
     if got is None:
         return None
     d, lab = got

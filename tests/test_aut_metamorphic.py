@@ -39,12 +39,12 @@ def _union(*graphs):
 
 
 @st.composite
-def _twin_copies(draw):
-    """A graph grown by copying vertices, each copy an open or a closed twin
-    of a vertex already there, copies included."""
-    g = draw(_graphs(5, 12))
+def _twin_copies(draw, base=(5, 12), copies=(3, 20)):
+    """A graph on ``base`` vertices grown by ``copies`` vertex copies, each
+    an open or a closed twin of a vertex already there, copies included."""
+    g = draw(_graphs(*base))
     rows = list(g.adjacency_bits)
-    for _ in range(draw(st.integers(3, 20))):
+    for _ in range(draw(st.integers(*copies))):
         v = draw(st.integers(0, len(rows) - 1))
         w = len(rows)
         row = rows[v] | (1 << v if draw(st.booleans()) else 0)
