@@ -105,7 +105,7 @@ from __future__ import annotations
 
 from bisect import insort
 from math import prod
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .graph import Graph, _members
 from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, GeneratorSet, Perm, closure
@@ -755,7 +755,7 @@ def is_color_preserving_automorphism(g: Graph, colors: Sequence[int], p: Perm) -
 
 
 def _banded_rows(
-    n: int, edges: Sequence[tuple[int, int]], values: Sequence[int]
+    n: int, edges: Iterable[tuple[int, int]], values: Collection[int]
 ) -> tuple[list[int], int]:
     """The rows of label values[k] on edge k of ``edges``, labels numbered
     densely in sorted order: bit l*n + u of row v is set when uv is an edge
@@ -815,14 +815,26 @@ def _band_search(g: Graph, rows: list[int], bands: int, stats: SearchStats) -> O
     return next(_Search(rows, n, colors, stats, cols).generators(), None)
 
 
+def _check_edge_domain(g: Graph, labels: dict[tuple[int, int], int]) -> None:
+    """Raise ValueError unless the keys of labels are g's m edges, as int pairs u < v."""
+    rows = g.adjacency_bits
+    try:  # a tuple of another length, an end that is not an int, or u >= g.n
+        ok = len(labels) == g.m and {*map(type, labels)} <= {tuple} and all(
+            0 <= u < v and rows[u] >> v & 1 for u, v in labels)
+    except (TypeError, ValueError, IndexError):
+        ok = False
+    if not ok:
+        raise ValueError("labeling domain must equal the edge set exactly")
+
+
 def preserves_edge_labels(g: Graph, labels: dict[tuple[int, int], int], p: Perm) -> bool:
     """Whether p is an automorphism of g preserving every edge label."""
     if p.degree != g.n:
         return False
+    img = p.image
     for (u, v), val in labels.items():
-        a, b = p(u), p(v)
-        e = (a, b) if a < b else (b, a)
-        if labels.get(e) != val:
+        a, b = img[u], img[v]
+        if labels.get((a, b) if a < b else (b, a)) != val:
             return False
     return is_color_preserving_automorphism(g, [0] * g.n, p)
 
@@ -839,11 +851,9 @@ def find_preserving_edges(g: Graph, labels: dict[tuple[int, int], int]) -> Optio
     one, so there is nothing to merge.  With none, it is ``_edge_search``'s
     first automorphism.  Every certificate passes the naive check.
     """
-    edges = g.edge_list()
-    if set(labels) != set(edges):
-        raise ValueError("labeling domain must equal the edge set exactly")
+    _check_edge_domain(g, labels)
     stats = SearchStats()
-    rows, bands = _banded_rows(g.n, edges, [labels[e] for e in edges])
+    rows, bands = _banded_rows(g.n, labels, labels.values())
     swap = _label_twin_swap(rows, g.n, bands)
     if swap is not None:
         stats.merges += 1

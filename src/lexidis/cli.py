@@ -226,9 +226,9 @@ def _cmd_oracle(args) -> int:
     d, witness = got
     rows = witness if isinstance(witness, list) else [
         [u, v, val] for (u, v), val in sorted(witness.items())]
+    human = "" if args.json else f"{symbol} = {d}\n{_labeling_text(witness)}".rstrip()
     _emit(args, {"command": args.verb, "n": g.n, "m": g.m, "value": d,
-                 "witness": rows, "ms": round(ms, 3)},
-          f"{symbol} = {d}\n{_labeling_text(witness)}".rstrip())
+                 "witness": rows, "ms": round(ms, 3)}, human)
     return EXIT_OK
 
 

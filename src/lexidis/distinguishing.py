@@ -67,6 +67,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .autosearch import (
     SearchStats,
+    _check_edge_domain,
     _edge_search,
     _search,
     find_preserving,
@@ -89,8 +90,7 @@ def validate_vertex_labeling(g: Graph, labels: Sequence[int]) -> None:
 
 
 def validate_edge_labeling(g: Graph, labels: EdgeLabeling) -> None:
-    if set(labels) != set(g.edge_list()):
-        raise ValueError("labeling domain must equal the edge set exactly")
+    _check_edge_domain(g, labels)
     top = max(labels.values(), default=1)
     for e, val in labels.items():
         if val < 1:

@@ -9,19 +9,21 @@ with 0-based indices, u < v, and '#'-prefixed comment lines ignored.
 Integer fields are ASCII digits with an optional leading '-'.  Parse
 errors report 1-based line numbers.
 
-graph6 follows the standard encoding bit-exactly, including the '~'
-extended header for 63..258047 vertices; the reader rejects nonzero
-padding bits.
+graph6 follows the standard encoding bit-exactly, with the '~' size field
+for 63..258047 vertices; the reader rejects nonzero padding bits and reads
+a body as base64, data byte chr(63 + x) as the digit x, through ``binascii``.
 """
 from __future__ import annotations
 
+import binascii
 from itertools import compress
 
 from .graph import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
-# each graph6 data byte to its six bits, most significant first
-_G6_BITS = str.maketrans({chr(63 + x): format(x, "06b") for x in range(64)})
+# each graph6 data byte chr(63 + x) to the base64 digit of x
+_G6_B64 = bytes.maketrans(
+    bytes(range(63, 127)), b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
 # and six bits back to their data byte
 _G6_CHARS = {format(x, "06b"): chr(63 + x) for x in range(64)}
 # the digits of bin() to the bytes 0 and 1
@@ -98,15 +100,15 @@ def read_edge_list(text: str) -> Graph:
 def write_edge_list(g: Graph) -> str:
     names = [str(v) for v in range(g.n)]
     lines = [f"p {g.n} {g.m}"]
-    # one block per vertex u with its line prefix built once; bin() of the
-    # row above u, reversed, has one digit per vertex from u + 1 on, so
-    # compress picks the names of u's neighbours there in ascending order
+    # one block per vertex u, its prefix built once; the reversed bin() of
+    # the row above u flags the names from u + 1 to u's top neighbour
     for u, row in enumerate(g.adjacency_bits):
         above = row >> (u + 1)
         if above:
             flags = bin(above)[:1:-1].encode().translate(_BIT_BYTES)
             prefix = f"e {u} "
-            lines.append(prefix + ("\n" + prefix).join(compress(names[u + 1:], flags)))
+            lines.append(prefix + ("\n" + prefix).join(
+                compress(names[u + 1:u + 1 + len(flags)], flags)))
     return "\n".join(lines) + "\n"
 
 
@@ -156,7 +158,8 @@ def read_graph6(line: str, lineno: int = 1) -> Graph:
         raise FormatError(f"line {lineno}: graph6 body length {len(body)} wrong for n={n}")
     if body and (min(body) < "?" or max(body) > "~"):
         raise FormatError(f"line {lineno}: invalid graph6 data byte")
-    bits = body.translate(_G6_BITS)
+    raw = binascii.a2b_base64(body.encode().translate(_G6_B64) + b"A" * (-len(body) % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
     if "1" in bits[need:]:
         raise FormatError(f"line {lineno}: nonzero graph6 padding bits")
     # bit k is the pair (i, j) of the upper triangle in column order, with

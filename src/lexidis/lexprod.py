@@ -7,7 +7,7 @@ module that builds product positions writes the formula inline.
 """
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, _members
 
 # Guard against accidentally materializing astronomically large products.
 MAX_PRODUCT_VERTICES = 200_000
@@ -26,11 +26,13 @@ def lex_product(g: Graph, h: Graph) -> Graph:
     """G[H]: (a,x) ~ (b,y) iff ab is an edge of G, or a == b and xy an edge of H."""
     _check_size(g.n * h.n)
     # the row of (a, x) is H's row of x shifted into block a, plus the whole
-    # block of every neighbour of a in G
+    # block of every neighbour of a in G, read off the set bits of a's row
     block = (1 << h.n) - 1
     rows: list[int] = []
-    for a in range(g.n):
-        cross = sum(block << (b * h.n) for b in g.neighbors(a))
+    for a, row_a in enumerate(g.adjacency_bits):
+        cross = 0
+        for b in _members(row_a):
+            cross |= block << (b * h.n)
         shift = a * h.n
         rows.extend(cross | (row << shift) for row in h.adjacency_bits)
     return Graph._from_rows(tuple(rows))

@@ -11,8 +11,14 @@ from lexidis import (
     autosearch,
     distinguishing_index,
     find_preserving_edges,
+    is_distinguishing_edges,
+    lex_product,
+    path,
     preserves_edge_labels,
 )
+from lexidis.cli import main
+from lexidis.distinguishing import validate_edge_labeling
+from lexidis.formats import write_edge_list
 
 from .util import (
     edge_action_is_trivial,
@@ -156,3 +162,129 @@ def test_matching_with_equal_labels_is_refuted(monkeypatch):
     assert got.cycle_string() == "(24 26)(25 27)"
     assert preserves_edge_labels(g, labels, got) and not edge_action_is_trivial(g, got)
     assert [(s.nodes, s.refinements) for s in made] == [(14, 27)]
+
+
+DOMAIN_MESSAGE = "labeling domain must equal the edge set exactly"
+
+
+def _domain_cases(rng: random.Random, g: Graph) -> dict[str, dict]:
+    """An exact labeling of g's edges and the ways a key set can miss the
+    edge set: a missing edge, an extra non-edge, and an edge's key replaced
+    by its reversed pair, an out-of-range pair, a self pair or a non-edge."""
+    edges = g.edge_list()
+    exact = {e: rng.randrange(1, 4) for e in edges}
+    cases = {"exact": exact}
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    if non_edges:
+        cases["extra non-edge"] = {**exact, rng.choice(non_edges): 1}
+    if not edges:
+        return cases
+    u, v = rng.choice(edges)
+
+    def replaced(key):
+        out = dict(exact)
+        out[key] = out.pop((u, v))
+        return out
+
+    cases["missing edge"] = {e: val for e, val in exact.items() if e != (u, v)}
+    cases["reversed pair"] = replaced((v, u))
+    cases["out of range"] = replaced((u, g.n + rng.randrange(3)))
+    cases["negative end"] = replaced((-1, v))
+    cases["self pair"] = replaced((u, u))
+    if non_edges:
+        cases["non-edge in place"] = replaced(rng.choice(non_edges))
+    return cases
+
+
+def _domain_graphs():
+    rng = random.Random(2911)
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(0, 8), rng.choice([0.2, 0.5, 0.9]))
+        yield rng, g
+
+
+def _answers(fn, *args):
+    """('answer', value) or ('refused', message) for a ValueError."""
+    try:
+        return "answer", fn(*args)
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+def test_edge_domains_are_refused_as_a_set_compare_refuses_them(tmp_path, capsys):
+    """Each key set is accepted exactly when it equals the edge set, by
+    ``validate_edge_labeling``, ``find_preserving_edges``,
+    ``is_distinguishing_edges`` and ``lexidis verify``, with one message
+    for every refusal; accepted labelings get the n! referee's answer."""
+    seen = dict.fromkeys(["exact", "extra non-edge", "missing edge", "reversed pair",
+                          "out of range", "negative end", "self pair", "non-edge in place"], 0)
+    for trial, (rng, g) in enumerate(_domain_graphs()):
+        for name, labels in _domain_cases(rng, g).items():
+            seen[name] += 1
+            exact = set(labels) == set(g.edge_list())
+            want = None if exact else ("refused", DOMAIN_MESSAGE)
+            assert _answers(validate_edge_labeling, g, labels) == (want or ("answer", None)), (
+                trial, name)
+            got = _answers(find_preserving_edges, g, labels)
+            dist = _answers(is_distinguishing_edges, g, labels)
+            if exact:
+                preserver = naive_edge_preserver_exists(g, labels)
+                assert got[0] == "answer" and (got[1] is not None) == preserver, (trial, name)
+                assert dist == ("answer", not preserver), (trial, name)
+            else:
+                assert got == dist == want, (trial, name)
+            if not labels:
+                continue
+            # the CLI reads the pair as written and stores it ascending
+            graph, lab = tmp_path / "g.el", tmp_path / "lab.txt"
+            graph.write_text(write_edge_list(g))
+            lab.write_text("".join(f"e {a} {b} {val}\n" for (a, b), val in labels.items()))
+            code = main(["verify", str(graph), str(lab)])
+            out = capsys.readouterr()
+            stored = {(min(e), max(e)): val for e, val in labels.items()}
+            if set(stored) == set(g.edge_list()):
+                want_code = 1 if naive_edge_preserver_exists(g, stored) else 0
+                assert (code, out.err) == (want_code, ""), (trial, name)
+            else:
+                assert (code, out.out, out.err) == (2, "", f"error: {DOMAIN_MESSAGE}\n"), (trial, name)
+    assert min(seen.values()) >= 25, seen
+
+
+def test_edge_domains_refuse_keys_that_are_not_int_pairs():
+    """A key that is not a pair of ints is refused with the domain message,
+    never a TypeError; the set compare accepted those equal to an edge,
+    such as (0, 1.0)."""
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    base = {(0, 1): 1, (1, 2): 1, (2, 3): 2}
+    for key in [(0, 1.0), (0.0, 1), (False, 1.0), "01", 1, (0, 1, 0), (0,), frozenset({0, 1})]:
+        labels = dict(base)
+        del labels[(0, 1)]
+        labels[key] = 1
+        for fn in (validate_edge_labeling, find_preserving_edges, is_distinguishing_edges):
+            with pytest.raises(ValueError) as exc:
+                fn(g, labels)
+            assert str(exc.value) == DOMAIN_MESSAGE, (key, fn)
+
+
+def test_edge_labeling_checks_do_not_list_the_edges(monkeypatch, tmp_path, capsys):
+    """The domain check and the banded rows read the labeling and the row
+    bits; none of the three checks, nor ``lexidis verify``, lists g's edges."""
+    rng = random.Random(2917)
+    cases = []
+    for g in (_matching(4), lex_product(path(4), path(2)), *(random_graph(rng, 7) for _ in range(6))):
+        labels = {e: rng.randrange(1, 3) for e in g.edge_list()}
+        cases.append((g, labels, find_preserving_edges(g, labels)))
+    graph, lab = tmp_path / "g.el", tmp_path / "lab.txt"
+    graph.write_text(write_edge_list(cases[1][0]))
+    lab.write_text("".join(f"e {u} {v} {val}\n" for (u, v), val in cases[1][1].items()))
+
+    def no_edge_list(self):
+        raise AssertionError("listed the edges")
+
+    monkeypatch.setattr(Graph, "edge_list", no_edge_list)
+    for g, labels, want in cases:
+        assert validate_edge_labeling(g, labels) is None
+        assert find_preserving_edges(g, labels) == want
+        assert is_distinguishing_edges(g, labels) == (want is None)
+    assert main(["verify", str(graph), str(lab)]) == (0 if cases[1][2] is None else 1)
+    assert capsys.readouterr().err == ""

@@ -88,12 +88,22 @@ def test_graph6_round_trip_large_header():
     assert read_graph6(s) == g
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200])
+# body lengths 0, 1, 316, 326, 336, 1231, 3317, 13434 and 53668 chars:
+# every residue mod 4, and graphs of a certify-sized product's order
+G6_SIZES = [0, 1, 2, 62, 63, 64, 122, 200, 402, 803]
+
+
+def test_graph6_sizes_cover_every_body_length_mod_4():
+    assert {(n * (n - 1) // 2 + 5) // 6 % 4 for n in G6_SIZES} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("n", G6_SIZES)
 def test_graph6_round_trip_sizes(n):
     rng = random.Random(1000 + n)
     for p in (0.0, 0.3, 1.0):
         g = random_graph(rng, n, p)
-        assert read_graph6(write_graph6(g)) == g
+        s = write_graph6(g)
+        assert read_graph6(s) == reference_read_graph6(s) == g
 
 
 def test_graph6_errors():
@@ -166,6 +176,9 @@ def test_read_graph6_matches_reference_graphs():
         "C", "C~~", "B~", "B" + chr(127), "B" + chr(62), "B\u00e9",
         "~??~" + "?" * 325, "~??~" + "?" * 327, "~??~" + "?" * 325 + "@",
         "~??~" + "?" * 325 + "\x7f", "}" + "?" * 315 + "@",
+        # nonzero padding after a '~' size field: n = 122 and n = 402 end in
+        # five and three padding bits
+        "~?@y" + "?" * 1230 + "O", "~?EQ" + "?" * 13433 + "@",
     ],
 )
 def test_graph6_errors_match_reference_messages(line):
