@@ -839,7 +839,9 @@ def preserves_edge_labels(g: Graph, labels: dict[tuple[int, int], int], p: Perm)
     return is_color_preserving_automorphism(g, [0] * g.n, p)
 
 
-def find_preserving_edges(g: Graph, labels: dict[tuple[int, int], int]) -> Optional[Perm]:
+def find_preserving_edges(
+    g: Graph, labels: dict[tuple[int, int], int], *, checked: bool = False
+) -> Optional[Perm]:
     """Search for an automorphism preserving every edge label that moves an edge.
 
     An automorphism whose action on the edge set is the identity counts as
@@ -850,8 +852,12 @@ def find_preserving_edges(g: Graph, labels: dict[tuple[int, int], int]) -> Optio
     edge (``_label_twin_swap``), counted in ``merges``: any such pair is
     one, so there is nothing to merge.  With none, it is ``_edge_search``'s
     first automorphism.  Every certificate passes the naive check.
+
+    ``checked=True`` skips the domain check, for callers that have just
+    made it (``validate_edge_labeling``); each check walks every key.
     """
-    _check_edge_domain(g, labels)
+    if not checked:
+        _check_edge_domain(g, labels)
     stats = SearchStats()
     rows, bands = _banded_rows(g.n, labels, labels.values())
     swap = _label_twin_swap(rows, g.n, bands)

@@ -307,7 +307,7 @@ def _cmd_verify(args) -> int:
     else:
         kind = "edge"
         validate_edge_labeling(g, labels)
-        cert = find_preserving_edges(g, labels)
+        cert = find_preserving_edges(g, labels, checked=True)
     ms = (time.perf_counter() - t0) * 1000
     payload = {"command": "verify", "kind": kind, "distinguishing": cert is None,
                "ms": round(ms, 3)}

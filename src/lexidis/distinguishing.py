@@ -8,13 +8,14 @@ lexicographic order and returns the first that no automorphism preserves.
 The positions are the vertices of G for D(G) and its edges, in
 ``edge_list()`` order, for D'(G); neither oracle lists Aut(G).  The walk
 keeps a list of automorphisms, acting on the positions.  It starts from the
-twin transpositions: as vertex permutations for D(G) (Albertson & Collins
-1996), as edge permutations for D'(G) (Kalinowski & Pilsniak 2015), leaving
-out any swap that fixes every edge.  Each leaf that survives the prunes
-below goes to one whole-graph automorphism search, ``_search`` for D and
-``_edge_search`` for D': the first automorphism preserving the labels that
-moves a vertex, or an edge, in search order.  Its action on the positions
-refutes the leaf and is kept for every later d (it comes from an
+swaps (v w) of each twin class's consecutive members, which generate the
+class's symmetric group: as vertex permutations for D(G) (Albertson &
+Collins 1996), as edge permutations for D'(G) (Kalinowski & Pilsniak 2015),
+leaving out any swap that fixes every edge.  Each leaf that survives the
+prunes below goes to one whole-graph automorphism search, ``_search`` for D
+and ``_edge_search`` for D': the first automorphism preserving the labels
+that moves a vertex, or an edge, in search order.  Its action on the
+positions refutes the leaf and is kept for every later d (it comes from an
 automorphism of the bare graph and moves a position, so it is nontrivial).
 It fixes every position after its last moved one, so it preserves every
 labeling that agrees with the leaf up to there, and the walk backjumps to
@@ -53,6 +54,12 @@ Two forms make the rule cheap.
   walk requires a value above buf[v], the twin floor, in O(1) per value.
   For D the seeds are then only each twin class's consecutive pairs: their
   floors order the class strictly, which is every drop of all its pairs.
+  For D' a twin swap exchanges the edges vx and wx for each shared
+  neighbor x, so degree-one twins give edge transpositions and take the
+  same floor chain.  The other swaps stay image rules, which need not imply
+  those of the class's other pairs; leaving those out only drops fewer
+  labelings, which may cost leaf searches but not the witness, as the
+  argument above holds for any set of kept automorphisms.
 - Any other permutation is compared once per value tried at k.  P o p
   and P can first differ only at a position p moves, so the compare scans
   those for the first i with P[p[i]] != P[i], and finds none when p
@@ -61,7 +68,7 @@ Two forms make the rule cheap.
 """
 from __future__ import annotations
 
-from itertools import combinations, compress, pairwise
+from itertools import compress, pairwise
 from operator import ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -107,16 +114,15 @@ def is_distinguishing(g: Graph, labels: Sequence[int]) -> bool:
 def is_distinguishing_edges(g: Graph, labels: EdgeLabeling) -> bool:
     """True iff no automorphism moving an edge preserves every edge label."""
     validate_edge_labeling(g, labels)
-    return find_preserving_edges(g, labels) is None
+    return find_preserving_edges(g, labels, checked=True) is None
 
 
-def _twin_pairs(
-    g: Graph, pairs: Callable[[tuple[int, ...]], Iterable[tuple[int, int]]]
-) -> Iterator[tuple[int, int]]:
-    """The ``pairs`` v < w of each class of open or closed twins; each
-    transposition (v w) is an automorphism."""
+def _twin_pairs(g: Graph) -> Iterator[tuple[int, int]]:
+    """The consecutive pairs v < w of each class of open or closed twins;
+    each transposition (v w) is an automorphism, and a class's pairs
+    generate its symmetric group."""
     for cls in (*open_twin_partition(g), *closed_twin_partition(g)):
-        yield from pairs(cls)
+        yield from pairwise(cls)
 
 
 def _image_rank(
@@ -300,7 +306,7 @@ def distinguishing_number(
         p[v], p[w] = w, v
         return tuple(p)
 
-    return _least_labeling(n, refute, (swap(v, w) for v, w in _twin_pairs(g, pairwise)), d_max)
+    return _least_labeling(n, refute, (swap(v, w) for v, w in _twin_pairs(g)), d_max)
 
 
 # -- edge index -------------------------------------------------------------
@@ -314,22 +320,24 @@ def distinguishing_index(
     Returns None when no distinguishing edge labeling with at most ``d_max``
     labels exists; the default cap, the edge count, always suffices.
     Requires at least one edge.  The walk starts from the edge actions of
-    the twin transpositions and refutes each surviving leaf with the edge
-    action of the whole-graph search ``_edge_search``, so Aut(g) is never
-    listed.  ``aut_cap`` is accepted for old callers and ignored, as there
-    is no group listing left to cap.
+    each twin class's consecutive swaps, as ``distinguishing_number`` does;
+    they generate the class's symmetric group, and what another pair's
+    swap would drop is left to the leaf searches.  Each surviving
+    leaf is refuted with the edge action of the whole-graph search
+    ``_edge_search``, so Aut(g) is never listed.  ``aut_cap`` is accepted
+    for old callers and ignored, as there is no group listing left to cap.
     """
     edges = g.edge_list()
     m = len(edges)
     if m == 0:
         raise ValueError("distinguishing index needs at least one edge")
-    index = {e: i for i, e in enumerate(edges)}
+    # index[u][v] = index[v][u]: the position of edge uv
+    index = [[0] * g.n for _ in range(g.n)]
+    for i, (u, v) in enumerate(edges):
+        index[u][v] = index[v][u] = i
 
     def action(img: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            index[(img[u], img[v])] if img[u] < img[v] else index[(img[v], img[u])]
-            for u, v in edges
-        )
+        return tuple([index[img[u]][img[v]] for u, v in edges])
 
     rows = g.adjacency_bits
 
@@ -338,13 +346,12 @@ def distinguishing_index(
         # exchanges the edges vx and wx; an edge vw stays
         p = list(range(m))
         for x in _members(rows[v] & ~(1 << w)):
-            i, j = index[(v, x) if v < x else (x, v)], index[(w, x) if w < x else (x, w)]
+            i, j = index[v][x], index[w][x]
             p[i], p[j] = j, i
         return tuple(p)
 
     # a twin swap fixes every edge only on a K2 component or two isolated vertices
-    pairs = _twin_pairs(g, lambda cls: combinations(cls, 2))
-    seeds = (twin_action(v, w) for v, w in pairs if rows[v] & ~(1 << w))
+    seeds = (twin_action(v, w) for v, w in _twin_pairs(g) if rows[v] & ~(1 << w))
 
     def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
         got = _edge_search(g, edges, labels, SearchStats())

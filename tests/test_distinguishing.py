@@ -138,6 +138,22 @@ def test_witness_is_least_unrefuted_string():
     assert edge_cases >= 15  # 9 atlas4 graphs with edges + 10 random ones
 
 
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+@pytest.mark.parametrize("g", [complete(5), complete(6), _complete_bipartite(3, 3),
+                               _complete_bipartite(2, 5)], ids=["K5", "K6", "K3,3", "K2,5"])
+def test_edge_witness_is_the_first_labeling_brute_force_leaves(g):
+    # twin classes of three or more vertices and 9-15 edges, past the
+    # atlas graphs the witness-argument replay covers
+    d, w = distinguishing_index(g)
+    edges = g.edge_list()
+    want = _first_unrefuted(
+        len(edges), d, lambda s: naive_edge_preserver_exists(g, dict(zip(edges, s))))
+    assert [w[e] for e in edges] == want
+
+
 # (value, witness) of the slow tail, as recorded in the benchmark's answers
 SLOW_TAIL = {
     "K3[C4]": (lex_product(complete(3), cycle(4)), 4, [1, 1, 2, 3, 1, 2, 4, 3, 2, 3, 4, 4]),
@@ -206,7 +222,8 @@ D_PRIME_LEAVES = {
     "K10": (complete(10), 4),
     "C4[C4]": (lex_product(cycle(4), cycle(4)), 5),
     "K4[K4]": (lex_product(complete(4), complete(4)), 2),
-    # its 120 twin swaps leave one leaf, the all-distinct labeling
+    # its 15 consecutive twin swaps are edge transpositions, so floors, and
+    # leave one leaf, the all-distinct labeling
     "star16": (star(16), 1),
 }
 
@@ -233,6 +250,43 @@ def test_edge_leaf_certificates_prune(monkeypatch, name):
     assert len(calls) == leaves
     assert is_distinguishing_edges(g, w)
     assert max(w.values()) == d
+
+
+# (seeds, floors) of the D' walk before its first level: the edge action of
+# each twin class's consecutive swaps; with all C(r, 2) swaps K6 took 15
+# seeds, K_{2,4} 7 and star(5) 10, all floors
+D_PRIME_SEEDS = {
+    "K6": (complete(6), 5, 0),
+    "K2,4": (_complete_bipartite(2, 4), 4, 0),
+    "star5": (star(5), 4, 4),
+    "K3[C4]": (lex_product(complete(3), cycle(4)), 6, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(D_PRIME_SEEDS))
+def test_edge_walk_seeds_each_twin_class_with_its_consecutive_swaps(monkeypatch, name):
+    import lexidis.distinguishing as dist
+
+    g, seeds, floors = D_PRIME_SEEDS[name]
+    kept: list[tuple[int, ...]] = []
+    add = dist._Walk.add
+
+    def recording_add(self, p):
+        kept.append(tuple(p))
+        return add(self, p)
+
+    class Seeded(Exception):
+        pass
+
+    def stop(self, d):
+        raise Seeded
+
+    monkeypatch.setattr(dist._Walk, "add", recording_add)
+    monkeypatch.setattr(dist._Walk, "walk", stop)
+    with pytest.raises(Seeded):
+        distinguishing_index(g)
+    moved = [sum(i != j for i, j in enumerate(p)) for p in kept]
+    assert (len(kept), moved.count(2)) == (seeds, floors)
 
 
 def test_witness_stays_valid_with_more_labels():
@@ -502,7 +556,7 @@ def test_walk_counters_are_pinned(monkeypatch, oracle, name):
 # 0 < m <= 8 for D', the graphs of the witness-argument replay
 ATLAS_WALK_TOTALS = {
     "D": (16418, 1761, 298, 6855, 91, 518, 280),
-    "D'": (4848, 561, 524, 882, 195, 286, 68),
+    "D'": (4860, 561, 489, 882, 242, 286, 68),
 }
 
 

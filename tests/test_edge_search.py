@@ -288,3 +288,32 @@ def test_edge_labeling_checks_do_not_list_the_edges(monkeypatch, tmp_path, capsy
         assert is_distinguishing_edges(g, labels) == (want is None)
     assert main(["verify", str(graph), str(lab)]) == (0 if cases[1][2] is None else 1)
     assert capsys.readouterr().err == ""
+
+
+def test_each_edge_question_checks_the_domain_once(monkeypatch, tmp_path, capsys):
+    """``is_distinguishing_edges`` and ``lexidis verify`` validate the
+    labeling and then search it without a second walk over its keys;
+    ``find_preserving_edges`` alone still checks."""
+    import lexidis.distinguishing as dist
+
+    g = lex_product(path(4), path(2))
+    labels = {e: 1 + (i % 3 == 0) for i, e in enumerate(g.edge_list())}
+    graph, lab = tmp_path / "g.el", tmp_path / "lab.txt"
+    graph.write_text(write_edge_list(g))
+    lab.write_text("".join(f"e {u} {v} {val}\n" for (u, v), val in labels.items()))
+    calls = []
+    check = autosearch._check_edge_domain
+
+    def counting(*args):
+        calls.append(None)
+        return check(*args)
+
+    monkeypatch.setattr(autosearch, "_check_edge_domain", counting)
+    monkeypatch.setattr(dist, "_check_edge_domain", counting)
+    want = find_preserving_edges(g, labels)
+    assert len(calls) == 1
+    assert is_distinguishing_edges(g, labels) == (want is None)
+    assert len(calls) == 2
+    assert main(["verify", str(graph), str(lab)]) == (0 if want is None else 1)
+    assert len(calls) == 3
+    assert capsys.readouterr().err == ""
