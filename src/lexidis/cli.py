@@ -243,25 +243,33 @@ def _exact(verb: str, g: Graph):
 # needs or None, the ``bounds`` row it witnesses or None, builder).  The row's
 # hypotheses are checked on the graphs (H = K2 for a one-graph method) before
 # the builder runs any oracle.  The builder takes the option's value, if any,
-# then the graphs, and returns (labeling, product to certify).
+# then the graphs, and returns (labeling, product to certify).  A factor
+# witness comes from an oracle's exhaustive search, so a builder passes
+# ``checked=True`` and the construction neither certifies it nor checks the
+# row again.
 LABEL_METHODS = {
     "thm21": (2, None, None, lambda g, h: (
-        cons.block_product_labeling(g, h, _exact("dnum", g)[1], _exact("dnum", h)[1]),
+        cons.block_product_labeling(g, h, _exact("dnum", g)[1], _exact("dnum", h)[1],
+                                   checked=True),
         lex_product(g, h))),
     "thm22": (2, None, "product-vertex-stepwise", lambda g, h: (
-        cons.pattern_product_labeling(g, h, _exact("dnum", g)[1], _exact("dnum", h)[1]),
+        cons.pattern_product_labeling(g, h, _exact("dnum", g)[1], _exact("dnum", h)[1],
+                                     checked=True),
         lex_product(g, h))),
     "thm31": (2, None, "product-edge-max", lambda g, h: (
-        cons.inherited_edge_labeling(g, h, _exact("dindex", g)[1], _exact("dindex", h)[1]),
+        cons.inherited_edge_labeling(g, h, _exact("dindex", g)[1], _exact("dindex", h)[1],
+                                    checked=True),
         lex_product(g, h))),
     "prop32": (1, None, None, lambda h: (
         cons.k2_product_edge_labeling(h), lex_product(path(2), h))),
     "prop33": (1, ("n", "--n for the star size"), None, lambda n, h: (
-        cons.star_product_edge_labeling(n, h, _exact("dindex", h)[1]), lex_product(star(n), h))),
+        cons.star_product_edge_labeling(n, h, _exact("dindex", h)[1], checked=True),
+        lex_product(star(n), h))),
     "prop34": (1, ("n", "--n for the path length"), None, lambda n, h: (
         cons.path_product_edge_labeling(n, h), lex_product(path(n), h))),
     "thm35": (1, None, "single-edge-bundles", lambda g: (
-        cons.p2_product_edge_labeling(g, _exact("dindex", g)[1]), lex_product(g, path(2)))),
+        cons.p2_product_edge_labeling(g, _exact("dindex", g)[1], checked=True),
+        lex_product(g, path(2)))),
     "thm36": (2, None, None, lambda g, h: (
         cons.two_label_edge_labeling(g, h), lex_product(g, h))),
     "power": (1, ("power", "--power k"), None, lambda k, g: (

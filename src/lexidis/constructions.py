@@ -143,24 +143,26 @@ def _apply_pattern(label: int, pattern: Pattern) -> int:
 
 
 def block_product_labeling(
-    g: Graph, h: Graph, lg: Sequence[int], lh: Sequence[int]
+    g: Graph, h: Graph, lg: Sequence[int], lh: Sequence[int], *, checked: bool = False
 ) -> VertexLabeling:
     """Label copy i of H by lh shifted into its own block of d_h labels.
 
     Uses |V(G)| * d_h labels: disjoint blocks force every copy onto itself,
     and each copy is internally distinguishing.  Only the vertex order of G
-    matters to the output; lg is validated but not consulted.
+    matters to the output; lg is validated but not consulted.  ``checked=True``
+    skips certifying lg and lh, for a caller that has just done so.
     """
-    if not is_distinguishing(g, lg):
-        raise ValueError("lg is not a distinguishing labeling of g")
-    if not is_distinguishing(h, lh):
-        raise ValueError("lh is not a distinguishing labeling of h")
+    if not checked:
+        if not is_distinguishing(g, lg):
+            raise ValueError("lg is not a distinguishing labeling of g")
+        if not is_distinguishing(h, lh):
+            raise ValueError("lh is not a distinguishing labeling of h")
     d_h = max(lh, default=1)
     return [lh[x] + a * d_h for a in range(g.n) for x in range(h.n)]
 
 
 def pattern_product_labeling(
-    g: Graph, h: Graph, lg: Sequence[int], lh: Sequence[int]
+    g: Graph, h: Graph, lg: Sequence[int], lh: Sequence[int], *, checked: bool = False
 ) -> VertexLabeling:
     """Label G[H] with at most d_h + M labels via per-class replacements.
 
@@ -168,12 +170,14 @@ def pattern_product_labeling(
     class carry lh transformed by that class's replacement pattern, patterns
     assigned in canonical tier order.  Requires the product's automorphism
     group to be the wreath action (no copy-mixing automorphisms).
+    ``checked=True`` skips the row's hypotheses and certifying lg and lh.
     """
-    _require("product-vertex-stepwise", g, h)
-    if not is_distinguishing(g, lg):
-        raise ValueError("lg is not a distinguishing labeling of g")
-    if not is_distinguishing(h, lh):
-        raise ValueError("lh is not a distinguishing labeling of h")
+    if not checked:
+        _require("product-vertex-stepwise", g, h)
+        if not is_distinguishing(g, lg):
+            raise ValueError("lg is not a distinguishing labeling of g")
+        if not is_distinguishing(h, lh):
+            raise ValueError("lh is not a distinguishing labeling of h")
     d_g = max(lg, default=1)
     d_h = max(lh, default=1)
     patterns = pattern_sequence(d_h, d_g)
@@ -253,17 +257,19 @@ def _product_edge_labeling(
 
 
 def inherited_edge_labeling(
-    g: Graph, h: Graph, lg: EdgeLabeling, lh: EdgeLabeling
+    g: Graph, h: Graph, lg: EdgeLabeling, lh: EdgeLabeling, *, checked: bool = False
 ) -> EdgeLabeling:
     """Every copy of H carries lh; every cross edge inherits its G-edge label.
 
     Uses max(d_g, d_h) labels, under the product-edge-max hypotheses.
+    ``checked=True`` skips the hypotheses and certifying lg and lh.
     """
-    _require("product-edge-max", g, h)
-    if not is_distinguishing_edges(g, lg):
-        raise ValueError("lg is not a distinguishing edge labeling of g")
-    if not is_distinguishing_edges(h, lh):
-        raise ValueError("lh is not a distinguishing edge labeling of h")
+    if not checked:
+        _require("product-edge-max", g, h)
+        if not is_distinguishing_edges(g, lg):
+            raise ValueError("lg is not a distinguishing edge labeling of g")
+        if not is_distinguishing_edges(h, lh):
+            raise ValueError("lh is not a distinguishing edge labeling of h")
     return _product_edge_labeling(
         g, h, lambda a, k, e: lh[e], lambda a, b, x, y: lg[(a, b)])
 
@@ -332,7 +338,7 @@ def _p2_cross_columns(n: int, d: int) -> list[tuple[int, int, int, int]] | None:
 
 
 def star_product_edge_labeling(
-    n: int, h: Graph, lh: EdgeLabeling
+    n: int, h: Graph, lh: EdgeLabeling, *, checked: bool = False
 ) -> EdgeLabeling:
     """Edge labeling of the product of a star with H.
 
@@ -346,6 +352,7 @@ def star_product_edge_labeling(
     The product's group is always the wreath action here, so there is no
     check for it: with n >= 2 leaves the star has no closed twins, and its
     open twins, the leaves, ask only that H be connected.
+    ``checked=True`` skips certifying lh; n and H are still checked.
     """
     if n < 2:
         raise ValueError("star needs at least two pendant vertices")
@@ -354,7 +361,7 @@ def star_product_edge_labeling(
         raise ValueError("second factor needs at least two vertices")
     if not is_connected(h):
         raise ValueError("second factor must be connected")
-    if not is_distinguishing_edges(h, lh):
+    if not checked and not is_distinguishing_edges(h, lh):
         raise ValueError("lh is not a distinguishing edge labeling of h")
     m2 = m * m
     d = 1
@@ -439,18 +446,21 @@ def bundle_label_budget(d_g: int) -> int:
     return k
 
 
-def p2_product_edge_labeling(g: Graph, lg: EdgeLabeling) -> EdgeLabeling:
+def p2_product_edge_labeling(
+    g: Graph, lg: EdgeLabeling, *, checked: bool = False
+) -> EdgeLabeling:
     """Edge labeling of the product of G with a single edge.
 
     Each G-edge is replaced by a four-edge bundle; all bundles of one lg
     class share one pattern, classes take patterns in canonical tier order,
     and the two vertices of every copy are joined by a label-1 edge.  Uses
     bundle_label_budget(max label of lg) labels, under the single-edge-bundles
-    hypotheses.
+    hypotheses.  ``checked=True`` skips the hypotheses and certifying lg.
     """
-    _require("single-edge-bundles", g, _K2)
-    if not is_distinguishing_edges(g, lg):
-        raise ValueError("lg is not a distinguishing edge labeling of g")
+    if not checked:
+        _require("single-edge-bundles", g, _K2)
+        if not is_distinguishing_edges(g, lg):
+            raise ValueError("lg is not a distinguishing edge labeling of g")
     patterns = bundle_sequence(max(lg.values()))
     return _product_edge_labeling(
         g, _K2, lambda a, k, e: 1, lambda a, b, x, y: patterns[lg[(a, b)] - 1][2 * x + y])

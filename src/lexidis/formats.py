@@ -10,8 +10,9 @@ Integer fields are ASCII digits with an optional leading '-'.  Parse
 errors report 1-based line numbers.
 
 graph6 follows the standard encoding bit-exactly, with the '~' size field
-for 63..258047 vertices; the reader rejects nonzero padding bits and reads
-a body as base64, data byte chr(63 + x) as the digit x, through ``binascii``.
+for 63..258047 vertices.  Both directions go through ``binascii``, data
+byte chr(63 + x) standing for the base64 digit x.  The reader checks every
+data byte in one ``bytes.translate`` and rejects nonzero padding bits.
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ from itertools import compress
 from .graph import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
-# each graph6 data byte chr(63 + x) to the base64 digit of x
-_G6_B64 = bytes.maketrans(
-    bytes(range(63, 127)), b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
-# and six bits back to their data byte
-_G6_CHARS = {format(x, "06b"): chr(63 + x) for x in range(64)}
+# the graph6 data bytes chr(63 + x) and the base64 digits of x, both ways
+_G6_DATA = bytes(range(63, 127))
+_B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_B64 = bytes.maketrans(_G6_DATA, _B64_DIGITS)
+_B64_G6 = bytes.maketrans(_B64_DIGITS, _G6_DATA)
 # the digits of bin() to the bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -125,11 +126,15 @@ def write_graph6(g: Graph) -> str:
     # n(n-1)/2 bits are built
     head = _g6_encode_n(g.n)
     # column j is bits 0..j-1 of row j, least vertex first: the low j bits
-    # in binary, reversed; the zero-padded string goes out six bits a byte
+    # in binary, reversed.  Zero-padded to whole base64 groups of 24 bits,
+    # the string goes out six bits a byte through binascii, cut back to the
+    # ceil(bits / 6) bytes graph6 keeps
     rows = g.adjacency_bits
     bits = "".join([format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)])
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join([_G6_CHARS[bits[k:k + 6]] for k in range(0, len(bits), 6)])
+    size = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)
+    raw = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return head + binascii.b2a_base64(raw, newline=False).translate(_B64_G6)[:size].decode()
 
 
 def read_graph6(line: str, lineno: int = 1) -> Graph:
@@ -156,9 +161,11 @@ def read_graph6(line: str, lineno: int = 1) -> Graph:
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise FormatError(f"line {lineno}: graph6 body length {len(body)} wrong for n={n}")
-    if body and (min(body) < "?" or max(body) > "~"):
+    # a non-ASCII body is refused before it is encoded, so a lone surrogate
+    # is a FormatError; deleting the data bytes leaves the others
+    if not body.isascii() or (data := body.encode()).translate(None, _G6_DATA):
         raise FormatError(f"line {lineno}: invalid graph6 data byte")
-    raw = binascii.a2b_base64(body.encode().translate(_G6_B64) + b"A" * (-len(body) % 4))
+    raw = binascii.a2b_base64(data.translate(_G6_B64) + b"A" * (-len(body) % 4))
     bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
     if "1" in bits[need:]:
         raise FormatError(f"line {lineno}: nonzero graph6 padding bits")

@@ -609,6 +609,28 @@ def test_label_method_output_is_pinned(tmp_path, capsys, method):
     assert code == 0 and out == out_file.read_text()
 
 
+@pytest.mark.parametrize("method", ["thm21", "thm22", "thm31", "prop33", "thm35"])
+def test_label_checks_each_row_and_factor_witness_once(tmp_path, capsys, monkeypatch, method):
+    # the verb checks the method's bounds row, and each factor witness comes
+    # from an oracle's exhaustive search: no construction checks either again
+    from lexidis import constructions as cons
+    from lexidis.cli import LABEL_METHODS
+
+    calls = {}
+    for name in ("_require", "is_distinguishing", "is_distinguishing_edges"):
+        def counted(*args, _name=name, _real=getattr(cons, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(cons, name, counted)
+    names, opts, _, _ = LABEL_PINS[method]
+    files = _factor_files(tmp_path)
+    code, out, err = run(capsys, "--json", "label", "--method", method,
+                         *[str(files[g]) for g in names], *opts, "-o", str(tmp_path / "lab.txt"),
+                         "--certify")
+    assert (code, err) == (0, "") and json.loads(out)["certified"]
+    assert calls == ({} if LABEL_METHODS[method][2] is None else {"_require": 1})
+
+
 @pytest.mark.parametrize("method", sorted(LABEL_PINS))
 def test_label_wrong_graph_count_exits_2(tmp_path, capsys, method):
     names, opts, _, _ = LABEL_PINS[method]

@@ -268,6 +268,8 @@ def test_star_product_edge_labeling():
     assert max(lab.values()) == 2
     # the first pendant column is frozen as (1,1,1,2)
     assert lab[(0, 2)] == 1 and lab[(0, 3)] == 1 and lab[(1, 2)] == 1 and lab[(1, 3)] == 2
+    with pytest.raises(ValueError, match="^lh is not a distinguishing edge labeling of h$"):
+        star_product_edge_labeling(3, path(3), {(0, 1): 1, (1, 2): 1})
 
 
 def test_star_product_edge_labeling_saturated():
@@ -303,6 +305,8 @@ def test_p2_product_edge_labeling():
     # closed twins in the base forbid the construction
     with pytest.raises(ValueError):
         p2_product_edge_labeling(complete(3), {(0, 1): 1, (0, 2): 2, (1, 2): 3})
+    with pytest.raises(ValueError, match="^lg is not a distinguishing edge labeling of g$"):
+        p2_product_edge_labeling(g, dict.fromkeys(g.edge_list(), 1))
 
 
 def test_p2_product_needs_at_most_one_isolated_vertex():

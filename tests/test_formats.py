@@ -169,6 +169,11 @@ def test_read_graph6_matches_reference_graphs():
         assert (got.n, got.m, got.adjacency_bits) == (g.n, g.m, g.adjacency_bits)
 
 
+def _g6_402_with(byte: str, at: int) -> str:
+    """The empty 402-vertex graph6 record with body position ``at`` set to ``byte``."""
+    return "~?EQ" + "?" * at + byte + "?" * (13433 - at)
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -179,6 +184,11 @@ def test_read_graph6_matches_reference_graphs():
         # nonzero padding after a '~' size field: n = 122 and n = 402 end in
         # five and three padding bits
         "~?@y" + "?" * 1230 + "O", "~?EQ" + "?" * 13433 + "@",
+        # a lone surrogate is refused as a data byte, not as an encode error
+        "B\ud800",
+        # a bad data byte first, in the middle and last of a 402-vertex body
+        *(pytest.param(_g6_402_with(byte, at), id=f"n402-{ord(byte):#x}-at-{at}")
+          for byte in "\x7f>\u00e9" for at in (0, 6717, 13433)),
     ],
 )
 def test_graph6_errors_match_reference_messages(line):
@@ -190,6 +200,22 @@ def test_graph6_errors_match_reference_messages(line):
             read_graph6(line, lineno)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"line {lineno}: ")
+
+
+def test_graph6_reader_refuses_exactly_the_bytes_the_reference_refuses():
+    # every byte value in the middle of a 402-vertex body, where each data
+    # byte reads as six edge bits and none is padding
+    for value in range(256):
+        line = _g6_402_with(chr(value), 6717)
+        try:
+            want = reference_read_graph6(line)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                read_graph6(line)
+            assert str(got.value) == str(exc)
+        else:
+            assert 63 <= value <= 126
+            assert read_graph6(line) == want
 
 
 def test_graph6_errors_name_the_records_line():
