@@ -27,11 +27,11 @@ from typing import Optional
 from . import constructions as cons
 from .autosearch import _elements, automorphism_group, find_preserving, find_preserving_edges
 from .distinguishing import (
+    _check_edge_values,
     distinguishing_index,
     distinguishing_number,
     is_distinguishing,
     is_distinguishing_edges,
-    validate_edge_labeling,
     validate_vertex_labeling,
 )
 from .formats import FormatError, _plain_integers, dumps, loads
@@ -240,51 +240,32 @@ def _exact(verb: str, g: Graph):
 
 
 # label method -> (graph count, (argument, what to ask for) of the option it
-# needs or None, the ``bounds`` row it witnesses or None, builder).  The row's
-# hypotheses are checked on the graphs (H = K2 for a one-graph method) before
-# the builder runs any oracle.  The builder takes the option's value, if any,
-# then the graphs, and returns (labeling, product to certify).  A factor
-# witness comes from an oracle's exhaustive search, so a builder passes
-# ``checked=True`` and the construction neither certifies it nor checks the
-# row again.
+# needs or None, builder).  The builder takes the option's value, if any,
+# then the graphs, and returns (labeling, product to certify).  Each
+# construction checks its bounds row's hypotheses before any oracle, and
+# takes the oracle's witness for each factor labeling it needs.
 LABEL_METHODS = {
-    "thm21": (2, None, None, lambda g, h: (
-        cons.block_product_labeling(g, h, _exact("dnum", g)[1], _exact("dnum", h)[1],
-                                   checked=True),
-        lex_product(g, h))),
-    "thm22": (2, None, "product-vertex-stepwise", lambda g, h: (
-        cons.pattern_product_labeling(g, h, _exact("dnum", g)[1], _exact("dnum", h)[1],
-                                     checked=True),
-        lex_product(g, h))),
-    "thm31": (2, None, "product-edge-max", lambda g, h: (
-        cons.inherited_edge_labeling(g, h, _exact("dindex", g)[1], _exact("dindex", h)[1],
-                                    checked=True),
-        lex_product(g, h))),
-    "prop32": (1, None, None, lambda h: (
-        cons.k2_product_edge_labeling(h), lex_product(path(2), h))),
-    "prop33": (1, ("n", "--n for the star size"), None, lambda n, h: (
-        cons.star_product_edge_labeling(n, h, _exact("dindex", h)[1], checked=True),
-        lex_product(star(n), h))),
-    "prop34": (1, ("n", "--n for the path length"), None, lambda n, h: (
+    "thm21": (2, None, lambda g, h: (cons.block_product_labeling(g, h), lex_product(g, h))),
+    "thm22": (2, None, lambda g, h: (cons.pattern_product_labeling(g, h), lex_product(g, h))),
+    "thm31": (2, None, lambda g, h: (cons.inherited_edge_labeling(g, h), lex_product(g, h))),
+    "prop32": (1, None, lambda h: (cons.k2_product_edge_labeling(h), lex_product(path(2), h))),
+    "prop33": (1, ("n", "--n for the star size"), lambda n, h: (
+        cons.star_product_edge_labeling(n, h), lex_product(star(n), h))),
+    "prop34": (1, ("n", "--n for the path length"), lambda n, h: (
         cons.path_product_edge_labeling(n, h), lex_product(path(n), h))),
-    "thm35": (1, None, "single-edge-bundles", lambda g: (
-        cons.p2_product_edge_labeling(g, _exact("dindex", g)[1], checked=True),
-        lex_product(g, path(2)))),
-    "thm36": (2, None, None, lambda g, h: (
-        cons.two_label_edge_labeling(g, h), lex_product(g, h))),
-    "power": (1, ("power", "--power k"), None, lambda k, g: (
+    "thm35": (1, None, lambda g: (cons.p2_product_edge_labeling(g), lex_product(g, path(2)))),
+    "thm36": (2, None, lambda g, h: (cons.two_label_edge_labeling(g, h), lex_product(g, h))),
+    "power": (1, ("power", "--power k"), lambda k, g: (
         cons.power_edge_labeling(g, k), lex_power(g, k))),
 }
 
 
 def _cmd_label(args) -> int:
     method = args.method
-    count, option, row, build = LABEL_METHODS[method]
+    count, option, build = LABEL_METHODS[method]
     gs = [_read_graph(s) for s in args.graphs]
     if len(gs) != count:
         raise CliError(f"method {method} takes {count} graph input(s), got {len(gs)}")
-    if row is not None:
-        cons._require(row, gs[0], gs[1] if count == 2 else path(2))
     if option is not None:
         name, wanted = option
         value = getattr(args, name)
@@ -314,8 +295,8 @@ def _cmd_verify(args) -> int:
         cert, _ = find_preserving(g, labels)
     else:
         kind = "edge"
-        validate_edge_labeling(g, labels)
-        cert = find_preserving_edges(g, labels, checked=True)
+        _check_edge_values(labels)
+        cert = find_preserving_edges(g, labels)
     ms = (time.perf_counter() - t0) * 1000
     payload = {"command": "verify", "kind": kind, "distinguishing": cert is None,
                "ms": round(ms, 3)}

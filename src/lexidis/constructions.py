@@ -14,6 +14,8 @@ a < b on every edge of G's edge list, so (a, x) always precedes (b, y).
 ``HYPOTHESES`` holds each ``lexidis bounds`` row's hypotheses, once: a
 construction that witnesses a row refuses with the reason of the first
 hypothesis that fails, which is the reason ``bounds`` prints for that row.
+It checks them before any oracle runs.  Each factor labeling a construction
+is given is certified, and each one left out is the oracle's (``_witness``).
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .distinguishing import (
     EdgeLabeling,
     VertexLabeling,
     distinguishing_index,
+    distinguishing_number,
     is_distinguishing,
     is_distinguishing_edges,
 )
@@ -74,6 +77,21 @@ def _require(row: str, g: Graph, h: Graph | None = None) -> None:
     for test, reason in HYPOTHESES[row]:
         if not test(g, h):
             raise ValueError(reason)
+
+
+def _witness(
+    g: Graph, given: Sequence[int] | EdgeLabeling | None, name: str, edges: bool
+) -> Sequence[int] | EdgeLabeling:
+    """``given``, once certified as a distinguishing (edge) labeling of g, or
+    when None the oracle's witness, whose exhaustive search needs no
+    certificate.  Each oracle is called through the module global, where
+    perfbench/tracing.py wraps it."""
+    if given is None:
+        return (distinguishing_index if edges else distinguishing_number)(g)[1]
+    if not (is_distinguishing_edges if edges else is_distinguishing)(g, given):
+        kind = "edge labeling" if edges else "labeling"
+        raise ValueError(f"{name} is not a distinguishing {kind} of {name[1]}")
+    return given
 
 
 # -- replacement patterns and their counting --------------------------------
@@ -143,41 +161,36 @@ def _apply_pattern(label: int, pattern: Pattern) -> int:
 
 
 def block_product_labeling(
-    g: Graph, h: Graph, lg: Sequence[int], lh: Sequence[int], *, checked: bool = False
+    g: Graph, h: Graph, lg: Sequence[int] | None = None, lh: Sequence[int] | None = None
 ) -> VertexLabeling:
     """Label copy i of H by lh shifted into its own block of d_h labels.
 
     Uses |V(G)| * d_h labels: disjoint blocks force every copy onto itself,
     and each copy is internally distinguishing.  Only the vertex order of G
-    matters to the output; lg is validated but not consulted.  ``checked=True``
-    skips certifying lg and lh, for a caller that has just done so.
+    matters to the output: a given lg is certified but not consulted, and
+    none is computed when it is left out.  lh defaults to the oracle's.
     """
-    if not checked:
-        if not is_distinguishing(g, lg):
-            raise ValueError("lg is not a distinguishing labeling of g")
-        if not is_distinguishing(h, lh):
-            raise ValueError("lh is not a distinguishing labeling of h")
+    if lg is not None:
+        _witness(g, lg, "lg", False)
+    lh = _witness(h, lh, "lh", False)
     d_h = max(lh, default=1)
     return [lh[x] + a * d_h for a in range(g.n) for x in range(h.n)]
 
 
 def pattern_product_labeling(
-    g: Graph, h: Graph, lg: Sequence[int], lh: Sequence[int], *, checked: bool = False
+    g: Graph, h: Graph, lg: Sequence[int] | None = None, lh: Sequence[int] | None = None
 ) -> VertexLabeling:
     """Label G[H] with at most d_h + M labels via per-class replacements.
 
     G's vertices are split into classes by their lg label; all copies in one
     class carry lh transformed by that class's replacement pattern, patterns
     assigned in canonical tier order.  Requires the product's automorphism
-    group to be the wreath action (no copy-mixing automorphisms).
-    ``checked=True`` skips the row's hypotheses and certifying lg and lh.
+    group to be the wreath action (no copy-mixing automorphisms).  lg and
+    lh default to the oracle's witnesses.
     """
-    if not checked:
-        _require("product-vertex-stepwise", g, h)
-        if not is_distinguishing(g, lg):
-            raise ValueError("lg is not a distinguishing labeling of g")
-        if not is_distinguishing(h, lh):
-            raise ValueError("lh is not a distinguishing labeling of h")
+    _require("product-vertex-stepwise", g, h)
+    lg = _witness(g, lg, "lg", False)
+    lh = _witness(h, lh, "lh", False)
     d_g = max(lg, default=1)
     d_h = max(lh, default=1)
     patterns = pattern_sequence(d_h, d_g)
@@ -257,19 +270,16 @@ def _product_edge_labeling(
 
 
 def inherited_edge_labeling(
-    g: Graph, h: Graph, lg: EdgeLabeling, lh: EdgeLabeling, *, checked: bool = False
+    g: Graph, h: Graph, lg: EdgeLabeling | None = None, lh: EdgeLabeling | None = None
 ) -> EdgeLabeling:
     """Every copy of H carries lh; every cross edge inherits its G-edge label.
 
-    Uses max(d_g, d_h) labels, under the product-edge-max hypotheses.
-    ``checked=True`` skips the hypotheses and certifying lg and lh.
+    Uses max(d_g, d_h) labels, under the product-edge-max hypotheses.  lg
+    and lh default to the oracle's witnesses.
     """
-    if not checked:
-        _require("product-edge-max", g, h)
-        if not is_distinguishing_edges(g, lg):
-            raise ValueError("lg is not a distinguishing edge labeling of g")
-        if not is_distinguishing_edges(h, lh):
-            raise ValueError("lh is not a distinguishing edge labeling of h")
+    _require("product-edge-max", g, h)
+    lg = _witness(g, lg, "lg", True)
+    lh = _witness(h, lh, "lh", True)
     return _product_edge_labeling(
         g, h, lambda a, k, e: lh[e], lambda a, b, x, y: lg[(a, b)])
 
@@ -337,9 +347,7 @@ def _p2_cross_columns(n: int, d: int) -> list[tuple[int, int, int, int]] | None:
     return None
 
 
-def star_product_edge_labeling(
-    n: int, h: Graph, lh: EdgeLabeling, *, checked: bool = False
-) -> EdgeLabeling:
+def star_product_edge_labeling(n: int, h: Graph, lh: EdgeLabeling | None = None) -> EdgeLabeling:
     """Edge labeling of the product of a star with H.
 
     All copies carry lh; the cross edges from the center copy to pendant
@@ -351,8 +359,8 @@ def star_product_edge_labeling(
 
     The product's group is always the wreath action here, so there is no
     check for it: with n >= 2 leaves the star has no closed twins, and its
-    open twins, the leaves, ask only that H be connected.
-    ``checked=True`` skips certifying lh; n and H are still checked.
+    open twins, the leaves, ask only that H be connected.  n and H are
+    checked first; lh defaults to the oracle's witness.
     """
     if n < 2:
         raise ValueError("star needs at least two pendant vertices")
@@ -361,8 +369,7 @@ def star_product_edge_labeling(
         raise ValueError("second factor needs at least two vertices")
     if not is_connected(h):
         raise ValueError("second factor must be connected")
-    if not checked and not is_distinguishing_edges(h, lh):
-        raise ValueError("lh is not a distinguishing edge labeling of h")
+    lh = _witness(h, lh, "lh", True)
     m2 = m * m
     d = 1
     while d**m2 < n:
@@ -446,21 +453,17 @@ def bundle_label_budget(d_g: int) -> int:
     return k
 
 
-def p2_product_edge_labeling(
-    g: Graph, lg: EdgeLabeling, *, checked: bool = False
-) -> EdgeLabeling:
+def p2_product_edge_labeling(g: Graph, lg: EdgeLabeling | None = None) -> EdgeLabeling:
     """Edge labeling of the product of G with a single edge.
 
     Each G-edge is replaced by a four-edge bundle; all bundles of one lg
     class share one pattern, classes take patterns in canonical tier order,
     and the two vertices of every copy are joined by a label-1 edge.  Uses
     bundle_label_budget(max label of lg) labels, under the single-edge-bundles
-    hypotheses.  ``checked=True`` skips the hypotheses and certifying lg.
+    hypotheses.  lg defaults to the oracle's witness.
     """
-    if not checked:
-        _require("single-edge-bundles", g, _K2)
-        if not is_distinguishing_edges(g, lg):
-            raise ValueError("lg is not a distinguishing edge labeling of g")
+    _require("single-edge-bundles", g, _K2)
+    lg = _witness(g, lg, "lg", True)
     patterns = bundle_sequence(max(lg.values()))
     return _product_edge_labeling(
         g, _K2, lambda a, k, e: 1, lambda a, b, x, y: patterns[lg[(a, b)] - 1][2 * x + y])

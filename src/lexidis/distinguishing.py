@@ -87,21 +87,26 @@ EdgeLabeling = dict[tuple[int, int], int]
 Refuter = Callable[[list[int]], Optional[tuple[int, ...]]]
 
 
+def _check_values(kind: str, keys: Iterable[object], labels: Iterable[int]) -> None:
+    """Refuse the first label below 1, named by its key in the range 1..max."""
+    for key, val in zip(keys, labels):
+        if val < 1:
+            raise ValueError(f"{kind} {key}: label {val} outside 1..{max(labels)}")
+
+
 def validate_vertex_labeling(g: Graph, labels: Sequence[int]) -> None:
     if len(labels) != g.n:
         raise ValueError(f"{len(labels)} labels for {g.n} vertices")
-    top = max(labels, default=1)
-    for v, val in enumerate(labels):
-        if val < 1:
-            raise ValueError(f"vertex {v}: label {val} outside 1..{top}")
+    _check_values("vertex", range(g.n), labels)
+
+
+def _check_edge_values(labels: EdgeLabeling) -> None:
+    _check_values("edge", labels, labels.values())
 
 
 def validate_edge_labeling(g: Graph, labels: EdgeLabeling) -> None:
+    _check_edge_values(labels)
     _check_edge_domain(g, labels)
-    top = max(labels.values(), default=1)
-    for e, val in labels.items():
-        if val < 1:
-            raise ValueError(f"edge {e}: label {val} outside 1..{top}")
 
 
 def is_distinguishing(g: Graph, labels: Sequence[int]) -> bool:
@@ -113,8 +118,8 @@ def is_distinguishing(g: Graph, labels: Sequence[int]) -> bool:
 
 def is_distinguishing_edges(g: Graph, labels: EdgeLabeling) -> bool:
     """True iff no automorphism moving an edge preserves every edge label."""
-    validate_edge_labeling(g, labels)
-    return find_preserving_edges(g, labels, checked=True) is None
+    _check_edge_values(labels)
+    return find_preserving_edges(g, labels) is None
 
 
 def _twin_pairs(g: Graph) -> Iterator[tuple[int, int]]:

@@ -44,7 +44,8 @@ def test_tracer_sees_every_verbs_library_call(tmp_path, capsys):
     try:
         tracer.install()
         for argv in (["dnum", p3], ["dindex", p4], ["verify", p3, vlab], ["verify", p4, elab],
-                     ["label", "--method", "thm36", p3, p3, "--certify"], ["aut", p4]):
+                     ["label", "--method", "thm36", p3, p3, "--certify"],
+                     ["label", "--method", "thm31", p4, p3, "--certify"], ["aut", p4]):
             assert cli.main([str(a) for a in argv]) == 0
         mark = len(tracer.spans)
         assert cli.main(["aut", "--elements", str(p4)]) == 0
@@ -59,6 +60,10 @@ def test_tracer_sees_every_verbs_library_call(tmp_path, capsys):
     assert seen >= {"distinguishing_number", "distinguishing_index", "find_preserving",
                     "find_preserving_edges", "two_label_edge_labeling",
                     "is_distinguishing_edges", "automorphism_group"}
+    # a construction takes its factor witnesses from the oracle's module global
+    inherited = {i for i, rec in enumerate(tracer.spans) if rec[1] == "inherited_edge_labeling"}
+    assert inherited
+    assert any(rec[1] == "distinguishing_index" and rec[4] in inherited for rec in tracer.spans)
     # `aut --elements` lists the group through `closure`, whose result is
     # what permgroup.elements counts: the 2 automorphisms of P4
     assert {rec[1] for rec in tracer.spans[mark:bounds]} >= {"automorphism_group", "closure"}

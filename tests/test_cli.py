@@ -239,34 +239,42 @@ def test_label_thm35_refuses_two_isolated_vertices(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: needs at most one isolated vertex in G\n")
 
 
-@pytest.mark.parametrize("method, graphs, row", [
+@pytest.mark.parametrize("method, graphs, opts, row", [
     # K1 has no edge: the row's reason, not the D' oracle's on K1
-    ("thm31", ("p 1 0\n", "p 3 2\ne 0 1\ne 1 2\n"), "product-edge-max"),
-    ("thm35", ("p 1 0\n",), "single-edge-bundles"),
+    ("thm31", ("p 1 0\n", "p 3 2\ne 0 1\ne 1 2\n"), (), "product-edge-max"),
+    ("thm35", ("p 1 0\n",), (), "single-edge-bundles"),
     # K3[K2] is K6, whose group exceeds the wreath action
-    ("thm22", ("p 3 3\ne 0 1\ne 0 2\ne 1 2\n", "p 2 1\ne 0 1\n"), "product-vertex-stepwise"),
-], ids=["thm31-K1", "thm35-K1", "thm22-K3-K2"])
+    ("thm22", ("p 3 3\ne 0 1\ne 0 2\ne 1 2\n", "p 2 1\ne 0 1\n"), (), "product-vertex-stepwise"),
+    # no bounds row: the star's own reason, not the D' oracle's on K1
+    ("prop33", ("p 1 0\n",), ("--n", "3"), None),
+], ids=["thm31-K1", "thm35-K1", "thm22-K3-K2", "prop33-K1"])
 def test_label_refuses_with_the_reason_bounds_prints(tmp_path, capsys, monkeypatch, method,
-                                                     graphs, row):
+                                                     graphs, opts, row):
     # a label method checks its bounds row's hypotheses before any oracle
     from lexidis import cli
+    from lexidis import constructions as cons
 
     files = []
     for i, text in enumerate(graphs):
         files.append(tmp_path / f"g{i}.el")
         files[-1].write_text(text)
-    factors = [*map(str, files), *([] if len(files) == 2 else [str(tmp_path / "k2.el")])]
-    (tmp_path / "k2.el").write_text("p 2 1\ne 0 1\n")
-    code, out, err = run(capsys, "bounds", *factors)
-    assert (code, err) == (0, "")
-    (reason,) = [line[len(row) + len(": n/a ("):-1] for line in out.splitlines()
-                 if line.startswith(f"{row}: n/a")]
+    reason = "second factor needs at least two vertices"
+    if row is not None:
+        factors = [*map(str, files), *([] if len(files) == 2 else [str(tmp_path / "k2.el")])]
+        (tmp_path / "k2.el").write_text("p 2 1\ne 0 1\n")
+        code, out, err = run(capsys, "bounds", *factors)
+        assert (code, err) == (0, "")
+        (reason,) = [line[len(row) + len(": n/a ("):-1] for line in out.splitlines()
+                     if line.startswith(f"{row}: n/a")]
 
     def no_oracle(*_args):
         raise AssertionError("ran an oracle before the row's hypotheses")
 
     monkeypatch.setattr(cli, "_exact", no_oracle)
-    code, out, err = run(capsys, "label", "--method", method, *map(str, files), "--certify")
+    monkeypatch.setattr(cons, "distinguishing_number", no_oracle)
+    monkeypatch.setattr(cons, "distinguishing_index", no_oracle)
+    code, out, err = run(capsys, "label", "--method", method, *map(str, files), *opts,
+                         "--certify")
     assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
@@ -609,12 +617,20 @@ def test_label_method_output_is_pinned(tmp_path, capsys, method):
     assert code == 0 and out == out_file.read_text()
 
 
-@pytest.mark.parametrize("method", ["thm21", "thm22", "thm31", "prop33", "thm35"])
-def test_label_checks_each_row_and_factor_witness_once(tmp_path, capsys, monkeypatch, method):
-    # the verb checks the method's bounds row, and each factor witness comes
-    # from an oracle's exhaustive search: no construction checks either again
+@pytest.mark.parametrize("method, oracle, factors", [
+    # thm21 reads no labeling of G, so D runs on H alone
+    ("thm21", "distinguishing_number", ("P3",)),
+    ("thm22", "distinguishing_number", ("P3", "P3")),
+    ("thm31", "distinguishing_index", ("P4", "P3")),
+    ("prop33", "distinguishing_index", ("P3",)),
+    ("thm35", "distinguishing_index", ("P4",)),
+], ids=["thm21", "thm22", "thm31", "prop33", "thm35"])
+def test_label_checks_each_row_and_factor_witness_once(tmp_path, capsys, monkeypatch, method,
+                                                       oracle, factors):
+    # the construction checks the method's bounds row once, and takes each
+    # factor witness from one oracle call, which needs no certificate
+    from lexidis import cli
     from lexidis import constructions as cons
-    from lexidis.cli import LABEL_METHODS
 
     calls = {}
     for name in ("_require", "is_distinguishing", "is_distinguishing_edges"):
@@ -622,13 +638,22 @@ def test_label_checks_each_row_and_factor_witness_once(tmp_path, capsys, monkeyp
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args)
         monkeypatch.setattr(cons, name, counted)
+    oracle_calls = []
+    for mod in (cli, cons):
+        for name in ("distinguishing_number", "distinguishing_index"):
+            def recorded(g, *args, _name=f"{mod.__name__}.{name}", _real=getattr(mod, name)):
+                oracle_calls.append((_name, g))
+                return _real(g, *args)
+            monkeypatch.setattr(mod, name, recorded)
     names, opts, _, _ = LABEL_PINS[method]
     files = _factor_files(tmp_path)
     code, out, err = run(capsys, "--json", "label", "--method", method,
                          *[str(files[g]) for g in names], *opts, "-o", str(tmp_path / "lab.txt"),
                          "--certify")
     assert (code, err) == (0, "") and json.loads(out)["certified"]
-    assert calls == ({} if LABEL_METHODS[method][2] is None else {"_require": 1})
+    assert calls == ({"_require": 1} if method in {"thm22", "thm31", "thm35"} else {})
+    graphs = {"P3": path(3), "P4": path(4)}
+    assert oracle_calls == [(f"lexidis.constructions.{oracle}", graphs[f]) for f in factors]
 
 
 @pytest.mark.parametrize("method", sorted(LABEL_PINS))
@@ -826,7 +851,7 @@ def test_label_certify_exits_1_on_a_wrong_builder(tmp_path, capsys, monkeypatch)
     from lexidis import cli
 
     monkeypatch.setitem(cli.LABEL_METHODS, "thm21", (
-        2, None, None, lambda g, h: ([1] * (g.n * h.n), lex_product(g, h))))
+        2, None, lambda g, h: ([1] * (g.n * h.n), lex_product(g, h))))
     g = tmp_path / "p3.el"
     g.write_text(write_edge_list(path(3)))
     code, out, err = run(capsys, "--json", "label", "--method", "thm21", str(g), str(g), "--certify")

@@ -290,6 +290,23 @@ def test_edge_labeling_checks_do_not_list_the_edges(monkeypatch, tmp_path, capsy
     assert capsys.readouterr().err == ""
 
 
+def test_edge_labels_are_checked_before_the_domain(tmp_path, capsys):
+    """A labeling with both a label below 1 and a key that is no edge is
+    refused for its label, by the library and by ``lexidis verify``."""
+    g = path(4)
+    labels = {(0, 1): 0, (1, 2): 1, (0, 3): 2}
+    message = "edge (0, 1): label 0 outside 1..2"
+    for fn in (validate_edge_labeling, is_distinguishing_edges):
+        with pytest.raises(ValueError) as exc:
+            fn(g, labels)
+        assert str(exc.value) == message, fn
+    graph, lab = tmp_path / "g.el", tmp_path / "lab.txt"
+    graph.write_text(write_edge_list(g))
+    lab.write_text("".join(f"e {u} {v} {val}\n" for (u, v), val in labels.items()))
+    assert main(["verify", str(graph), str(lab)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_each_edge_question_checks_the_domain_once(monkeypatch, tmp_path, capsys):
     """``is_distinguishing_edges`` and ``lexidis verify`` validate the
     labeling and then search it without a second walk over its keys;
