@@ -44,26 +44,25 @@ check reads the rows of the moved vertices only: an edge with a fixed end
 and a moved one is checked from the moved end, and an edge with two fixed
 ends maps to itself.
 
-``automorphism_group`` walks only the twin-free quotient of G.  Every
-class of twins is a module, so it merges each class of open twins, or
-when there are none of closed twins, into one node typed by its kind and
-its children's types, round by round until no twins are left; a cograph
-merges down to one node (Habib & Paul, Computer Science Review 4, 2010).
-The walk runs on the quotient colored by type, and its generators are
-lifted to G through each node's canonical member order, next to the swaps
-of equal-type siblings; |Aut(G)| is the quotient's order times a factorial
-per group of equal siblings.  On a twin-free graph that is the walk over
-all of G, unchanged.
-
-``find_preserving`` certifies a vertex coloring on the same quotient, with
-the colors as the leaf types.  Its certificate is the first swap of two
-equal-type siblings, where merging stops; with none, the kernel of the
-lift is trivial, so it is the first generator of the quotient's walk,
-colored by type, lifted.  ``find_preserving_edges`` first looks for two
-label twins, open ones with equal banded rows or closed ones on one label,
-whose swap moves an edge: any such pair is a certificate, so there is
-nothing to merge, and without one it runs ``_edge_search``.  Every
-certificate of either is re-checked by the naive check.
+``automorphism_group`` and ``find_preserving`` take one walk over the
+twin-free quotient of G.  Every class of twins is a module, so it merges
+each class of open twins, or when there are none of closed twins, into one
+node typed by its kind and its children's types, round by round until no
+twins are left; a cograph merges down to one node (Habib & Paul, Computer
+Science Review 4, 2010).  The leaf types are the vertex colors, all equal
+for the group.  Merging yields each swap of two equal-type siblings, in
+merge order; then the search runs on the quotient colored by type, and its
+generators are lifted to G through each node's canonical member order.
+|Aut(G)| is the quotient's order times a factorial per group of equal
+siblings.  On a twin-free graph the walk is the search over all of G,
+unchanged.  ``automorphism_group`` drains the walk; ``find_preserving``
+takes its first yield as the certificate: with no sibling swap, the kernel
+of the lift is trivial, so that is the quotient's first generator, lifted.
+``find_preserving_edges`` first looks for two label twins, open ones with
+equal banded rows or closed ones on one label, whose swap moves an edge:
+any such pair is a certificate, so there is nothing to merge, and without
+one it runs ``_edge_search``.  Every swap and lifted generator, and every
+edge certificate, is re-checked by the naive check.
 
 Each refinement round counts a vertex's neighbours only in the round's
 fresh classes: every class in the first round of a search, the rest of the
@@ -105,7 +104,7 @@ from __future__ import annotations
 
 from bisect import insort
 from math import prod
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Generator, Iterable, Iterator, Optional, Sequence
 
 from .graph import Graph, _members
 from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, GeneratorSet, Perm, closure
@@ -487,36 +486,19 @@ def find_preserving(g: Graph, colors: Sequence[int]) -> tuple[Optional[Perm], Se
     not distinguishing; absence means the coloring is distinguishing.
     Raises ValueError unless there is one color per vertex.
 
-    The search runs on the colored twin-free quotient: twin classes are
-    merged as in ``automorphism_group``, with the colors as the leaf types.
-    The certificate is the first swap of two equal-type siblings, met in
-    merge order, where merging stops; with no such swap every
-    color-preserving automorphism is the lift of one of the quotient's,
-    so it is the quotient's first generator, lifted.  On a twin-free graph
-    that is the walk over all of g.  ``stats.merges`` counts the merged
-    classes.  Every certificate passes the naive check.
+    The certificate is the first yield of the walk over the colored
+    twin-free quotient (``_TwinWalk``), with the colors as the leaf types:
+    the first swap of two equal-type siblings, met in merge order, and with
+    none the quotient's first generator, lifted, since then every
+    color-preserving automorphism is the lift of one of the quotient's.  On
+    a twin-free graph that is the walk over all of g.  ``stats.merges``
+    counts the merged classes.  Every certificate passes the naive check.
     """
     if len(colors) != g.n:
         raise ValueError(f"{len(colors)} colors for {g.n} vertices")
-    stats = SearchStats()
-    n, adj = g.n, g.adjacency_bits
     dense = {val: i for i, val in enumerate(sorted(set(colors)))}
-    types = [dense[x] for x in colors]
-    alive, members, types, swaps, _ = _merge_twins(adj, n, types, stats, stop=True)
-    if swaps:
-        got = Perm(swaps[0])
-    elif alive == (1 << n) - 1:
-        # nothing merged: the walk over all of g, which checks its leaves
-        return next(_Search(adj, n, types, stats).generators(), None), stats
-    else:
-        nodes, rows, qtypes = _quotient(adj, alive, types)
-        p = next(_Search(rows, len(nodes), qtypes, stats).generators(), None)
-        if p is None:
-            return None, stats
-        got = Perm(_lift(n, nodes, members, p))
-    if not _verify(adj, n, colors, got.image, adj):
-        raise AssertionError("internal error: certificate failed re-verification")
-    return got, stats
+    walk = _TwinWalk(g.adjacency_bits, g.n, [dense[x] for x in colors], SearchStats())
+    return next(walk.generators(), None), walk.stats
 
 
 def _orbit(v: int, gens: Sequence[Perm]) -> set[int]:
@@ -533,30 +515,20 @@ def _orbit(v: int, gens: Sequence[Perm]) -> set[int]:
     return orbit
 
 
-def _group(
-    adj: Sequence[int], n: int, colors: Sequence[int], stats: SearchStats
-) -> tuple[list[int], list[Perm], int]:
-    """Base, strong generators and order of the color-preserving
-    automorphisms, by one walk of ``_Search`` that drains it."""
-    search = _Search(adj, n, colors, stats)
-    gens = list(search.generators())
-    return search.base, gens, prod(search.orbits)
-
-
 def _merge_twins(
-    adj: Sequence[int], n: int, types: Sequence[int], stats: SearchStats, stop: bool = False
-) -> tuple[int, list[list[int]], list[int], list[list[int]], int]:
+    adj: Sequence[int], n: int, types: Sequence[int], stats: SearchStats
+) -> Generator[Perm, None, tuple[int, list[list[int]], list[int], int]]:
     """Merge twin classes round by round until none is left; see
     ``automorphism_group``.
 
     ``types`` are the leaf types, dense values 0..k-1 (all 0 for the bare
     graph); merged types are numbered from k on.  Each merged node is named
-    by its least vertex.  Returns the nodes of the twin-free quotient as
-    the set bits of an int; ``members`` and ``types``, read at those nodes;
-    the images of the swaps of adjacent equal-type siblings, in merge
-    order; and the product of r! over the merges and the children's types,
-    r children of each type.  With ``stop`` it returns at the first swap,
-    the rest left unmerged.
+    by its least vertex.  Yields the swap of each two adjacent equal-type
+    siblings, in merge order, re-checked against the leaf types; the caller
+    decides how many to take, and the rest is never merged.  Returns the
+    nodes of the twin-free quotient as the set bits of an int; ``members``
+    and ``types``, read at those nodes; and the product of r! over the
+    merges and the children's types, r children of each type.
 
     A node's open key is its row outside its members, and its closed key
     its row with them.  Members form a module, so a key is the union of the
@@ -574,10 +546,9 @@ def _merge_twins(
     alive = (1 << n) - 1
     members = [[v] for v in range(n)]
     masks = [1 << v for v in range(n)]  # the bits of members[v]
-    types = list(types)
+    leaf, types = types, list(types)
     leaf_types = max(types, default=0) + 1
     numbered: dict[tuple[bool, tuple[int, ...]], int] = {}
-    swaps: list[list[int]] = []
     order = 1
     # by kind (open, closed): key -> nodes, and the keys of two nodes or
     # more; the closed classes are built the first time a round needs them
@@ -594,7 +565,7 @@ def _merge_twins(
             multi[1] = {key for key, cls in found.items() if len(cls) > 1}
         closed = not multi[0]
         if not multi[closed]:
-            return alive, members, types, swaps, order
+            return alive, members, types, order
         found, others = buckets[closed], buckets[not closed]
         # each class is kept ascending, so they sort by least node
         twins = sorted(map(found.__getitem__, multi[closed]))
@@ -614,9 +585,7 @@ def _merge_twins(
                 image = list(range(n))
                 for x, y in zip(members[a], members[b]):
                     image[x], image[y] = y, x
-                swaps.append(image)
-                if stop:
-                    return alive, members, types, swaps, order
+                yield _rechecked(Perm(image), _verify(adj, n, leaf, image, adj))
             kind = (closed, tuple([types[c] for c in cls]))
             types[rep] = numbered.setdefault(kind, len(numbered) + leaf_types)
             members[rep] = [x for c in cls for x in members[c]]
@@ -637,10 +606,13 @@ def _merge_twins(
 
 
 def _quotient(
-    adj: Sequence[int], alive: int, types: Sequence[int]
-) -> tuple[list[int], list[int], list[int]]:
+    adj: Sequence[int], alive: int, types: list[int]
+) -> tuple[Sequence[int], Sequence[int], list[int]]:
     """The twin-free quotient that ``_merge_twins`` left: its nodes in
-    ascending order, its rows over their indices and the nodes' types."""
+    ascending order, its rows over their indices and the nodes' types;
+    ``adj`` itself when nothing merged."""
+    if alive == (1 << len(adj)) - 1:
+        return range(len(adj)), adj, types
     nodes = _members(alive)
     index = {v: i for i, v in enumerate(nodes)}
     rows = []
@@ -662,10 +634,51 @@ def _lift(n: int, nodes: Sequence[int], members: Sequence[list[int]], p: Perm) -
     return image
 
 
+def _rechecked(p: Perm, ok: bool) -> Perm:
+    """p, once its naive re-check gave ``ok``; a failed one is a bug."""
+    if not ok:
+        raise AssertionError("internal error: certificate failed re-verification")
+    return p
+
+
+class _TwinWalk:
+    """One walk over the twin-free quotient of a graph's rows ``adj``,
+    colored by the dense leaf ``types``; see ``automorphism_group``.  Once
+    ``generators`` is drained it fills ``base`` and ``order``."""
+
+    __slots__ = ("adj", "n", "types", "stats", "base", "order")
+
+    def __init__(self, adj: Sequence[int], n: int, types: list[int], stats: SearchStats) -> None:
+        self.adj = adj
+        self.n = n
+        self.types = types
+        self.stats = stats
+
+    def generators(self) -> Iterator[Perm]:
+        """Yield the swaps of equal-type siblings, in merge order, then the
+        quotient's generators in search order, lifted; each re-checked."""
+        adj, n, leaf, stats = self.adj, self.n, self.types, self.stats
+        alive, members, types, order = yield from _merge_twins(adj, n, leaf, stats)
+        nodes, rows, qtypes = _quotient(adj, alive, types)
+        search = _Search(rows, len(nodes), qtypes, stats)
+        if rows is adj:
+            # nothing merged: the walk over all of the graph checks its leaves
+            yield from search.generators()
+            self.base = search.base
+        else:
+            for p in search.generators():
+                image = _lift(n, nodes, members, p)
+                yield _rechecked(Perm(image), _verify(adj, n, leaf, image, adj))
+            self.base = base = [members[nodes[i]][0] for i in search.base]
+            fixed = set(base)
+            base += [x for v in nodes for x in members[v][:-1] if x not in fixed]
+        self.order = order * prod(search.orbits)
+
+
 def automorphism_group(
     g: Graph, stats: Optional[SearchStats] = None
 ) -> tuple[list[int], list[Perm], int]:
-    """Base, strong generators and order of Aut(g).
+    """Base, strong generators and order of Aut(g): ``_TwinWalk``, drained.
 
     Twin classes are merged first, round by round: each round merges every
     class of two or more open twins of the current quotient into one node,
@@ -698,26 +711,12 @@ def automorphism_group(
     permutations of the children after it, and their own groups, which the
     swaps fixing the prefix generate.  On a twin-free graph nothing merges,
     and the base, generators, order and ``stats`` are the whole-graph
-    search's.  Every lifted generator is re-checked by the naive check;
-    ``stats`` collects the work, ``stats.merges`` the merged classes.
+    search's.  Every swap and lifted generator is re-checked by the naive
+    check; ``stats`` collects the work, ``stats.merges`` the merged classes.
     """
-    stats = SearchStats() if stats is None else stats
-    n, adj = g.n, g.adjacency_bits
-    alive, members, types, moves, order = _merge_twins(adj, n, [0] * n, stats)
-    if alive == (1 << n) - 1:
-        return _group(adj, n, types, stats)
-    nodes, rows, qtypes = _quotient(adj, alive, types)
-    qbase, qgens, qorder = _group(rows, len(nodes), qtypes, stats)
-    moves += [_lift(n, nodes, members, p) for p in qgens]
-    colors = [0] * n
-    for image in moves:
-        if not _verify(adj, n, colors, image, adj):
-            raise AssertionError("internal error: a lifted generator failed re-verification")
-    base = [members[nodes[i]][0] for i in qbase]
-    fixed = set(base)
-    for v in nodes:
-        base += [x for x in members[v][:-1] if x not in fixed]
-    return base, [Perm(image) for image in moves], order * qorder
+    walk = _TwinWalk(g.adjacency_bits, g.n, [0] * g.n, SearchStats() if stats is None else stats)
+    gens = list(walk.generators())
+    return walk.base, gens, walk.order
 
 
 def _elements(g: Graph, gens: list[Perm], order: int, cap: int) -> list[Perm]:
@@ -860,6 +859,4 @@ def find_preserving_edges(g: Graph, labels: dict[tuple[int, int], int]) -> Optio
         got: Optional[Perm] = Perm(swap)
     else:
         got = _band_search(g, rows, bands, stats)
-    if got is not None and not preserves_edge_labels(g, labels, got):
-        raise AssertionError("internal error: certificate failed re-verification")
-    return got
+    return None if got is None else _rechecked(got, preserves_edge_labels(g, labels, got))

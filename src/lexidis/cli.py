@@ -144,6 +144,8 @@ def _read_labeling(spec: str):
                 raise ValueError
         except ValueError:
             raise CliError(f"{spec}: line {lineno}: expected 'v <i> <label>' or 'e <u> <v> <label>'") from None
+        if table is vmap and key < 0:
+            raise CliError(f"{spec}: line {lineno}: negative vertex {key}")
         if key in table:
             raise CliError(f"{spec}: line {lineno}: duplicate record for {' '.join(parts[:-1])}")
         table[key] = val

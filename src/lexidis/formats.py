@@ -187,15 +187,14 @@ def read_graph6(line: str, lineno: int = 1) -> Graph:
 
 
 def sniff_format(text: str) -> str:
-    """Guess 'edgelist' or 'graph6' from the first meaningful byte."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#") or line.startswith("p "):
-            return "edgelist"
-        return "graph6"
-    raise FormatError("line 1: empty input")
+    """Guess 'edgelist' or 'graph6' from the first meaningful line: a
+    comment, or a record with inner whitespace, which no graph6 record has.
+    Every line break is whitespace, so that line starts the stripped text;
+    the lines after it are not split."""
+    first = text.lstrip().split("\n", 1)[0].splitlines()
+    if not first:
+        raise FormatError("line 1: empty input")
+    return "edgelist" if first[0].startswith("#") or len(first[0].split()) > 1 else "graph6"
 
 
 def loads(text: str) -> Graph:

@@ -55,6 +55,25 @@ def test_claim_needs_nine_wins_of_ten_and_a_gap_past_the_parent_spread():
     assert not ab.compare([100.0] * 10, [80.0] * 10, "higher", 0.25)["past_bound"]
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    tight = [100.0, 101.0, 102.0, 103.0, 104.0]
+    # quartiles 75 and 125 around 100: a 50% spread against a 25% bound
+    wide = [70.0, 80.0, 100.0, 120.0, 130.0]
+    assert not ab.compare(tight, tight, "higher", 0.25)["unresolved"]
+    assert ab.compare(tight, wide, "higher", 0.25)["unresolved"]
+    assert ab.compare(wide, tight, "higher", 0.25)["unresolved"]
+    # the same spread within a 60% bound
+    assert not ab.compare(wide, tight, "higher", 0.6)["unresolved"]
+    # every change run better than every parent run resolves it
+    row = ab.compare(tight, [x + 100 for x in wide], "higher", 0.25)
+    assert (row["unresolved"], row["past_bound"]) == (False, False)
+    # past the bound, but as noisy: unresolved, and the report says so
+    assert ab.compare(tight, [x / 2 for x in wide], "higher", 0.25)["unresolved"]
+    runs = {"parent": [_result(1400, 1.46) for _ in tight],
+            "change": [_result(1400, x / 50) for x in wide]}
+    assert ab.report(SPEC, runs)[2].split()[-2:] == ["unresolved", "no"]
+
+
 def test_report_lists_each_metric_with_wins_and_claim():
     runs = {"parent": [_result(1400 + i, 1.46 + i / 100) for i in range(10)],
             "change": [_result(1500 + i, 1.32 + i / 100) for i in range(10)]}

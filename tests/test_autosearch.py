@@ -686,3 +686,13 @@ def test_lifted_certificates_are_rechecked(monkeypatch):
     with pytest.raises(AssertionError) as exc:
         find_preserving(lex_product(path(4), complete(2)), (1, 2) * 4)
     assert str(exc.value) == "internal error: certificate failed re-verification"
+
+
+def test_lifted_generators_are_rechecked(monkeypatch):
+    # the group of P4[K2] lifts the quotient P4's flip; a wrong lift, here
+    # swapping an end copy's vertex with an inner copy's, would be caught
+    # with the same message as a wrong certificate
+    monkeypatch.setattr(autosearch, "_lift", lambda n, *_args: [2, 1, 0] + list(range(3, n)))
+    with pytest.raises(AssertionError) as exc:
+        automorphism_group(lex_product(path(4), complete(2)))
+    assert str(exc.value) == "internal error: certificate failed re-verification"

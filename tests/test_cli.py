@@ -397,7 +397,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.el"
     bad.write_text("e 0 1\n")
     code, _, err = run(capsys, "dnum", str(bad))
-    assert code == 2 and "line 1" in err
+    assert (code, err) == (2, f"error: {bad}: line 1: edge before 'p' header\n")
+    bad.write_text("v 0 1\nv 1 0\n")
+    code, _, err = run(capsys, "dnum", str(bad))
+    assert (code, err) == (2, f"error: {bad}: line 1: unknown record 'v'\n")
 
 
 def test_graph6_file_with_two_records_exits_2(tmp_path, capsys):
@@ -811,6 +814,7 @@ def test_verb_output_is_pinned(tmp_path, capsys, verb):
     ("v 0\n", "line 1: expected 'v <i> <label>' or 'e <u> <v> <label>'"),
     ("v 0 1\ne 0 1 1\n", "mixed vertex and edge records"),
     ("v 0 1\nv 2 1\n", "vertex labels must cover 0..2"),
+    ("v 0 1\nv -1 1\nv 1 2\n", "line 2: negative vertex -1"),
     ("# nothing here\n\n", "no labeling records found"),
 ])
 def test_labeling_file_errors_give_exact_messages(tmp_path, capsys, records, message):

@@ -124,6 +124,8 @@ def test_sniff_and_generic_io():
     g = spider(3)
     assert sniff_format(write_edge_list(g)) == "edgelist"
     assert sniff_format(write_graph6(g)) == "graph6"
+    # no graph6 record holds whitespace: a headerless edge list is not one
+    assert sniff_format("\n e 0 1\n") == "edgelist"
     assert loads(dumps(g, "edgelist")) == g
     assert loads(dumps(g, "graph6")) == g
 

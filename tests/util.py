@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from math import prod
 
 from lexidis import Graph, Perm, autosearch, complete, cycle, path, spider, star
 from lexidis.formats import GRAPH6_HEADER, FormatError, _g6_encode_n
@@ -353,7 +354,9 @@ def whole_graph_group(g: Graph, stats):
     """Base, strong generators and order of Aut(g) from one ``_Search`` walk
     over all of g, without the twin merging of ``automorphism_group``: the
     engine's own referee, whose work the search pins count."""
-    return autosearch._group(g.adjacency_bits, g.n, [0] * g.n, stats)
+    search = autosearch._Search(g.adjacency_bits, g.n, [0] * g.n, stats)
+    gens = list(search.generators())
+    return search.base, gens, prod(search.orbits)
 
 
 def whole_graph_certificate(g: Graph, labels, stats):

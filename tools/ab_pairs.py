@@ -13,7 +13,11 @@ quartiles, how many pairs the change won, whether the change's median is
 worse than the parent's by more than the metric's bound, and whether a
 claimed gain meets the rule: the change better in at least 9 of 10 pairs,
 and its median better than the parent's by more than the parent's quartile
-spread.  "Better" is the metric's direction in ``BENCHMARK.json``.
+spread.  "Better" is the metric's direction in ``BENCHMARK.json``.  The
+bound column reads "unresolved" when either side's quartile spread is
+wider than the bound times its median, unless every run of the change is
+better than every run of the parent: such runs cannot tell a change within
+the bound from one past it.
 
 A run that exits non-zero, or whose result is not ``correct`` or counts a
 failed answer, stops the comparison with exit code 1.  The script reads
@@ -70,10 +74,12 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     cq1, cmed, cq3 = quartiles(change)
     gap = sign * (pmed - cmed)
     worse = -gap / abs(pmed)
+    wide = pq3 - pq1 > bound * abs(pmed) or cq3 - cq1 > bound * abs(cmed)
     return {
         "parent": (pmed, pq1, pq3), "change": (cmed, cq1, cq3),
         "wins": wins, "pairs": len(parent),
         "past_bound": worse > bound,
+        "unresolved": wide and not all(sign * (p - c) > 0 for p in parent for c in change),
         "claim": len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > pq3 - pq1,
     }
 
@@ -81,17 +87,17 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
 def report(spec: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     """Table lines for every end-to-end metric of ``spec``."""
     lines = [f"{'metric':<15} {'better':<6} {'parent median [q1, q3]':<34} "
-             f"{'change median [q1, q3]':<34} wins   bound      claim"]
+             f"{'change median [q1, q3]':<34} wins   bound       claim"]
     for m in spec:
         name = m["name"]
         side = {k: [r["metrics"][name]["value"] for r in v] for k, v in runs.items()}
         row = compare(side["parent"], side["change"], m["better"], m["bound"])
         cells = [f"{med:.6g} [{q1:.6g}, {q3:.6g}]" for med, q1, q3 in
                  (row["parent"], row["change"])]
+        bound = "unresolved" if row["unresolved"] else "PAST" if row["past_bound"] else "within"
         lines.append(
             f"{name:<15} {m['better']:<6} {cells[0]:<34} {cells[1]:<34} "
-            f"{row['wins']:>2}/{row['pairs']:<2}  {'PAST' if row['past_bound'] else 'within':<9}  "
-            f"{'meets' if row['claim'] else 'no'}")
+            f"{row['wins']:>2}/{row['pairs']:<2}  {bound:<10}  {'meets' if row['claim'] else 'no'}")
     return lines
 
 
