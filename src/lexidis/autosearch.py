@@ -110,22 +110,30 @@ from .graph import Graph, _members
 from .permgroup import DEFAULT_LISTING_CAP, CapExceededError, GeneratorSet, Perm, closure
 
 
-class SearchStats:
-    """Counters for one search; ``nodes`` is base-path levels plus subtree
-    node calls, ``merges`` the twin classes ``automorphism_group`` or
-    ``find_preserving`` merged, or the label-twin pair whose swap
-    ``find_preserving_edges`` returned."""
+# the counters of ``SearchStats``, in order; its subclasses (such as the
+# benchmark's recording one) declare no slots of their own, so ``__init__``
+# reads the names from here
+_STATS_FIELDS = ("nodes", "refinements", "merges", "steps", "leaves", "preserved",
+                 "twin_floor", "image", "reach_d", "backjump")
 
-    __slots__ = ("nodes", "refinements", "merges")
+
+class SearchStats:
+    """Counters for one search or one oracle question.  ``nodes`` is
+    base-path levels plus subtree node calls, ``merges`` the twin classes
+    ``automorphism_group`` or ``find_preserving`` merged, or the label-twin
+    pair whose swap ``find_preserving_edges`` returned.  An oracle question
+    keeps one for all its leaf searches and its walk, whose counts follow
+    (see ``distinguishing._Walk``)."""
+
+    __slots__ = _STATS_FIELDS
 
     def __init__(self) -> None:
-        self.nodes = 0
-        self.refinements = 0
-        self.merges = 0
+        for name in _STATS_FIELDS:
+            setattr(self, name, 0)
 
     def __repr__(self) -> str:
-        return (f"SearchStats(nodes={self.nodes}, refinements={self.refinements},"
-                f" merges={self.merges})")
+        body = ", ".join(f"{name}={getattr(self, name)}" for name in _STATS_FIELDS)
+        return f"SearchStats({body})"
 
 
 # A vertex's refinement key: one integer in rounds with few fresh classes,

@@ -42,6 +42,7 @@ Pattern = tuple[tuple[int, ...], tuple[int, ...]]
 
 _K2 = path(2)
 _EDGELESS = "edgeless factor has no edge index"
+_VERTICES = (lambda g, h: g.n and h.n, "factors need at least one vertex")
 _CONNECTED = (lambda g, h: is_connected(g) and is_connected(h), "factors must be connected")
 _EDGES = (lambda g, h: g.m and h.m, _EDGELESS)
 _WREATH = (lambda g, h: sabidussi_equal(g, h), "needs the wreath action")
@@ -50,8 +51,8 @@ _WREATH = (lambda g, h: sabidussi_equal(g, h), "needs the wreath action")
 # order.  H is K2 for single-edge-bundles; the power rows test G alone.  Each
 # test calls through the module globals, where perfbench/tracing.py wraps them.
 HYPOTHESES: dict[str, list[tuple[Callable[[Graph, Graph], object], str]]] = {
-    "product-vertex-range": [_CONNECTED],
-    "product-vertex-stepwise": [_WREATH],
+    "product-vertex-range": [_VERTICES, _CONNECTED],
+    "product-vertex-stepwise": [_VERTICES, _WREATH],
     # a lone edge cannot pin its copy, D'(K2) = 1 cannot pin the copy swap of
     # K2[H], and a factor's swap that moves no edge, such as that of a K2
     # component's ends, survives into the product

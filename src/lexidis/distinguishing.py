@@ -1,25 +1,25 @@
 """Exact distinguishing number and distinguishing index by minimal-d search.
 
-One walker, ``_least_labeling``, answers both.  For d = 1, 2, ... it visits
-the restricted-growth labelings with maximum d (each new label first
-appears in position order, which kills the relabeling symmetry) in
-lexicographic order and returns the first that no automorphism preserves.
+One body, ``_oracle``, answers both.  For d = 1, 2, ... it visits the
+restricted-growth labelings with maximum d (each new label first appears
+in position order, which kills the relabeling symmetry) in lexicographic
+order and returns the first that no automorphism preserves.  D and D'
+differ only in three things, which their callers pass in: the positions,
+the vertices of G for D(G) (Albertson & Collins 1996) and its edges, in
+``edge_list()`` order, for D'(G) (Kalinowski & Pilsniak 2015); a vertex
+permutation's action on them; and the leaf search, ``_search`` for D and
+``_edge_search`` for D'.  Neither oracle lists Aut(G).
 
-The positions are the vertices of G for D(G) and its edges, in
-``edge_list()`` order, for D'(G); neither oracle lists Aut(G).  The walk
-keeps a list of automorphisms, acting on the positions.  It starts from the
-swaps (v w) of each twin class's consecutive members, which generate the
-class's symmetric group: as vertex permutations for D(G) (Albertson &
-Collins 1996), as edge permutations for D'(G) (Kalinowski & Pilsniak 2015),
-leaving out any swap that fixes every edge.  Each leaf that survives the
-prunes below goes to one whole-graph automorphism search, ``_search`` for D
-and ``_edge_search`` for D': the first automorphism preserving the labels
-that moves a vertex, or an edge, in search order.  Its action on the
-positions refutes the leaf and is kept for every later d (it comes from an
-automorphism of the bare graph and moves a position, so it is nontrivial).
-It fixes every position after its last moved one, so it preserves every
-labeling that agrees with the leaf up to there, and the walk backjumps to
-that position.
+The walk keeps a list of automorphisms, acting on the positions.  It
+starts from the action of the swaps (v w) of each twin class's consecutive
+members, which generate the class's symmetric group, leaving out any swap
+that moves no position.  Each leaf that survives the prunes below goes to
+one leaf search: the first automorphism preserving the labels that moves a
+position, in search order.  Its action refutes the leaf and is kept for
+every later d (it comes from an automorphism of the bare graph and moves a
+position, so it is nontrivial).  It fixes every position after its last
+moved one, so it preserves every labeling that agrees with the leaf up to
+there, and the walk backjumps to that position.
 
 A kept permutation p with last moved position k maps the positions 0..k
 onto themselves, so a prefix P through k decides one rule for every
@@ -80,7 +80,8 @@ from .autosearch import (
     find_preserving,
     find_preserving_edges,
 )
-from .graph import Graph, _members, closed_twin_partition, open_twin_partition
+from .graph import Graph, closed_twin_partition, open_twin_partition
+from .permgroup import Perm
 
 VertexLabeling = list[int]
 EdgeLabeling = dict[tuple[int, int], int]
@@ -155,31 +156,27 @@ def _image_rank(
     return 1
 
 
-# the names of ``_Walk.counts``, in order
-COUNTERS = ("steps", "leaves", "preserved", "twin_floor", "image", "reach_d", "backjump")
-
-
 class _Walk:
-    """State of one restricted-growth walk; see ``_least_labeling``.
+    """State of one restricted-growth walk; see ``_oracle``.
 
     A transposition (v w) is kept as the floor v at w, any other
     permutation with its moved positions at its last moved position, where
-    ``_image_rank`` decides its rule.  ``counts`` holds the work of every
-    level walked so far: values placed (steps), leaves refuted or accepted,
-    values dropped by each prune, and refuted leaves whose certificate
-    backjumped past the last position.
+    ``_image_rank`` decides its rule.  Each level adds its work to the
+    question's one ``stats``: values placed (steps), leaves refuted or
+    accepted, values dropped by each prune, and refuted leaves whose
+    certificate backjumped past the last position.
     """
 
-    __slots__ = ("refute", "m", "floors", "images", "buf", "counts")
+    __slots__ = ("refute", "m", "floors", "images", "buf", "stats")
 
-    def __init__(self, m: int, refute: Refuter) -> None:
+    def __init__(self, m: int, refute: Refuter, stats: SearchStats) -> None:
         self.refute = refute
         self.m = m
         self.floors: list[list[int]] = [[] for _ in range(m)]
         # (p, its moved positions) at p's last moved position
         self.images: list[list[tuple[Sequence[int], list[int]]]] = [[] for _ in range(m)]
         self.buf = [0] * m
-        self.counts = [0] * len(COUNTERS)
+        self.stats = stats
 
     def add(self, p: Sequence[int]) -> int:
         """Track the nontrivial permutation p; returns its last moved position."""
@@ -251,39 +248,52 @@ class _Walk:
             if last < k:
                 jumps += 1
             k, fresh = last, False
-        counts = self.counts
-        counts[0] += steps
-        counts[1] += leaves
-        counts[2] += preserved
-        counts[3] += floored
-        counts[4] += imaged
-        counts[5] += reached
-        counts[6] += jumps
+        stats = self.stats
+        stats.steps += steps
+        stats.leaves += leaves
+        stats.preserved += preserved
+        stats.twin_floor += floored
+        stats.image += imaged
+        stats.reach_d += reached
+        stats.backjump += jumps
         return k >= 0
 
 
-def _least_labeling(
-    m: int, refute: Refuter, perms: Iterable[tuple[int, ...]], d_max: int | None = None
+def _oracle(
+    g: Graph, m: int, action: Callable[[Sequence[int]], tuple[int, ...]],
+    search: Callable[[list[int], SearchStats], Optional[Perm]], d_max: int | None,
 ) -> Optional[tuple[int, list[int]]]:
     """Least d <= d_max and the lex-least restricted-growth labeling with
-    maximum d of m positions that is preserved by no permutation of
-    ``perms`` and that ``refute`` leaves, or None.
+    maximum d of g's m positions that no automorphism of g preserves, or None.
 
-    ``perms`` are automorphisms acting on the positions.  ``refute`` takes
-    each leaf that survives the walk's prunes and returns a nontrivial such
-    automorphism preserving it, or None.  The permutation is kept for every
-    later d, and the walk resumes at its last moved position.  The default
-    cap, max(m, 1), always suffices, and no positions give (1, []).
+    ``action`` maps a vertex permutation to its action on the positions;
+    ``search(labels, stats)`` is the leaf search, which returns the first
+    automorphism that preserves the labels and moves a position, or None.
+    One ``SearchStats`` holds the work of the walk and of every leaf
+    search.  The default cap, max(m, 1), always suffices, and no positions
+    give (1, []).
     """
     if d_max is None:
         d_max = max(m, 1)
     if d_max < 1:
         raise ValueError("d_max must be positive")
+    stats = SearchStats()
     if m == 0:
         return 1, []
-    walk = _Walk(m, refute)
-    for p in perms:
-        walk.add(p)
+
+    def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
+        got = search(labels, stats)
+        return None if got is None else action(got.image)
+
+    walk = _Walk(m, refute, stats)
+    ident = tuple(range(m))
+    for v, w in _twin_pairs(g):
+        img = list(range(g.n))
+        img[v], img[w] = w, v
+        p = action(img)
+        # a twin swap moves no edge only on a K2 component or two isolated vertices
+        if p != ident:
+            walk.add(p)
     for d in range(1, d_max + 1):
         if walk.walk(d):
             return d, list(walk.buf)
@@ -300,18 +310,7 @@ def distinguishing_number(
     The witness is the lexicographically least successful restricted-growth
     labeling.
     """
-    n = g.n
-
-    def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
-        got = _search(g, labels, SearchStats())
-        return None if got is None else got.image
-
-    def swap(v: int, w: int) -> tuple[int, ...]:
-        p = list(range(n))
-        p[v], p[w] = w, v
-        return tuple(p)
-
-    return _least_labeling(n, refute, (swap(v, w) for v, w in _twin_pairs(g)), d_max)
+    return _oracle(g, g.n, tuple, lambda labels, stats: _search(g, labels, stats), d_max)
 
 
 # -- edge index -------------------------------------------------------------
@@ -324,13 +323,8 @@ def distinguishing_index(
 
     Returns None when no distinguishing edge labeling with at most ``d_max``
     labels exists; the default cap, the edge count, always suffices.
-    Requires at least one edge.  The walk starts from the edge actions of
-    each twin class's consecutive swaps, as ``distinguishing_number`` does;
-    they generate the class's symmetric group, and what another pair's
-    swap would drop is left to the leaf searches.  Each surviving
-    leaf is refuted with the edge action of the whole-graph search
-    ``_edge_search``, so Aut(g) is never listed.  ``aut_cap`` is accepted
-    for old callers and ignored, as there is no group listing left to cap.
+    Requires at least one edge.  ``aut_cap`` is accepted for old callers and
+    ignored, as there is no group listing left to cap.
     """
     edges = g.edge_list()
     m = len(edges)
@@ -344,26 +338,6 @@ def distinguishing_index(
     def action(img: Sequence[int]) -> tuple[int, ...]:
         return tuple([index[img[u]][img[v]] for u, v in edges])
 
-    rows = g.adjacency_bits
-
-    def twin_action(v: int, w: int) -> tuple[int, ...]:
-        # twins v, w share every neighbor x but each other, and the swap
-        # exchanges the edges vx and wx; an edge vw stays
-        p = list(range(m))
-        for x in _members(rows[v] & ~(1 << w)):
-            i, j = index[v][x], index[w][x]
-            p[i], p[j] = j, i
-        return tuple(p)
-
-    # a twin swap fixes every edge only on a K2 component or two isolated vertices
-    seeds = (twin_action(v, w) for v, w in _twin_pairs(g) if rows[v] & ~(1 << w))
-
-    def refute(labels: list[int]) -> Optional[tuple[int, ...]]:
-        got = _edge_search(g, edges, labels, SearchStats())
-        return None if got is None else action(got.image)
-
-    got = _least_labeling(m, refute, seeds, d_max)
-    if got is None:
-        return None
-    d, lab = got
-    return d, dict(zip(edges, lab))
+    got = _oracle(
+        g, m, action, lambda labels, stats: _edge_search(g, edges, labels, stats), d_max)
+    return None if got is None else (got[0], dict(zip(edges, got[1])))

@@ -72,3 +72,40 @@ def test_tracer_sees_every_verbs_library_call(tmp_path, capsys):
     assert tracer.spans[bounds][1] == "main"
     assert {rec[1] for rec in tracer.spans if rec[4] == bounds} >= {
         "distinguishing_number", "distinguishing_index", "sabidussi_equal"}
+
+
+# the autosearch.nodes and .refinements the tracer reports for one oracle
+# question: its sums over every SearchStats the question makes
+TRACED_ORACLE_WORK = {
+    ("dnum", "spider6"): (20, 41),
+    ("dindex", "spider6"): (20, 45),
+    ("dnum", "K3[C4]"): (20, 40),
+    ("dindex", "K3[C4]"): (14, 39),
+}
+
+
+def test_tracer_sums_each_oracle_questions_search_work(tmp_path, capsys):
+    from lexidis import cli
+    from lexidis.formats import write_edge_list
+    from lexidis.graph import complete, cycle, spider
+    from lexidis.lexprod import lex_product
+
+    files = {"spider6": tmp_path / "spider6.el", "K3[C4]": tmp_path / "k3c4.el"}
+    files["spider6"].write_text(write_edge_list(spider(6)))
+    files["K3[C4]"].write_text(write_edge_list(lex_product(complete(3), cycle(4))))
+    tracer = runpy.run_path(str(TRACING))["Tracer"]()
+    got = {}
+    try:
+        tracer.install()
+        for verb, name in TRACED_ORACLE_WORK:
+            before = tracer.counts["autosearch.nodes"], tracer.counts["autosearch.refinements"]
+            tracer.begin(f"{verb}:{name}")
+            assert cli.main([verb, str(files[name])]) == 0
+            tracer.end()
+            got[verb, name] = (tracer.counts["autosearch.nodes"] - before[0],
+                               tracer.counts["autosearch.refinements"] - before[1])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.missing == []
+    assert got == TRACED_ORACLE_WORK

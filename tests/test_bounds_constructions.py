@@ -114,3 +114,31 @@ def test_single_edge_bundles_certify_wherever_the_construction_builds():
         if not is_distinguishing_edges(lex_product(g, k2), labels):
             wrong.append(i)
     assert wrong == []
+
+
+def test_a_zero_vertex_factor_gets_no_product_vertex_bound(tmp_path, capsys):
+    # G[H] has no vertex when a factor has none, so D(G[H]) = 1: each
+    # printed product-vertex bound must hold against that, and the stepwise
+    # construction refuses with the reason the range row prints
+    from lexidis.cli import main
+
+    empty = Graph(0)
+    wrong = []
+    for i, g in enumerate(_atlas()[:18]):  # the graphs on 1-4 vertices
+        for tag, a, b in ((f"E[A{i}]", empty, g), (f"A{i}[E]", g, empty)):
+            d = distinguishing_number(lex_product(a, b))[0]
+            rows = {r["bound"]: r for r in _bounds_rows(a, b, None)}
+            for name in ("product-vertex-range", "product-vertex-stepwise"):
+                row = rows.get(name, {})
+                if not row.get("lower", 1) <= d <= row.get("upper", d):
+                    wrong.append(f"{tag} {name}: {row}")
+            with pytest.raises(ValueError) as exc:
+                pattern_product_labeling(a, b)
+            if str(exc.value) != rows["product-vertex-range"].get("skipped"):
+                wrong.append(f"{tag} refused with {exc.value!s}")
+    assert wrong == []
+    (tmp_path / "e.el").write_text("p 0 0\n")
+    (tmp_path / "k2.el").write_text("p 2 1\ne 0 1\n")
+    assert main(["label", "--method", "thm22", str(tmp_path / "e.el"),
+                 str(tmp_path / "k2.el")]) == 2
+    assert capsys.readouterr().err == "error: factors need at least one vertex\n"

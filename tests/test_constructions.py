@@ -255,6 +255,17 @@ def test_k2_product_edge_labeling():
         k2_product_edge_labeling(Graph(3, [(0, 1)]))
 
 
+def test_k2_product_edge_labeling_raises_when_both_routes_fail(monkeypatch):
+    # the pattern and the 2-label oracle search both succeed on every real
+    # H; stub them out to reach the refusal
+    from lexidis import constructions as cons
+
+    monkeypatch.setattr(cons, "is_distinguishing_edges", lambda g, labels: False)
+    monkeypatch.setattr(cons, "distinguishing_index", lambda g, d_max=None: None)
+    with pytest.raises(RuntimeError, match="^no 2-label distinguishing edge labeling exists$"):
+        k2_product_edge_labeling(path(3))
+
+
 def test_star_product_edge_labeling():
     # three-vertex second factor
     lab = star_product_edge_labeling(2, path(3), {(0, 1): 1, (1, 2): 2})

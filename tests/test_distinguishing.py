@@ -27,6 +27,7 @@ from .util import (
     naive_color_preserver_exists,
     naive_edge_preserver_exists,
     random_graph,
+    recorded_stats,
 )
 
 # an asymmetric graph: its only automorphism is the identity
@@ -508,24 +509,18 @@ def test_walk_skips_only_labelings_a_kept_permutation_or_the_level_rules_out(mon
     assert min(reasons.values()) > 1000, reasons
 
 
+# the walk's counters in an oracle question's ledger, in order
+WALK_FIELDS = ("steps", "leaves", "preserved", "twin_floor", "image", "reach_d", "backjump")
+
+
 def _walk_totals(monkeypatch, oracle, graphs) -> dict[str, int]:
-    """The walk counters summed over ``oracle`` on each of ``graphs``."""
-    import lexidis.distinguishing as dist
-
-    walks = []
-
-    class Recording(dist._Walk):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            walks.append(self)
-
-    monkeypatch.setattr(dist, "_Walk", Recording)
+    """The walk counters of the recorded ledgers, summed over ``oracle`` on
+    each of ``graphs``."""
+    made = recorded_stats(monkeypatch)
     for g in graphs:
         oracle(g)
     monkeypatch.undo()
-    return dict(zip(dist.COUNTERS, map(sum, zip(*(w.counts for w in walks)))))
+    return {name: sum(getattr(st, name) for st in made) for name in WALK_FIELDS}
 
 
 # steps, leaves, then values dropped by each prune, then backjumps
@@ -539,11 +534,9 @@ WALK_COUNTS = {
 
 @pytest.mark.parametrize("oracle, name", sorted(WALK_COUNTS))
 def test_walk_counters_are_pinned(monkeypatch, oracle, name):
-    from lexidis.distinguishing import COUNTERS
+    from lexidis.autosearch import SearchStats
 
-    assert COUNTERS == (
-        "steps", "leaves", "preserved", "twin_floor", "image", "reach_d", "backjump"
-    )
+    assert SearchStats.__slots__ == ("nodes", "refinements", "merges", *WALK_FIELDS)
     g = SLOW_TAIL[name][0]
     fn = distinguishing_number if oracle == "D" else distinguishing_index
     counts = _walk_totals(monkeypatch, fn, [g])
@@ -577,6 +570,22 @@ def test_atlas_walk_totals_are_pinned(monkeypatch, oracle):
     for name in ("steps", "leaves", "twin_floor", "reach_d", "backjump"):
         assert got[name] == want[name], name
     assert got["preserved"] + got["image"] == want["preserved"] + want["image"]
+
+
+# (nodes, refinements) of every leaf search of one question, summed: the
+# totals of the per-leaf SearchStats the oracles made before they kept one
+LEAF_SEARCH_WORK = {("D", "K3[C4]"): (20, 40), ("D'", "spider6"): (20, 45)}
+
+
+@pytest.mark.parametrize("oracle, name", sorted(LEAF_SEARCH_WORK))
+def test_each_oracle_question_keeps_one_ledger(monkeypatch, oracle, name):
+    made = recorded_stats(monkeypatch)
+    (distinguishing_number if oracle == "D" else distinguishing_index)(SLOW_TAIL[name][0])
+    monkeypatch.undo()
+    assert len(made) == 1
+    stats = made[0]
+    assert tuple(getattr(stats, f) for f in WALK_FIELDS) == WALK_COUNTS[oracle, name]
+    assert (stats.nodes, stats.refinements, stats.merges) == (*LEAF_SEARCH_WORK[oracle, name], 0)
 
 
 def test_spider_k2_oracle_meets_the_closed_form():

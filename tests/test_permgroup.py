@@ -214,7 +214,9 @@ def test_reprs_and_perm_dunders():
     assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
     stats = SearchStats()
     stats.nodes, stats.refinements, stats.merges = 2, 5, 1
-    assert repr(stats) == "SearchStats(nodes=2, refinements=5, merges=1)"
+    assert repr(stats) == (
+        "SearchStats(nodes=2, refinements=5, merges=1, steps=0, leaves=0, preserved=0,"
+        " twin_floor=0, image=0, reach_d=0, backjump=0)")
     assert p.__eq__((1, 0, 2)) is NotImplemented
     assert p != (1, 0, 2)
     assert Perm.identity(3) < p and not p < Perm.identity(3)
