@@ -44,20 +44,22 @@ check reads the rows of the moved vertices only: an edge with a fixed end
 and a moved one is checked from the moved end, and an edge with two fixed
 ends maps to itself.
 
-``automorphism_group`` and ``find_preserving`` take one walk over the
-twin-free quotient of G.  Every class of twins is a module, so it merges
-each class of open twins, or when there are none of closed twins, into one
-node typed by its kind and its children's types, round by round until no
-twins are left; a cograph merges down to one node (Habib & Paul, Computer
-Science Review 4, 2010).  The leaf types are the vertex colors, all equal
-for the group.  Merging yields each swap of two equal-type siblings, in
-merge order; then the search runs on the quotient colored by type, and its
-generators are lifted to G through each node's canonical member order.
-|Aut(G)| is the quotient's order times a factorial per group of equal
-siblings.  On a twin-free graph the walk is the search over all of G,
-unchanged.  ``automorphism_group`` drains the walk; ``find_preserving``
-takes its first yield as the certificate: with no sibling swap, the kernel
-of the lift is trivial, so that is the quotient's first generator, lifted.
+``automorphism_group`` and ``find_preserving`` run one walk, ``_twin_walk``,
+over the twin-free quotient of G.  Every class of twins is a module, so it
+merges each class of open twins, or when there are none of closed twins,
+into one node typed by its kind and its children's types, round by round
+until no twins are left; a cograph merges down to one node (Habib & Paul,
+Computer Science Review 4, 2010).  The leaf types are the vertex colors,
+all equal for the group.  Merging yields each swap of two equal-type
+siblings, in merge order; then the search runs on the quotient colored by
+type, and its generators are lifted to G through each node's canonical
+member order.  |Aut(G)| is the quotient's order times a factorial per
+group of equal siblings.  On a twin-free graph the walk is the search over
+all of G, unchanged.  The walk keeps no state; drained, it returns the
+quotient, from which ``automorphism_group`` alone builds a base of G.
+``find_preserving`` takes the first yield as the certificate: with no
+sibling swap, the kernel of the lift is trivial, so that is the quotient's
+first generator, lifted.
 ``find_preserving_edges`` first looks for two label twins, open ones with
 equal banded rows or closed ones on one label, whose swap moves an edge:
 any such pair is a certificate, so there is nothing to merge, and without
@@ -495,18 +497,19 @@ def find_preserving(g: Graph, colors: Sequence[int]) -> tuple[Optional[Perm], Se
     Raises ValueError unless there is one color per vertex.
 
     The certificate is the first yield of the walk over the colored
-    twin-free quotient (``_TwinWalk``), with the colors as the leaf types:
+    twin-free quotient (``_twin_walk``), with the colors as the leaf types:
     the first swap of two equal-type siblings, met in merge order, and with
     none the quotient's first generator, lifted, since then every
     color-preserving automorphism is the lift of one of the quotient's.  On
     a twin-free graph that is the walk over all of g.  ``stats.merges``
     counts the merged classes.  Every certificate passes the naive check.
+    No base is built: only ``automorphism_group`` needs one.
     """
     if len(colors) != g.n:
         raise ValueError(f"{len(colors)} colors for {g.n} vertices")
     dense = {val: i for i, val in enumerate(sorted(set(colors)))}
-    walk = _TwinWalk(g.adjacency_bits, g.n, [dense[x] for x in colors], SearchStats())
-    return next(walk.generators(), None), walk.stats
+    stats = SearchStats()
+    return next(_twin_walk(g.adjacency_bits, g.n, [dense[x] for x in colors], stats), None), stats
 
 
 def _orbit(v: int, gens: Sequence[Perm]) -> set[int]:
@@ -649,44 +652,30 @@ def _rechecked(p: Perm, ok: bool) -> Perm:
     return p
 
 
-class _TwinWalk:
-    """One walk over the twin-free quotient of a graph's rows ``adj``,
-    colored by the dense leaf ``types``; see ``automorphism_group``.  Once
-    ``generators`` is drained it fills ``base`` and ``order``."""
-
-    __slots__ = ("adj", "n", "types", "stats", "base", "order")
-
-    def __init__(self, adj: Sequence[int], n: int, types: list[int], stats: SearchStats) -> None:
-        self.adj = adj
-        self.n = n
-        self.types = types
-        self.stats = stats
-
-    def generators(self) -> Iterator[Perm]:
-        """Yield the swaps of equal-type siblings, in merge order, then the
-        quotient's generators in search order, lifted; each re-checked."""
-        adj, n, leaf, stats = self.adj, self.n, self.types, self.stats
-        alive, members, types, order = yield from _merge_twins(adj, n, leaf, stats)
-        nodes, rows, qtypes = _quotient(adj, alive, types)
-        search = _Search(rows, len(nodes), qtypes, stats)
-        if rows is adj:
-            # nothing merged: the walk over all of the graph checks its leaves
-            yield from search.generators()
-            self.base = search.base
-        else:
-            for p in search.generators():
-                image = _lift(n, nodes, members, p)
-                yield _rechecked(Perm(image), _verify(adj, n, leaf, image, adj))
-            self.base = base = [members[nodes[i]][0] for i in search.base]
-            fixed = set(base)
-            base += [x for v in nodes for x in members[v][:-1] if x not in fixed]
-        self.order = order * prod(search.orbits)
+def _twin_walk(
+    adj: Sequence[int], n: int, types: list[int], stats: SearchStats
+) -> Generator[Perm, None, tuple[Sequence[int], list[list[int]], _Search, int]]:
+    """The walk over the twin-free quotient of rows ``adj`` colored by the
+    dense leaf ``types`` (see ``automorphism_group``): yields each sibling
+    swap in merge order, then the quotient's generators, lifted, each
+    re-checked; returns (nodes, members, drained search, merges' order)."""
+    alive, members, merged, order = yield from _merge_twins(adj, n, types, stats)
+    nodes, rows, qtypes = _quotient(adj, alive, merged)
+    search = _Search(rows, len(nodes), qtypes, stats)
+    if rows is adj:
+        # nothing merged: the walk over all of the graph checks its leaves
+        yield from search.generators()
+    else:
+        for p in search.generators():
+            image = _lift(n, nodes, members, p)
+            yield _rechecked(Perm(image), _verify(adj, n, types, image, adj))
+    return nodes, members, search, order
 
 
 def automorphism_group(
     g: Graph, stats: Optional[SearchStats] = None
 ) -> tuple[list[int], list[Perm], int]:
-    """Base, strong generators and order of Aut(g): ``_TwinWalk``, drained.
+    """Base, strong generators and order of Aut(g): ``_twin_walk``, drained.
 
     Twin classes are merged first, round by round: each round merges every
     class of two or more open twins of the current quotient into one node,
@@ -710,21 +699,30 @@ def automorphism_group(
     siblings generate.  So |Aut(g)| = |Aut(Q, types)| times, over the
     merges, the product of r! over the children's types, r of each type.
 
-    The base is Q's base, each point replaced by its node's first member,
-    then each merged node's members in canonical order but its last.  The
-    swaps, in merge order, then the lifted generators, deepest level of Q's
-    base first, are strong for it: fixing a first member fixes its node, a
-    lifted generator that fixes a node fixes its members, and fixing a
-    prefix of a node's canonical order leaves the type-preserving
-    permutations of the children after it, and their own groups, which the
-    swaps fixing the prefix generate.  On a twin-free graph nothing merges,
-    and the base, generators, order and ``stats`` are the whole-graph
-    search's.  Every swap and lifted generator is re-checked by the naive
-    check; ``stats`` collects the work, ``stats.merges`` the merged classes.
+    The base, built here and nowhere else, is Q's base, each point replaced
+    by its node's first member, then each node's members in canonical order
+    but its last.  The swaps, in merge order, then the lifted generators,
+    deepest level of Q's base first, are strong for it: fixing a first
+    member fixes its node, a lifted generator that fixes a node fixes its
+    members, and fixing a prefix of a node's canonical order leaves the
+    type-preserving permutations of the children after it, and their own
+    groups, which the swaps fixing the prefix generate.  On a twin-free
+    graph nothing merges, each node is its one member, and the base,
+    generators, order and ``stats`` are the whole-graph search's.  Every
+    swap and lifted generator is re-checked by the naive check; ``stats``
+    collects the work, ``stats.merges`` the merged classes.
     """
-    walk = _TwinWalk(g.adjacency_bits, g.n, [0] * g.n, SearchStats() if stats is None else stats)
-    gens = list(walk.generators())
-    return walk.base, gens, walk.order
+    walk = _twin_walk(g.adjacency_bits, g.n, [0] * g.n, SearchStats() if stats is None else stats)
+    gens: list[Perm] = []
+    try:
+        while True:
+            gens.append(next(walk))
+    except StopIteration as done:
+        nodes, members, search, order = done.value
+    base = [members[nodes[i]][0] for i in search.base]
+    fixed = set(base)
+    base += [x for v in nodes for x in members[v][:-1] if x not in fixed]
+    return base, gens, order * prod(search.orbits)
 
 
 def _elements(g: Graph, gens: list[Perm], order: int, cap: int) -> list[Perm]:

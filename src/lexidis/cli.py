@@ -9,7 +9,8 @@ reports.  ``dnum`` and ``dindex`` are one handler over the ``ORACLES``
 table, and ``bounds`` prints the rows of one table of the paper's bounds
 (``_bounds_rows``), each checked against the hypotheses its construction
 checks (``constructions.HYPOTHESES``).  Exit codes:
-0 success, 1 negative verification, 2 usage or parse error, 3 cap exceeded.
+0 success, 1 negative verification, 2 usage or parse error, 3 cap exceeded
+or out of memory.
 ``aut`` always prints the exact order and strong generators; its ``--cap``
 bounds only the ``--elements`` listing.  The oracles list no group, so no
 cap bounds their work; their ``--cap`` bounds the labels tried.
@@ -242,10 +243,11 @@ def _exact(verb: str, g: Graph):
 
 
 # label method -> (graph count, (argument, what to ask for) of the option it
-# needs or None, builder).  The builder takes the option's value, if any,
-# then the graphs, and returns (labeling, product to certify).  Each
-# construction checks its bounds row's hypotheses before any oracle, and
-# takes the oracle's witness for each factor labeling it needs.
+# needs or None, builder); a method refuses the other options.  The builder
+# takes the option's value, if any, then the graphs, and returns (labeling,
+# product to certify).  Each construction checks its bounds row's
+# hypotheses before any oracle, and takes the oracle's witness for each
+# factor labeling it needs.
 LABEL_METHODS = {
     "thm21": (2, None, lambda g, h: (cons.block_product_labeling(g, h), lex_product(g, h))),
     "thm22": (2, None, lambda g, h: (cons.pattern_product_labeling(g, h), lex_product(g, h))),
@@ -268,6 +270,10 @@ def _cmd_label(args) -> int:
     gs = [_read_graph(s) for s in args.graphs]
     if len(gs) != count:
         raise CliError(f"method {method} takes {count} graph input(s), got {len(gs)}")
+    taken = option[0] if option else None
+    for name in ("n", "power"):
+        if name != taken and getattr(args, name) is not None:
+            raise CliError(f"method {method} takes no --{name}")
     if option is not None:
         name, wanted = option
         value = getattr(args, name)
@@ -461,6 +467,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except (CliError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

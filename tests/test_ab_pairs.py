@@ -101,3 +101,34 @@ def test_main_stops_on_a_run_that_is_not_correct(tmp_path, capsys):
     (tmp_path / "change" / "fake.py").write_text((tmp_path / "parent" / "fake.py").read_text())
     assert ab.main(argv) == 0
     assert "query_p90_ms" in capsys.readouterr().out.splitlines()[-1]
+
+
+def test_a_failed_run_keeps_the_report_over_the_complete_pairs(tmp_path, capsys, monkeypatch):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"command": ["unused"], "run_seconds": 1, "end_to_end": SPEC}))
+    sides = []
+
+    def fake_run(command, checkout, args):
+        sides.append(checkout.name)
+        if len(sides) == 3:
+            raise ab.RunFault(f"{checkout}: exit code 1")
+        return _result(1400, 1.46) if checkout.name == "parent" else _result(1500, 1.32)
+
+    monkeypatch.setattr(ab, "one_run", fake_run)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "groups",
+            "--seed", "7", "--benchmark", str(bench)]
+    assert ab.main(argv) == 1
+    # no retry and no skipped run: the third run, pair 2's first, ends the comparison
+    assert sides == ["parent", "change", "change"]
+    out = capsys.readouterr()
+    fault = f"{tmp_path / 'change'}: exit code 1"
+    lines = out.out.splitlines()
+    assert lines[:2] == ["pair 1 parent: queries_per_s 1400 query_p90_ms 1.46",
+                         "pair 1 change: queries_per_s 1500 query_p90_ms 1.32"]
+    assert lines[2] == (f"INCOMPLETE: workload groups seed 7, 1 of 10 pairs of 1 s runs; "
+                        f"pair 2 change failed: {fault}")
+    header, qps, p90 = lines[3:]
+    assert header.split()[0] == "metric"
+    assert qps.split()[:3] == ["queries_per_s", "higher", "1400"]
+    assert qps.split()[-3:] == p90.split()[-3:] == ["1/1", "within", "no"]
+    assert out.err == f"error: {fault}\n"

@@ -680,6 +680,35 @@ def test_label_missing_option_exits_2(tmp_path, capsys, method, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("method, extra", [
+    ("thm21", ("--n", "5")),
+    ("thm21", ("--power", "3")),
+    ("prop33", ("--power", "3")),
+    ("power", ("--n", "5")),
+])
+def test_label_refuses_an_option_its_method_does_not_take(tmp_path, capsys, method, extra):
+    names, opts, _, _ = LABEL_PINS[method]
+    files = _factor_files(tmp_path)
+    code, out, err = run(capsys, "label", "--method", method,
+                         *[str(files[g]) for g in names], *opts, *extra)
+    assert (code, out, err) == (2, "", f"error: method {method} takes no {extra[0]}\n")
+
+
+def test_out_of_memory_exits_3_not_1(tmp_path, capsys, monkeypatch):
+    # exit 1 is a negative verification; running out of memory is a resource bound
+    from lexidis import cli
+
+    def no_memory(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "find_preserving", no_memory)
+    g = tmp_path / "p3.el"
+    g.write_text(write_edge_list(path(3)))
+    lab = tmp_path / "lab.txt"
+    lab.write_text("v 0 1\nv 1 1\nv 2 1\n")
+    assert run(capsys, "verify", str(g), str(lab)) == (3, "", "error: out of memory\n")
+
+
 def test_unreadable_inputs_exit_2(tmp_path, capsys):
     # a directory where a file is expected is a usage error naming the path
     code, out, err = run(capsys, "dnum", str(tmp_path))

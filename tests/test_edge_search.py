@@ -9,12 +9,17 @@ import pytest
 from lexidis import (
     Graph,
     autosearch,
+    complete,
+    cycle,
     distinguishing_index,
+    distinguishing_number,
     find_preserving_edges,
     is_distinguishing_edges,
+    lex_power,
     lex_product,
     path,
     preserves_edge_labels,
+    spider,
 )
 from lexidis.cli import main
 from lexidis.distinguishing import validate_edge_labeling
@@ -22,6 +27,7 @@ from lexidis.formats import write_edge_list
 
 from .util import (
     edge_action_is_trivial,
+    line_graph,
     naive_edge_preserver_exists,
     random_graph,
     recorded_stats,
@@ -114,6 +120,43 @@ def test_band_search_agrees_with_the_subdivision_referee():
         tried += 1
         found += got is not None
     assert tried >= 300 and 100 <= found <= tried - 100 and small >= 50
+
+
+def _line_graph_referee(g: Graph) -> None:
+    d, witness = distinguishing_index(g)
+    assert distinguishing_number(line_graph(g)) == (d, [witness[e] for e in g.edge_list()])
+
+
+def test_edge_index_is_the_line_graphs_distinguishing_number():
+    """D'(G) = D(L(G)), in value and in witness, on every connected atlas
+    graph with 5 to 7 vertices.  On a connected graph with at least 5
+    vertices every automorphism of L(G) comes from exactly one of G
+    (Whitney 1932), so the distinguishing edge labelings of G are the
+    distinguishing vertex labelings of L(G), whose vertices are G's edges in
+    ``edge_list()`` order: the lex-least witnesses coincide.  The vertex
+    oracle referees the banded edge search, the edge action and the twin
+    seeds of D' at sizes the n! scan cannot reach."""
+    import networkx as nx
+
+    graphs = [Graph(x.number_of_nodes(), x.edges()) for x in nx.graph_atlas_g()
+              if 5 <= x.number_of_nodes() <= 7 and nx.is_connected(x)]
+    assert len(graphs) == 986
+    for g in graphs:
+        _line_graph_referee(g)
+
+
+LINE_GRAPH_CASES = {
+    "C5^2": lambda: lex_power(cycle(5), 2),
+    "P3^3": lambda: lex_power(path(3), 3),
+    "K3[C4]": lambda: lex_product(complete(3), cycle(4)),
+    "spider(8)": lambda: spider(8),
+    "spider(9)": lambda: spider(9),
+}
+
+
+@pytest.mark.parametrize("name", list(LINE_GRAPH_CASES))
+def test_line_graph_referees_products_and_spiders(name):
+    _line_graph_referee(LINE_GRAPH_CASES[name]())
 
 
 def _k3_plus(isolated: int) -> Graph:

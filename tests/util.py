@@ -6,7 +6,7 @@ arbitrate it: existence checks run over all n! vertex bijections.
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 
 from lexidis import Graph, Perm, autosearch, complete, cycle, path, spider, star
@@ -120,6 +120,17 @@ def edge_action_is_trivial(g: Graph, p: Perm) -> bool:
         if (a, b) != (u, v) and (a, b) != (v, u):
             return False
     return True
+
+
+def line_graph(g: Graph) -> Graph:
+    """L(g): one vertex per edge of g, in ``edge_list()`` order, two of them
+    adjacent when their edges share an end."""
+    edges = g.edge_list()
+    at: dict[int, list[int]] = {}
+    for i, (u, v) in enumerate(edges):
+        at.setdefault(u, []).append(i)
+        at.setdefault(v, []).append(i)
+    return Graph(len(edges), [pair for inc in at.values() for pair in combinations(inc, 2)])
 
 
 def canonical_form(g: Graph) -> tuple[int, tuple]:

@@ -20,7 +20,10 @@ better than every run of the parent: such runs cannot tell a change within
 the bound from one past it.
 
 A run that exits non-zero, or whose result is not ``correct`` or counts a
-failed answer, stops the comparison with exit code 1.  The script reads
+failed answer, stops the comparison with exit code 1, with no retry and no
+run skipped; the report is then printed over the complete pairs so far,
+headed as incomplete and naming the failed run's pair, side and fault.  The
+script reads
 ``BENCHMARK.json`` and runs ``perfbench/`` in each checkout; it writes
 nothing there but what the benchmark itself writes.  Standard library only.
 """
@@ -143,6 +146,12 @@ def main(argv=None) -> int:
             try:
                 result = one_run(command, getattr(args, side), args)
             except RunFault as exc:
+                print(f"INCOMPLETE: workload {args.workload} seed {args.seed}, {i} of "
+                      f"{args.pairs} pairs of {args.seconds:g} s runs; pair {i + 1} "
+                      f"{side} failed: {exc}")
+                if i:
+                    print("\n".join(report(spec, {k: v[:i] for k, v in runs.items()})))
+                sys.stdout.flush()
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             runs[side].append(result)
